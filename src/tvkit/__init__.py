@@ -21,7 +21,7 @@ from .functionals import (
     tv_isotropic,
     tv_objective,
 )
-from .grid import Boundary, Kernel, VectorField, convolve, convolve_adjoint, divergence, gradient
+from .grid import Kernel, VectorField, convolve, convolve_adjoint, divergence, gradient
 from .restore import (
     BlindParams,
     DegenerateKernelError,
@@ -41,14 +41,12 @@ from .solvers import (
     SolverDivergenceError,
     conjugate_gradient,
     dual_projection_denoise,
-    lagged_diffusivity_step,
     tv_restore_fixed_point,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Boundary",
     "Kernel",
     "VectorField",
     "convolve",
@@ -67,7 +65,6 @@ __all__ = [
     "SolverDivergenceError",
     "conjugate_gradient",
     "dual_projection_denoise",
-    "lagged_diffusivity_step",
     "tv_restore_fixed_point",
     "BlindParams",
     "DegenerateKernelError",

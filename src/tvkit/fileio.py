@@ -119,6 +119,14 @@ def read_pgm(path) -> np.ndarray:
             )
         values = samples.astype(np.float64)
     else:
+        # every P2 sample takes at least a separator and a digit, so a header
+        # claiming more samples than the file can hold fails before allocating
+        if count > (len(data) - pos) // 2:
+            raise PgmParseError(
+                f"truncated P2 payload: {count} samples cannot fit in "
+                f"{len(data) - pos} bytes",
+                len(data),
+            )
         values = np.empty(count, dtype=np.float64)
         for k in range(count):
             token, start, pos = _next_token(data, pos)
@@ -236,8 +244,12 @@ def report_rows(report: SolveReport) -> list[RunReportRow]:
 
 
 def read_report(path) -> SolveReport:
-    """Parse a CSV report back into a `SolveReport` (histories and counts;
-    the converged flag is not stored in the file)."""
+    """Parse a CSV report back into a `SolveReport` (histories and counts).
+
+    The file stores neither the converged flag nor the per-iteration CG
+    converged history, so ``converged`` reads back False and
+    ``cg_converged_history`` empty.
+    """
     report = SolveReport()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import functionals, solvers
 from .grid import VectorField, divergence, ensure_field, gradient
-from .solvers import SolverConfig, SolveReport, SolverDivergenceError
+from .solvers import SolverConfig, SolveReport
 
 
 class FlowVariant(Enum):
@@ -243,6 +243,7 @@ def flow_image_driven(
         step_norm_history=[float(np.linalg.norm(wvec))],
         cg_iterations_total=cg_iters,
         cg_iters_history=[cg_iters],
+        cg_converged_history=[cg_ok],
     )
     return w, solvers._finalize_report(report)
 
@@ -255,28 +256,16 @@ def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveRepo
     resulting linear system, starting from zero flow.
     """
     fx, fy, ft = image_derivatives(pair)
-    cfg = params.solver
-    wvec = np.zeros((2,) + pair.shape)
-    tol = cfg.resolved_tol_outer(wvec.size)
-    report = SolveReport()
-    for _ in range(cfg.max_outer):
+
+    def step(wvec):
         weights = flow_smoothness_weights(VectorField(wvec[0], wvec[1]), params.eps)
 
-        def apply_smooth(z, weights=weights):
+        def apply_smooth(z):
             return functionals.apply_weighted_laplacian(weights, weights, z)
 
-        try:
-            wnext, cg_iters, _ = _solve_linear_flow(
-                fx, fy, ft, params.lam, apply_smooth, wvec, cfg
-            )
-        except SolverDivergenceError as err:
-            err.report = solvers._finalize_report(report)
-            raise SolverDivergenceError(
-                f"{err} (outer iteration {report.outer_iterations + 1})",
-                report=err.report,
-            ) from err
-        step = float(np.linalg.norm(wnext - wvec))
-        wvec = wnext
+        return _solve_linear_flow(fx, fy, ft, params.lam, apply_smooth, wvec, params.solver)
+
+    def objective(wvec):
         w = VectorField(wvec[0], wvec[1])
         r = ofc_residual(fx, fy, ft, w)
         gu = gradient(w.u)
@@ -288,17 +277,12 @@ def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveRepo
                 )
             )
         )
-        report.outer_iterations += 1
-        report.cg_iterations_total += cg_iters
-        report.cg_iters_history.append(cg_iters)
-        report.objective_history.append(
-            float(np.sum(r * r)) + 2.0 * params.lam * tv_term
-        )
-        report.step_norm_history.append(step)
-        if step < tol:
-            report.converged = True
-            break
-    return VectorField(wvec[0], wvec[1]), solvers._finalize_report(report)
+        return float(np.sum(r * r)) + 2.0 * params.lam * tv_term
+
+    wvec, report = solvers.lagged_loop(
+        step, objective, np.zeros((2,) + pair.shape), params.solver
+    )
+    return VectorField(wvec[0], wvec[1]), report
 
 
 def estimate_flow(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveReport]:

@@ -15,16 +15,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-
-
-class Boundary(Enum):
-    """Boundary extension rule for stencils and convolution."""
-
-    REPLICATE = "replicate"
 
 
 class VectorField(NamedTuple):
@@ -157,14 +150,12 @@ def _clamped_axes(shape, kernel_shape):
     return rows, cols
 
 
-def convolve(f: np.ndarray, kernel: Kernel, boundary: Boundary = Boundary.REPLICATE) -> np.ndarray:
+def convolve(f: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Apply the kernel to the field (correlation-style, replicate boundary).
 
     Direct spatial-domain evaluation, linear in ``f``; the delta kernel is
     the exact identity.
     """
-    if boundary is not Boundary.REPLICATE:
-        raise ValueError(f"unsupported boundary rule {boundary!r}")
     f = np.asarray(f, dtype=np.float64)
     w = kernel.weights
     rows, cols = _clamped_axes(f.shape, w.shape)
@@ -177,17 +168,13 @@ def convolve(f: np.ndarray, kernel: Kernel, boundary: Boundary = Boundary.REPLIC
     return out
 
 
-def convolve_adjoint(
-    f: np.ndarray, kernel: Kernel, boundary: Boundary = Boundary.REPLICATE
-) -> np.ndarray:
+def convolve_adjoint(f: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Exact adjoint of `convolve` under the same boundary rule.
 
     Scatters each tap's contribution back to its clamped source pixel, so
     ``inner(convolve(x, k), y) == inner(x, convolve_adjoint(y, k))`` holds
     to rounding for all x, y.
     """
-    if boundary is not Boundary.REPLICATE:
-        raise ValueError(f"unsupported boundary rule {boundary!r}")
     f = np.asarray(f, dtype=np.float64)
     w = kernel.weights
     rows, cols = _clamped_axes(f.shape, w.shape)

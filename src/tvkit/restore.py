@@ -69,32 +69,18 @@ class BlindParams:
 def ls_estimate(
     g: np.ndarray, kernel: Kernel, cfg: Optional[SolverConfig] = None
 ) -> np.ndarray:
-    """Least-squares estimate: CG on the normal equations ``H^T H f = H^T g``."""
-    g = np.asarray(g, dtype=np.float64)
-
-    def apply_A(x):
-        return convolve_adjoint(convolve(x, kernel), kernel)
-
-    f, _, _ = solvers.conjugate_gradient(apply_A, convolve_adjoint(g, kernel), cfg=cfg)
-    return f
+    """Least-squares estimate: CG on the normal equations ``H^T H f = H^T g``
+    (`gtr_estimate` with ``f0 = 0``, ``P = I`` and no ridge)."""
+    return gtr_estimate(g, np.zeros(np.shape(g)), kernel, np.ones(np.shape(g)), 0.0, cfg)
 
 
 def rls_estimate(
     g: np.ndarray, kernel: Kernel, q_lambda: float, cfg: Optional[SolverConfig] = None
 ) -> np.ndarray:
     """Regularized least squares with ridge penalty ``Q = q_lambda * I``:
-    solves ``(H^T H + q_lambda^2 I) f = H^T g``."""
-    if q_lambda < 0:
-        raise ValueError(f"q_lambda must be nonnegative, got {q_lambda}")
-    g = np.asarray(g, dtype=np.float64)
-    mu = q_lambda * q_lambda
-
-    def apply_A(x):
-        out = convolve_adjoint(convolve(x, kernel), kernel)
-        return out + mu * x if mu > 0 else out
-
-    f, _, _ = solvers.conjugate_gradient(apply_A, convolve_adjoint(g, kernel), cfg=cfg)
-    return f
+    solves ``(H^T H + q_lambda^2 I) f = H^T g`` (`gtr_estimate` with
+    ``f0 = 0`` and ``P = I``)."""
+    return gtr_estimate(g, np.zeros(np.shape(g)), kernel, np.ones(np.shape(g)), q_lambda, cfg)
 
 
 def gtr_estimate(
@@ -193,9 +179,10 @@ def _project_kernel(weights: np.ndarray) -> np.ndarray:
 
 def _kernel_step(
     g: np.ndarray, f: np.ndarray, h_k: np.ndarray, params: BlindParams
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, bool]:
     """TV-regularized LS solve for the kernel with the image fixed, followed
-    by the nonnegativity/unit-sum projection."""
+    by the nonnegativity/unit-sum projection.  Returns the projected kernel
+    and the CG iteration count and converged flag."""
     lam = params.lam_kernel
     if lam > 0.0:
         wx, wy = functionals.diffusion_weights(h_k, params.alpha)
@@ -213,8 +200,8 @@ def _kernel_step(
             )
 
     b = _image_times_kernel_adjoint(f, g, params.kernel_size)
-    h_new, iters, _ = solvers.conjugate_gradient(apply_A, b, x0=h_k, cfg=params.solver)
-    return _project_kernel(h_new), iters
+    h_new, iters, converged = solvers.conjugate_gradient(apply_A, b, x0=h_k, cfg=params.solver)
+    return _project_kernel(h_new), iters, converged
 
 
 def _blind_objective(g, f, h_weights, params: BlindParams) -> float:
@@ -241,7 +228,8 @@ def blind_deconvolve(
 
     The report's histories are per alternation; ``cg_iterations_total``
     additionally counts the initial image solve, so it can exceed the sum
-    of ``cg_iters_history``.
+    of ``cg_iters_history``.  ``converged`` also requires every CG solve of
+    the initial image solve to have converged.
     """
     g = np.asarray(g, dtype=np.float64)
     ks = params.kernel_size
@@ -254,44 +242,40 @@ def blind_deconvolve(
             )
         h = _project_kernel(kernel0.weights)
 
-    report = SolveReport()
-
-    f, inner_rep = tv_deconvolve(
+    f, init_rep = tv_deconvolve(
         g,
         Kernel(h),
         RestoreParams(lam=params.lam_image, alpha=params.alpha, solver=params.solver),
     )
-    report.cg_iterations_total += inner_rep.cg_iterations_total
     cfg = params.solver
     # per AM step the image solve is warm-started and capped; the outer loop
     # supplies the remaining iterations
     inner_cfg = replace(cfg, max_outer=min(cfg.max_outer, 8))
-    tol = cfg.resolved_tol_outer(g.size)
+
+    def step(f):
+        nonlocal h
+        h, kernel_cg, kernel_ok = _kernel_step(g, f, h, params)
+        f_next, inner_rep = solvers.tv_restore_fixed_point(
+            g,
+            Kernel(h),
+            params.lam_image,
+            alpha=params.alpha,
+            cfg=inner_cfg,
+            init=f,
+        )
+        cg_ok = kernel_ok and all(inner_rep.cg_converged_history)
+        return f_next, kernel_cg + inner_rep.cg_iterations_total, cg_ok
+
+    report = SolveReport(cg_iterations_total=init_rep.cg_iterations_total)
     try:
-        for _ in range(cfg.max_outer):
-            h, kernel_cg = _kernel_step(g, f, h, params)
-            f_next, inner_rep = solvers.tv_restore_fixed_point(
-                g,
-                Kernel(h),
-                params.lam_image,
-                alpha=params.alpha,
-                cfg=inner_cfg,
-                init=f,
-            )
-            step = float(np.linalg.norm(f_next - f))
-            report.outer_iterations += 1
-            report.cg_iterations_total += kernel_cg + inner_rep.cg_iterations_total
-            report.cg_iters_history.append(kernel_cg + inner_rep.cg_iterations_total)
-            report.objective_history.append(_blind_objective(g, f_next, h, params))
-            report.step_norm_history.append(step)
-            f = f_next
-            if step < tol:
-                report.converged = True
-                break
+        f, report = solvers.lagged_loop(
+            step, lambda f_next: _blind_objective(g, f_next, h, params), f, cfg, report
+        )
     except DegenerateKernelError as err:
         err.report = solvers._finalize_report(report)
         raise
-    return f, Kernel(h), solvers._finalize_report(report)
+    report.converged = report.converged and all(init_rep.cg_converged_history)
+    return f, Kernel(h), report
 
 
 def lasso_estimate(

@@ -69,11 +69,14 @@ class SolveReport:
     """Per-iteration record of an outer solve."""
 
     outer_iterations: int = 0
+    # the outer step norm fell below its tolerance and every CG solve converged
     converged: bool = False
     objective_history: list[float] = field(default_factory=list)
     step_norm_history: list[float] = field(default_factory=list)
     cg_iterations_total: int = 0
     cg_iters_history: list[int] = field(default_factory=list)
+    # whether each outer iteration's CG solves all converged
+    cg_converged_history: list[bool] = field(default_factory=list)
     # descent / contraction are monitored, not enforced
     objective_monotone: bool = True
     step_norms_monotone: bool = True
@@ -165,28 +168,48 @@ def _normal_equations(
     return apply_A, convolve_adjoint(g, kernel)
 
 
-def lagged_diffusivity_step(
-    f_k: np.ndarray,
-    g: np.ndarray,
-    kernel: Kernel,
-    lam: float,
-    alpha: float = functionals.DEFAULT_ALPHA,
-    cfg: Optional[SolverConfig] = None,
-    variant: TVVariant = TVVariant.ISOTROPIC,
-) -> np.ndarray:
-    """One outer step: solve ``[H^T H + lam L(f_k)] f = H^T g``, warm-started
-    at ``f_k``."""
-    f_next, _, _ = _lagged_step(f_k, g, kernel, lam, alpha, cfg or SolverConfig(), variant)
-    return f_next
+def lagged_loop(
+    step: Callable[[np.ndarray], tuple[np.ndarray, int, bool]],
+    objective: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    cfg: SolverConfig,
+    report: Optional[SolveReport] = None,
+) -> tuple[np.ndarray, SolveReport]:
+    """Lagged outer loop: ``x <- step(x)`` from ``x0`` until the step norm
+    drops below ``cfg.resolved_tol_outer(x0.size)`` or after
+    ``cfg.max_outer`` steps.
 
-
-def _lagged_step(f_k, g, kernel, lam, alpha, cfg, variant):
-    f_k = np.asarray(f_k, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if f_k.shape != g.shape:
-        raise ValueError("iterate and observation must have the same shape")
-    apply_A, b = _normal_equations(f_k, g, kernel, lam, alpha, variant)
-    return conjugate_gradient(apply_A, b, x0=f_k, cfg=cfg)
+    ``step(x)`` freezes what depends on ``x`` (the diffusivity weights), runs
+    CG and returns ``(x_next, cg_iters, cg_converged)``; ``objective(x_next)``
+    is recorded after every step.  ``converged`` requires the last step below
+    the tolerance and every CG solve converged.  A `SolverDivergenceError`
+    is re-raised with the partial report and its outer iteration; a given
+    ``report`` is filled in place, so a caller can attach the partial record
+    to an error of its own.
+    """
+    tol = cfg.resolved_tol_outer(x0.size)
+    report = SolveReport() if report is None else report
+    x = x0
+    for _ in range(cfg.max_outer):
+        try:
+            x_next, cg_iters, cg_converged = step(x)
+        except SolverDivergenceError as err:
+            raise SolverDivergenceError(
+                f"{err} (outer iteration {report.outer_iterations + 1})",
+                report=_finalize_report(report),
+            ) from err
+        step_norm = float(np.linalg.norm(x_next - x))
+        report.outer_iterations += 1
+        report.cg_iterations_total += cg_iters
+        report.cg_iters_history.append(cg_iters)
+        report.cg_converged_history.append(cg_converged)
+        report.objective_history.append(objective(x_next))
+        report.step_norm_history.append(step_norm)
+        x = x_next
+        if step_norm < tol:
+            report.converged = all(report.cg_converged_history)
+            break
+    return x, _finalize_report(report)
 
 
 def tv_restore_fixed_point(
@@ -198,12 +221,15 @@ def tv_restore_fixed_point(
     variant: TVVariant = TVVariant.ISOTROPIC,
     init="observed",
 ) -> tuple[np.ndarray, SolveReport]:
-    """Iterate `lagged_diffusivity_step` until the step norm drops below the
-    outer tolerance or the iteration cap is reached.
+    """Solve ``[H^T H + lam L(f_k)] f_{k+1} = H^T g`` by `lagged_loop`, each
+    step warm-started at ``f_k``, until the step norm drops below the outer
+    tolerance or the iteration cap is reached.
 
     ``init`` selects the starting image: ``"observed"`` (the data, default),
     ``"mean"`` (a flat image at the observation's mean intensity), or an
-    explicit starting array for warm starts.
+    explicit starting array for warm starts.  With
+    ``cfg=replace(cfg, max_outer=1)`` and ``init=f_k`` this is one lagged
+    step from ``f_k``.
     """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
@@ -219,31 +245,15 @@ def tv_restore_fixed_point(
         f = np.full_like(g, g.mean())
     else:
         raise ValueError(f"unknown init {init!r}")
-    tol = cfg.resolved_tol_outer(g.size)
 
-    report = SolveReport()
-    for _ in range(cfg.max_outer):
-        try:
-            f_next, cg_iters, _ = _lagged_step(f, g, kernel, lam, alpha, cfg, variant)
-        except SolverDivergenceError as err:
-            err.report = _finalize_report(report)
-            raise SolverDivergenceError(
-                f"{err} (outer iteration {report.outer_iterations + 1})",
-                report=err.report,
-            ) from err
-        step = float(np.linalg.norm(f_next - f))
-        report.outer_iterations += 1
-        report.cg_iterations_total += cg_iters
-        report.cg_iters_history.append(cg_iters)
-        report.objective_history.append(
-            functionals.tv_objective(f_next, g, kernel, lam, alpha, variant)
-        )
-        report.step_norm_history.append(step)
-        f = f_next
-        if step < tol:
-            report.converged = True
-            break
-    return f, _finalize_report(report)
+    def step(f_k):
+        apply_A, b = _normal_equations(f_k, g, kernel, lam, alpha, variant)
+        return conjugate_gradient(apply_A, b, x0=f_k, cfg=cfg)
+
+    def objective(f_next):
+        return functionals.tv_objective(f_next, g, kernel, lam, alpha, variant)
+
+    return lagged_loop(step, objective, f, cfg)
 
 
 def dual_projection_denoise(

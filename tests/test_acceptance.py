@@ -6,6 +6,7 @@ tolerances with margin, so any failure is a regression.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,8 +158,8 @@ def test_04_dense_oracle_equivalence():
     f_k = rng.uniform(0.0, 1.0, (6, 6))
     for variant in (TVVariant.ISOTROPIC, TVVariant.ANISOTROPIC):
         L = materialize(lambda v: apply_tv_operator(f_k, v, variant=variant), (6, 6))
-        f_next = solvers.lagged_diffusivity_step(f_k, g, k, lam, cfg=TIGHT,
-                                                 variant=variant)
+        f_next, _ = tv_restore_fixed_point(g, k, lam, cfg=replace(TIGHT, max_outer=1),
+                                           variant=variant, init=f_k)
         want = np.linalg.solve(H.T @ H + lam * L, H.T @ g.ravel())
         assert np.abs(f_next.ravel() - want).max() <= 1e-6
     print("PASS 4: ls/rls/gtr and lagged step match dense oracles to 1e-6")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,20 @@ class TestPgm:
         p.write_bytes(b"P2 # magic\n# a comment line\n2 1\n255\n7 250\n")
         img = read_pgm(p)
         np.testing.assert_allclose(img, [[7 / 255, 250 / 255]])
+
+    def test_ascii_header_size_bounded_by_file(self, tmp_path):
+        # a 4000x4000 header with 3 samples must fail before allocating
+        # the 128 MB sample buffer the header claims
+        p = tmp_path / "huge.pgm"
+        p.write_bytes(b"P2 4000 4000 255\n1 2 3\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(PgmParseError, match="truncated P2 payload"):
+                read_pgm(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_binary_payload_too_short(self, tmp_path):
         p = tmp_path / "short.pgm"

@@ -18,7 +18,7 @@ from tvkit.flow import (
     ofc_residual,
 )
 from tvkit.grid import VectorField, inner
-from tvkit.solvers import SolverConfig, SolverDivergenceError
+from tvkit.solvers import SolveReport, SolverConfig, SolverDivergenceError
 
 from conftest import materialize
 
@@ -277,6 +277,7 @@ class TestTVFlow:
             with pytest.raises(SolverDivergenceError) as exc_info:
                 flow_tv(pair, FlowParams(lam=1e300, eps=1e-160))
         assert "outer iteration" in str(exc_info.value)
+        assert isinstance(exc_info.value.report, SolveReport)
 
 
 class TestVariantAgreement:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from tvkit import grid
-from tvkit.grid import Boundary, Kernel, VectorField
+from tvkit.grid import Kernel, VectorField
 
 from conftest import materialize
 

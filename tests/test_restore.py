@@ -17,7 +17,7 @@ from tvkit.restore import (
     tv_deconvolve,
     tv_denoise,
 )
-from tvkit.solvers import SolverConfig
+from tvkit.solvers import SolveReport, SolverConfig
 
 
 TIGHT = SolverConfig(tol_cg=1e-12, max_cg=5000)
@@ -235,6 +235,27 @@ class TestBlindDeconvolve:
     def test_degenerate_projection_signals(self):
         with pytest.raises(DegenerateKernelError):
             restore._project_kernel(np.full((3, 3), -1.0))
+
+    def test_degenerate_kernel_carries_partial_report(self, monkeypatch):
+        # the first alternation projects once; fail the second projection,
+        # with an outer tolerance small enough that a second one runs
+        project = restore._project_kernel
+        calls = []
+
+        def collapse_on_second_call(weights):
+            calls.append(weights)
+            if len(calls) == 2:
+                raise DegenerateKernelError("kernel collapsed")
+            return project(weights)
+
+        monkeypatch.setattr(restore, "_project_kernel", collapse_on_second_call)
+        with pytest.raises(DegenerateKernelError) as exc_info:
+            blind_deconvolve(self.g, BlindParams(solver=SolverConfig(max_outer=4,
+                                                                     tol_outer=1e-12)))
+        report = exc_info.value.report
+        assert isinstance(report, SolveReport)
+        assert report.outer_iterations >= 1
+        assert len(report.objective_history) == report.outer_iterations
 
 
 class TestLasso:

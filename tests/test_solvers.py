@@ -1,16 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tvkit import functionals, grid, solvers
+from tvkit import functionals, grid, solvers, synth
+from tvkit.flow import FlowParams, flow_tv
 from tvkit.functionals import TVVariant, tv_objective
 from tvkit.grid import Kernel
+from tvkit.restore import BlindParams, blind_deconvolve
 from tvkit.solvers import (
     SolveReport,
     SolverConfig,
     SolverDivergenceError,
     conjugate_gradient,
     dual_projection_denoise,
-    lagged_diffusivity_step,
     tv_restore_fixed_point,
 )
 
@@ -22,6 +25,13 @@ def noisy_step(h=32, w=32, sigma=0.05, seed=0):
     f = np.full((h, w), 0.25)
     f[:, w // 2:] = 0.75
     return f, f + sigma * rng.standard_normal((h, w))
+
+
+def lagged_step(f_k, g, kernel, lam, cfg=SolverConfig(), **kwargs):
+    """One outer step from ``f_k``: the fixed point capped at one iteration."""
+    f, _ = tv_restore_fixed_point(g, kernel, lam, cfg=replace(cfg, max_outer=1),
+                                  init=f_k, **kwargs)
+    return f
 
 
 class TestConfig:
@@ -128,7 +138,7 @@ class TestLaggedStep:
     def test_identity_kernel_no_penalty(self):
         rng = np.random.default_rng(3)
         g = rng.uniform(0.0, 1.0, (6, 6))
-        out = lagged_diffusivity_step(np.zeros_like(g), g, Kernel.delta(), 0.0)
+        out = lagged_step(np.zeros_like(g), g, Kernel.delta(), 0.0)
         np.testing.assert_allclose(out, g, atol=1e-10)
 
     def test_no_penalty_ignores_alpha_and_state(self):
@@ -136,8 +146,8 @@ class TestLaggedStep:
         g = rng.uniform(0.0, 1.0, (6, 6))
         k = Kernel.binomial3()
         cfg = SolverConfig(tol_cg=1e-12)
-        a = lagged_diffusivity_step(rng.standard_normal((6, 6)), g, k, 0.0, alpha=1e-3, cfg=cfg)
-        b = lagged_diffusivity_step(rng.standard_normal((6, 6)), g, k, 0.0, alpha=1e-1, cfg=cfg)
+        a = lagged_step(rng.standard_normal((6, 6)), g, k, 0.0, alpha=1e-3, cfg=cfg)
+        b = lagged_step(rng.standard_normal((6, 6)), g, k, 0.0, alpha=1e-1, cfg=cfg)
         np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_fixed_point_property(self):
@@ -146,8 +156,8 @@ class TestLaggedStep:
         cfg = SolverConfig(tol_cg=1e-12)
         f = noisy.copy()
         for _ in range(40):
-            f = lagged_diffusivity_step(f, noisy, Kernel.delta(), 0.1, cfg=cfg)
-        again = lagged_diffusivity_step(f, noisy, Kernel.delta(), 0.1, cfg=cfg)
+            f = lagged_step(f, noisy, Kernel.delta(), 0.1, cfg=cfg)
+        again = lagged_step(f, noisy, Kernel.delta(), 0.1, cfg=cfg)
         assert np.linalg.norm(again - f) <= 1e-5 * np.linalg.norm(f)
 
 
@@ -234,6 +244,36 @@ class TestFixedPointSolver:
         with pytest.raises(SolverDivergenceError) as exc_info:
             tv_restore_fixed_point(g, Kernel.delta(), 0.1)
         assert isinstance(exc_info.value.report, SolveReport)
+
+
+def capped_denoise(cfg):
+    _, noisy = synth.make_step32()
+    return tv_restore_fixed_point(noisy, Kernel.delta(), 0.05, cfg=cfg)[1]
+
+
+def capped_flow(cfg):
+    # a looser outer tolerance lets the outer loop stop before max_outer
+    pair, _ = synth.make_split_motion()
+    return flow_tv(pair, FlowParams(lam=0.003, eps=0.05,
+                                    solver=replace(cfg, tol_outer=0.1)))[1]
+
+
+def capped_blind(cfg):
+    _, noisy = synth.make_step32()
+    return blind_deconvolve(noisy, BlindParams(solver=cfg))[2]
+
+
+@pytest.mark.parametrize("solve", [capped_denoise, capped_flow, capped_blind],
+                         ids=["denoise", "flow", "blind"])
+def test_capped_cg_is_not_converged(solve):
+    # three CG iterations never reach tol_cg, but the outer steps still
+    # shrink below the outer tolerance: the report must not claim convergence
+    cfg = SolverConfig(max_cg=3)
+    report = solve(cfg)
+    assert report.outer_iterations < cfg.max_outer
+    assert report.converged is False
+    assert not all(report.cg_converged_history)
+    assert len(report.cg_converged_history) == report.outer_iterations
 
 
 class TestEquivariance:
