@@ -150,11 +150,7 @@ def _run_denoise(job: JobSpec) -> int:
         variant=_tv_variant(job.variant),
         solver=_solver_config(job),
     )
-    try:
-        f, report = restore.tv_denoise(g, params)
-    except SolverDivergenceError as err:
-        _flush_partial(job, err)
-        raise
+    f, report = restore.tv_denoise(g, params)
     return _finish_image_job(job, f, report, g, started)
 
 
@@ -168,11 +164,7 @@ def _run_deconv(job: JobSpec) -> int:
         variant=_tv_variant(job.variant),
         solver=_solver_config(job),
     )
-    try:
-        f, report = restore.tv_deconvolve(g, kernel, params)
-    except SolverDivergenceError as err:
-        _flush_partial(job, err)
-        raise
+    f, report = restore.tv_deconvolve(g, kernel, params)
     return _finish_image_job(job, f, report, g, started)
 
 
@@ -187,11 +179,7 @@ def _run_blind(job: JobSpec) -> int:
         alpha=job.alpha,
         solver=_solver_config(job),
     )
-    try:
-        f, kernel, report = restore.blind_deconvolve(g, params, kernel0=kernel0)
-    except (SolverDivergenceError, restore.DegenerateKernelError) as err:
-        _flush_partial(job, err)
-        raise
+    f, kernel, report = restore.blind_deconvolve(g, params, kernel0=kernel0)
     if job.kernel_out is not None:
         write_kernel_text(job.kernel_out, kernel)
     return _finish_image_job(job, f, report, g, started)
@@ -209,11 +197,7 @@ def _run_flow(job: JobSpec) -> int:
     params = FlowParams(
         lam=job.lam, eps=job.eps, variant=variant, solver=_solver_config(job)
     )
-    try:
-        w, report = estimate_flow(pair, params)
-    except SolverDivergenceError as err:
-        _flush_partial(job, err)
-        raise
+    w, report = estimate_flow(pair, params)
     write_flo(job.output, w)
     write_report(_report_path(job.output), report)
     metrics = [("objective", report.objective_history[-1])]
@@ -296,11 +280,16 @@ _COMMANDS = {
 
 
 def run(job: JobSpec) -> int:
-    """Execute one job; returns the process exit status."""
+    """Execute one job; returns the process exit status.  A solver failure
+    flushes the partial convergence report before it propagates."""
     handler = _COMMANDS.get(job.command)
     if handler is None:
         raise ValueError(f"unknown command {job.command!r}")
-    return handler(job)
+    try:
+        return handler(job)
+    except (SolverDivergenceError, restore.DegenerateKernelError) as err:
+        _flush_partial(job, err)
+        raise
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:

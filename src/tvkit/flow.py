@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import functionals, solvers
-from .grid import VectorField, divergence, ensure_field, gradient
+from .grid import VectorField, divergence, ensure_field, gradient, pad_edge
 from .solvers import SolverConfig, SolveReport
 
 
@@ -87,7 +87,7 @@ def centered_gradient(f: np.ndarray) -> VectorField:
     shift the flow estimate by half a pixel.
     """
     f = ensure_field(f)
-    fp = np.pad(f, 1, mode="edge")
+    fp = pad_edge(f, 1, 1)
     fx = 0.5 * (fp[1:-1, 2:] - fp[1:-1, :-2])
     fy = 0.5 * (fp[2:, 1:-1] - fp[:-2, 1:-1])
     return VectorField(fx, fy)

@@ -10,6 +10,10 @@ Conventions used throughout the package:
   (clamp-to-edge) boundary: the forward difference in the last column/row
   is zero, and convolution reads out-of-range samples from the nearest
   edge pixel.
+* `pad_edge` is the single home of the replicate boundary: every stencil
+  that reads past the border (`convolve`, the blind kernel correlation,
+  the centered flow gradient) pads with it and then takes slices, and
+  `convolve_adjoint` folds the pad back with its exact adjoint.
 """
 
 from __future__ import annotations
@@ -140,14 +144,35 @@ def divergence(p: VectorField) -> np.ndarray:
     return out
 
 
-def _clamped_axes(shape, kernel_shape):
-    """Per-tap clamped index arrays implementing the replicate boundary."""
-    h, w = shape
-    kh, kw = kernel_shape
-    cy, cx = kh // 2, kw // 2
-    rows = [np.clip(np.arange(h) + (b - cy), 0, h - 1) for b in range(kh)]
-    cols = [np.clip(np.arange(w) + (a - cx), 0, w - 1) for a in range(kw)]
-    return rows, cols
+def pad_edge(f: np.ndarray, cy: int, cx: int) -> np.ndarray:
+    """Extend ``f`` by ``cy`` rows and ``cx`` columns on each side, copying
+    the nearest edge sample (the replicate boundary)."""
+    return np.pad(f, ((cy, cy), (cx, cx)), mode="edge")
+
+
+def _fold_edge(fp: np.ndarray, cy: int, cx: int) -> np.ndarray:
+    """Exact adjoint of `pad_edge`, computed in place in ``fp``: add the pad
+    rows, then the pad columns, onto the edge row or column they copy, and
+    return the interior."""
+    h, w = fp.shape[0] - 2 * cy, fp.shape[1] - 2 * cx
+    fp[cy] += fp[:cy].sum(axis=0)
+    fp[cy + h - 1] += fp[cy + h :].sum(axis=0)
+    fp[:, cx] += fp[:, :cx].sum(axis=1)
+    fp[:, cx + w - 1] += fp[:, cx + w :].sum(axis=1)
+    return fp[cy : cy + h, cx : cx + w]
+
+
+def _taps(fp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``out = sum_ba w[b, a] * fp[b:b+H, a:a+W]`` over the nonzero taps,
+    where ``(H, W)`` is the shape of ``fp`` less the kernel's extent."""
+    kh, kw = w.shape
+    h, wd = fp.shape[0] - kh + 1, fp.shape[1] - kw + 1
+    out = np.zeros((h, wd))
+    for b in range(kh):
+        for a in range(kw):
+            if w[b, a] != 0.0:
+                out += w[b, a] * fp[b : b + h, a : a + wd]
+    return out
 
 
 def convolve(f: np.ndarray, kernel: Kernel) -> np.ndarray:
@@ -158,33 +183,23 @@ def convolve(f: np.ndarray, kernel: Kernel) -> np.ndarray:
     """
     f = np.asarray(f, dtype=np.float64)
     w = kernel.weights
-    rows, cols = _clamped_axes(f.shape, w.shape)
-    out = np.zeros_like(f)
-    for b in range(w.shape[0]):
-        fb = f[rows[b], :]
-        for a in range(w.shape[1]):
-            if w[b, a] != 0.0:
-                out += w[b, a] * fb[:, cols[a]]
-    return out
+    cy, cx = w.shape[0] // 2, w.shape[1] // 2
+    return _taps(pad_edge(f, cy, cx), w)
 
 
 def convolve_adjoint(f: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Exact adjoint of `convolve` under the same boundary rule.
 
-    Scatters each tap's contribution back to its clamped source pixel, so
-    ``inner(convolve(x, k), y) == inner(x, convolve_adjoint(y, k))`` holds
-    to rounding for all x, y.
+    Applies the flipped kernel to the zero-extended field, which spreads
+    each tap's contribution over the padded grid, then folds the pad back
+    onto the border, so ``inner(convolve(x, k), y) == inner(x,
+    convolve_adjoint(y, k))`` holds to rounding for all x, y.
     """
     f = np.asarray(f, dtype=np.float64)
     w = kernel.weights
-    rows, cols = _clamped_axes(f.shape, w.shape)
-    out = np.zeros_like(f)
-    for b in range(w.shape[0]):
-        jr = rows[b][:, None]
-        for a in range(w.shape[1]):
-            if w[b, a] != 0.0:
-                np.add.at(out, (jr, cols[a][None, :]), w[b, a] * f)
-    return out
+    kh, kw = w.shape
+    fz = np.pad(f, ((kh - 1, kh - 1), (kw - 1, kw - 1)))
+    return _fold_edge(_taps(fz, w[::-1, ::-1]), kh // 2, kw // 2)
 
 
 def inner(f: np.ndarray, g: np.ndarray) -> float:

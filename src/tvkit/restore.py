@@ -12,7 +12,7 @@ import numpy as np
 
 from . import functionals, solvers
 from .functionals import TVVariant
-from .grid import Kernel, convolve, convolve_adjoint
+from .grid import Kernel, convolve, convolve_adjoint, pad_edge
 from .solvers import SolverConfig, SolveReport
 
 PSNR_CAP_DB = 300.0
@@ -118,15 +118,8 @@ def gtr_estimate(
 
 
 def tv_denoise(g: np.ndarray, params: RestoreParams) -> tuple[np.ndarray, SolveReport]:
-    """TV denoising: the restoration fixed point with the identity kernel."""
-    return solvers.tv_restore_fixed_point(
-        g,
-        Kernel.delta(),
-        params.lam,
-        alpha=params.alpha,
-        cfg=params.solver,
-        variant=params.variant,
-    )
+    """TV denoising: TV deconvolution with the identity kernel."""
+    return tv_deconvolve(g, Kernel.delta(), params)
 
 
 def tv_deconvolve(
@@ -153,16 +146,11 @@ def _image_times_kernel_adjoint(f: np.ndarray, r: np.ndarray, ksize: int) -> np.
     """Adjoint of `_image_times_kernel` in its kernel argument: correlate the
     residual against the (replicate-extended) image at each tap offset."""
     h, w = f.shape
-    c = ksize // 2
-    rows = np.arange(h)
-    cols = np.arange(w)
+    fp = pad_edge(f, ksize // 2, ksize // 2)
     out = np.empty((ksize, ksize))
     for b in range(ksize):
-        jr = np.clip(rows + (b - c), 0, h - 1)
-        fb = f[jr, :]
         for a in range(ksize):
-            ic = np.clip(cols + (a - c), 0, w - 1)
-            out[b, a] = float(np.sum(fb[:, ic] * r))
+            out[b, a] = float(np.sum(fp[b : b + h, a : a + w] * r))
     return out
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tvkit import cli, fileio, synth
+from tvkit import cli, fileio, grid, restore, synth
 from tvkit.cli import main, parse_kernel, read_kernel_text, write_kernel_text
 from tvkit.fileio import (
     FloFormatError,
@@ -306,10 +306,31 @@ class TestCliRuns:
         assert not out.exists()
         assert (tmp_path / "est.csv").exists()
 
+    def test_blind_failure_exits_two_with_partial_report(self, tmp_path, monkeypatch):
+        # the first alternation projects once; the second projection fails
+        project = restore._project_kernel
+        calls = []
+
+        def collapse_on_second_call(weights):
+            calls.append(weights)
+            if len(calls) == 2:
+                raise restore.DegenerateKernelError("kernel collapsed")
+            return project(weights)
+
+        monkeypatch.setattr(restore, "_project_kernel", collapse_on_second_call)
+        clean = np.full((16, 16), 0.2)
+        clean[4:12, 3:9] = 0.8
+        src = tmp_path / "blurred.pgm"
+        write_pgm(src, grid.convolve(clean, Kernel.motion_horizontal(3)), maxval=65535)
+        out = tmp_path / "deblurred.pgm"
+        code = main(["blind", str(src), str(out), "--max-iter", "4", "--tol", "1e-12"])
+        assert code == 2
+        assert len(calls) == 2
+        assert not out.exists()
+        assert len(read_report(tmp_path / "deblurred.csv").objective_history) >= 1
+
     def test_deconv_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
-        from tvkit import grid
-
         clean = np.full((16, 16), 0.3)
         clean[4:12, 4:12] = 0.7
         g = grid.convolve(clean, Kernel.box(3))
@@ -323,8 +344,6 @@ class TestCliRuns:
 
     def test_blind_writes_kernel(self, tmp_path):
         assert main(["synth", "piecewise64", "--outdir", str(tmp_path)]) == 0
-        from tvkit import grid
-
         clean = read_pgm(tmp_path / "piecewise64_clean.pgm")
         g = grid.convolve(clean, Kernel.motion_horizontal(3))
         src = tmp_path / "blurred.pgm"

@@ -164,22 +164,26 @@ class TestConvolveAdjoint:
         b = grid.convolve_adjoint(f, k)
         assert np.abs(a - b).max() < 1e-14
 
-    @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5]))
     @settings(max_examples=60, deadline=None)
-    def test_adjoint_identity(self, h, w, seed):
+    def test_adjoint_identity(self, h, w, seed, kh, kw):
         rng = np.random.default_rng(seed)
         x = random_field(rng, h, w)
         y = random_field(rng, h, w)
-        ks = int(rng.choice([1, 3, 5]))
-        k = Kernel(rng.standard_normal((ks, ks)))
+        k = Kernel(rng.standard_normal((kh, kw)))
         lhs = float(np.sum(grid.convolve(x, k) * y))
         rhs = float(np.sum(x * grid.convolve_adjoint(y, k)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
-    def test_dense_transpose(self):
-        shape = (5, 4)
+    # on the 2x3 field the (1,5) and (5,3) kernels are longer than the
+    # field along one axis, so one window reaches past both opposite edges
+    @pytest.mark.parametrize("kshape", [(3, 3), (1, 5), (5, 3)],
+                             ids=["k3x3", "k1x5", "k5x3"])
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3)], ids=["5x4", "2x3"])
+    def test_dense_transpose(self, shape, kshape):
         rng = np.random.default_rng(9)
-        k = Kernel(rng.standard_normal((3, 3)))
+        k = Kernel(rng.standard_normal(kshape))
         H = materialize(lambda x: grid.convolve(x, k), shape)
         Ht = materialize(lambda x: grid.convolve_adjoint(x, k), shape)
         assert np.abs(H.T - Ht).max() < 1e-14

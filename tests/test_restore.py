@@ -232,6 +232,32 @@ class TestBlindDeconvolve:
         with pytest.raises(ValueError):
             BlindParams(kernel_size=4)
 
+    @pytest.mark.parametrize("ks", [3, 5])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (7, 9)])
+    def test_kernel_adjoint_identity(self, shape, ks):
+        rng = np.random.default_rng(41)
+        f = rng.standard_normal(shape)
+        h = rng.standard_normal((ks, ks))
+        r = rng.standard_normal(shape)
+        lhs = grid.inner(restore._image_times_kernel(f, h), r)
+        rhs = grid.inner(h, restore._image_times_kernel_adjoint(f, r, ks))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("ks", [3, 5])
+    def test_kernel_adjoint_dense_transpose(self, ks):
+        # columns probe unit kernels (forward) and unit residuals (adjoint)
+        rng = np.random.default_rng(43)
+        f = rng.standard_normal((4, 5))
+        A = np.column_stack([
+            restore._image_times_kernel(f, e.reshape(ks, ks)).ravel()
+            for e in np.eye(ks * ks)
+        ])
+        At = np.column_stack([
+            restore._image_times_kernel_adjoint(f, e.reshape(4, 5), ks).ravel()
+            for e in np.eye(20)
+        ])
+        assert np.abs(A.T - At).max() < 1e-14
+
     def test_degenerate_projection_signals(self):
         with pytest.raises(DegenerateKernelError):
             restore._project_kernel(np.full((3, 3), -1.0))
