@@ -141,23 +141,11 @@ def _finish_image_job(job: JobSpec, f, report, g, started) -> int:
     return 0
 
 
-def _run_denoise(job: JobSpec) -> int:
+def _run_restore(job: JobSpec) -> int:
+    """denoise and deconv: denoising is deconvolution with the delta kernel."""
     started = time.perf_counter()
     g = read_pgm(job.input)
-    params = RestoreParams(
-        lam=job.lam,
-        alpha=job.alpha,
-        variant=_tv_variant(job.variant),
-        solver=_solver_config(job),
-    )
-    f, report = restore.tv_denoise(g, params)
-    return _finish_image_job(job, f, report, g, started)
-
-
-def _run_deconv(job: JobSpec) -> int:
-    started = time.perf_counter()
-    g = read_pgm(job.input)
-    kernel = parse_kernel(job.psf)
+    kernel = parse_kernel(job.psf or "delta")
     params = RestoreParams(
         lam=job.lam,
         alpha=job.alpha,
@@ -270,8 +258,8 @@ def _flush_partial(job: JobSpec, err) -> None:
 
 
 _COMMANDS = {
-    "denoise": _run_denoise,
-    "deconv": _run_deconv,
+    "denoise": _run_restore,
+    "deconv": _run_restore,
     "blind": _run_blind,
     "flow": _run_flow,
     "metrics": _run_metrics,

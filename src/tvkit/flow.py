@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import functionals, solvers
-from .grid import VectorField, divergence, ensure_field, gradient, pad_edge
+from .grid import VectorField, divergence, ensure_field, gradient, inner, pad_edge
 from .solvers import SolverConfig, SolveReport
 
 
@@ -172,16 +172,13 @@ def apply_tensor_diffusion(tensor: DiffusionTensor, z: np.ndarray) -> np.ndarray
 def flow_smoothness_weights(w: VectorField, eps: float) -> np.ndarray:
     """Shared per-pixel TV weight 1/sqrt(|grad u|^2 + |grad v|^2 + eps^2).
 
+    This is the isotropic diffusivity weight of `functionals.diffusion_weights`
+    for the stacked (u, v) field, with ``eps`` as the smoothing ``alpha``.
     Always in (0, 1/eps]; feeding it to both channels of
     `functionals.apply_weighted_laplacian` gives the lagged TV operator
     coupling u and v through a common edge set.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    gu = gradient(w.u)
-    gv = gradient(w.v)
-    mag2 = gu.u**2 + gu.v**2 + gv.u**2 + gv.v**2
-    return 1.0 / np.sqrt(mag2 + eps * eps)
+    return functionals.diffusion_weights(np.stack(w), eps)[0]
 
 
 def _solve_linear_flow(fx, fy, ft, lam, apply_smooth, x0, cfg):
@@ -206,13 +203,6 @@ def _solve_linear_flow(fx, fy, ft, lam, apply_smooth, x0, cfg):
     return solvers.conjugate_gradient(apply_A, b, x0=x0, cfg=cfg)
 
 
-def _tensor_energy(tensor: DiffusionTensor, z: np.ndarray) -> float:
-    gx, gy = gradient(z)
-    return float(
-        np.sum(tensor.xx * gx * gx + 2.0 * tensor.xy * gx * gy + tensor.yy * gy * gy)
-    )
-
-
 def flow_image_driven(
     pair: FramePair, params: FlowParams
 ) -> tuple[VectorField, SolveReport]:
@@ -234,7 +224,7 @@ def flow_image_driven(
     w = VectorField(wvec[0], wvec[1])
     r = ofc_residual(fx, fy, ft, w)
     energy = float(np.sum(r * r)) + params.lam * (
-        _tensor_energy(tensor, w.u) + _tensor_energy(tensor, w.v)
+        inner(w.u, apply_smooth(w.u)) + inner(w.v, apply_smooth(w.v))
     )
     report = SolveReport(
         outer_iterations=1,
@@ -266,18 +256,10 @@ def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveRepo
         return _solve_linear_flow(fx, fy, ft, params.lam, apply_smooth, wvec, params.solver)
 
     def objective(wvec):
-        w = VectorField(wvec[0], wvec[1])
-        r = ofc_residual(fx, fy, ft, w)
-        gu = gradient(w.u)
-        gv = gradient(w.v)
-        tv_term = float(
-            np.sum(
-                np.sqrt(
-                    gu.u**2 + gu.v**2 + gv.u**2 + gv.v**2 + params.eps**2
-                )
-            )
+        r = ofc_residual(fx, fy, ft, VectorField(wvec[0], wvec[1]))
+        return float(np.sum(r * r)) + 2.0 * params.lam * functionals.tv_isotropic(
+            wvec, params.eps
         )
-        return float(np.sum(r * r)) + 2.0 * params.lam * tv_term
 
     wvec, report = solvers.lagged_loop(
         step, objective, np.zeros((2,) + pair.shape), params.solver

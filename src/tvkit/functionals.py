@@ -13,6 +13,10 @@ exact gradient as the weighted-Laplacian form implemented by
 `apply_tv_operator`: freeze the weights ``phi'(t) = 1/sqrt(t + alpha^2)``
 at a linearization point and the operator becomes linear, symmetric, and
 positive semi-definite - the workhorse of the lagged-diffusivity solvers.
+
+For a stacked ``(C, H, W)`` field, such as a flow's (u, v), the isotropic
+TV sums ``t`` over the channels before the square root, so the channels
+share one edge set and one diffusivity weight per pixel.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ class TVVariant(Enum):
 
     ISOTROPIC = "iso"
     ANISOTROPIC = "aniso"
-    SPECTRAL = "spectral"
 
 
 def _check_alpha(alpha: float) -> float:
@@ -40,14 +43,21 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _grad_sq(f: np.ndarray) -> np.ndarray:
+    """Per-pixel squared gradient magnitude ``dx^2 + dy^2``, summed over the
+    leading (channel) axes of a stacked field."""
+    dx, dy = gradient(f)
+    t = dx * dx + dy * dy
+    return t.reshape((-1,) + t.shape[-2:]).sum(axis=0)
+
+
 def tv_isotropic(f: np.ndarray, alpha: float = DEFAULT_ALPHA) -> float:
     """Smoothed isotropic TV: ``sum sqrt(dx^2 + dy^2 + alpha^2)``.
 
     A constant MxN field scores exactly ``M*N*alpha``.
     """
     _check_alpha(alpha)
-    dx, dy = gradient(f)
-    return float(np.sum(np.sqrt(dx * dx + dy * dy + alpha * alpha)))
+    return float(np.sum(np.sqrt(_grad_sq(f) + alpha * alpha)))
 
 
 def tv_anisotropic(f: np.ndarray, alpha: float = DEFAULT_ALPHA) -> float:
@@ -96,18 +106,17 @@ def diffusion_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel diffusivity weights (wx, wy) frozen at the field ``f``.
 
-    Isotropic: both equal ``1/sqrt(dx^2 + dy^2 + alpha^2)``; anisotropic:
-    each axis gets its own ``1/sqrt(d^2 + alpha^2)``.
+    Isotropic: both equal ``1/sqrt(dx^2 + dy^2 + alpha^2)``, the squares
+    summed over the channels of a stacked field; anisotropic: each axis
+    gets its own ``1/sqrt(d^2 + alpha^2)``.
     """
     _check_alpha(alpha)
-    dx, dy = gradient(f)
     a2 = alpha * alpha
     if variant is TVVariant.ISOTROPIC:
-        w = 1.0 / np.sqrt(dx * dx + dy * dy + a2)
+        w = 1.0 / np.sqrt(_grad_sq(f) + a2)
         return w, w
-    if variant is TVVariant.ANISOTROPIC:
-        return 1.0 / np.sqrt(dx * dx + a2), 1.0 / np.sqrt(dy * dy + a2)
-    raise ValueError(f"no diffusion weights for variant {variant!r}")
+    dx, dy = gradient(f)
+    return 1.0 / np.sqrt(dx * dx + a2), 1.0 / np.sqrt(dy * dy + a2)
 
 
 def apply_weighted_laplacian(wx: np.ndarray, wy: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -160,14 +169,10 @@ def tv_objective(
         raise ValueError(f"lam must be nonnegative, got {lam}")
     r = convolve(f, kernel) - np.asarray(g, dtype=np.float64)
     fidelity = 0.5 * float(np.sum(r * r))
-    if lam == 0.0:
-        return fidelity
     if variant is TVVariant.ISOTROPIC:
         reg = tv_isotropic(f, alpha)
-    elif variant is TVVariant.ANISOTROPIC:
-        reg = tv_anisotropic_smoothed(f, alpha)
     else:
-        raise ValueError(f"no solver objective for variant {variant!r}")
+        reg = tv_anisotropic_smoothed(f, alpha)
     return fidelity + lam * reg
 
 

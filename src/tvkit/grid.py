@@ -111,13 +111,15 @@ def gradient(f: np.ndarray) -> VectorField:
     """Forward-difference gradient with zero differences at the last column/row.
 
     Returns ``(u, v)`` with ``u[j, i] = f[j, i+1] - f[j, i]`` (x direction)
-    and ``v[j, i] = f[j+1, i] - f[j, i]`` (y direction).
+    and ``v[j, i] = f[j+1, i] - f[j, i]`` (y direction).  Differences run
+    over the last two axes, so a stacked ``(C, H, W)`` field gives the C
+    channel gradients.
     """
     f = np.asarray(f, dtype=np.float64)
     u = np.zeros_like(f)
     v = np.zeros_like(f)
-    u[:, :-1] = f[:, 1:] - f[:, :-1]
-    v[:-1, :] = f[1:, :] - f[:-1, :]
+    u[..., :-1] = f[..., 1:] - f[..., :-1]
+    v[..., :-1, :] = f[..., 1:, :] - f[..., :-1, :]
     return VectorField(u, v)
 
 

@@ -109,8 +109,7 @@ def gtr_estimate(
     mu = q_lambda * q_lambda
 
     def apply_A(x):
-        out = convolve_adjoint(p * convolve(x, kernel), kernel)
-        return out + mu * x if mu > 0 else out
+        return convolve_adjoint(p * convolve(x, kernel), kernel) + mu * x
 
     b = convolve_adjoint(p * (g - convolve(f0, kernel)), kernel)
     delta, _, _ = solvers.conjugate_gradient(apply_A, b, cfg=cfg)
@@ -171,21 +170,12 @@ def _kernel_step(
     """TV-regularized LS solve for the kernel with the image fixed, followed
     by the nonnegativity/unit-sum projection.  Returns the projected kernel
     and the CG iteration count and converged flag."""
-    lam = params.lam_kernel
-    if lam > 0.0:
-        wx, wy = functionals.diffusion_weights(h_k, params.alpha)
+    wx, wy = functionals.diffusion_weights(h_k, params.alpha)
 
-        def apply_A(x):
-            return _image_times_kernel_adjoint(
-                f, _image_times_kernel(f, x), params.kernel_size
-            ) + lam * functionals.apply_weighted_laplacian(wx, wy, x)
-
-    else:
-
-        def apply_A(x):
-            return _image_times_kernel_adjoint(
-                f, _image_times_kernel(f, x), params.kernel_size
-            )
+    def apply_A(x):
+        return _image_times_kernel_adjoint(
+            f, _image_times_kernel(f, x), params.kernel_size
+        ) + params.lam_kernel * functionals.apply_weighted_laplacian(wx, wy, x)
 
     b = _image_times_kernel_adjoint(f, g, params.kernel_size)
     h_new, iters, converged = solvers.conjugate_gradient(apply_A, b, x0=h_k, cfg=params.solver)

@@ -143,31 +143,6 @@ def conjugate_gradient(
     return x, cfg.max_cg, False
 
 
-def _normal_equations(
-    f_lin: np.ndarray,
-    g: np.ndarray,
-    kernel: Kernel,
-    lam: float,
-    alpha: float,
-    variant: TVVariant,
-):
-    """Operator and right-hand side of one lagged-diffusivity linear system."""
-    if lam > 0.0:
-        wx, wy = functionals.diffusion_weights(f_lin, alpha, variant)
-
-        def apply_A(x):
-            return convolve_adjoint(convolve(x, kernel), kernel) + lam * (
-                functionals.apply_weighted_laplacian(wx, wy, x)
-            )
-
-    else:
-
-        def apply_A(x):
-            return convolve_adjoint(convolve(x, kernel), kernel)
-
-    return apply_A, convolve_adjoint(g, kernel)
-
-
 def lagged_loop(
     step: Callable[[np.ndarray], tuple[np.ndarray, int, bool]],
     objective: Callable[[np.ndarray], float],
@@ -247,8 +222,14 @@ def tv_restore_fixed_point(
         raise ValueError(f"unknown init {init!r}")
 
     def step(f_k):
-        apply_A, b = _normal_equations(f_k, g, kernel, lam, alpha, variant)
-        return conjugate_gradient(apply_A, b, x0=f_k, cfg=cfg)
+        wx, wy = functionals.diffusion_weights(f_k, alpha, variant)
+
+        def apply_A(x):
+            return convolve_adjoint(convolve(x, kernel), kernel) + lam * (
+                functionals.apply_weighted_laplacian(wx, wy, x)
+            )
+
+        return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg)
 
     def objective(f_next):
         return functionals.tv_objective(f_next, g, kernel, lam, alpha, variant)

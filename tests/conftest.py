@@ -2,14 +2,12 @@ import numpy as np
 
 
 def materialize(apply_op, shape):
-    """Dense matrix of a linear operator by probing unit vectors."""
+    """Dense matrix of a linear operator by probing unit vectors; the output
+    may have another size than the input of ``shape``."""
     n = int(np.prod(shape))
-    cols = np.empty((n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        cols[:, k] = np.asarray(apply_op(e.reshape(shape))).ravel()
-    return cols
+    return np.column_stack(
+        [np.asarray(apply_op(e.reshape(shape))).ravel() for e in np.eye(n)]
+    )
 
 
 def rel_err(a, b):

@@ -17,7 +17,7 @@ from tvkit.flow import (
     image_derivatives,
     ofc_residual,
 )
-from tvkit.grid import VectorField, inner
+from tvkit.grid import VectorField, gradient, inner
 from tvkit.solvers import SolveReport, SolverConfig, SolverDivergenceError
 
 from conftest import materialize
@@ -278,6 +278,36 @@ class TestTVFlow:
                 flow_tv(pair, FlowParams(lam=1e300, eps=1e-160))
         assert "outer iteration" in str(exc_info.value)
         assert isinstance(exc_info.value.report, SolveReport)
+
+
+class TestReportedEnergies:
+    """The reported objective is the energy each variant minimizes, checked
+    against the energy written out term by term at the returned flow."""
+
+    def test_tv_objective(self):
+        pair, _ = synth.make_split_motion()
+        params = FlowParams(lam=0.003, eps=0.05)
+        w, report = flow_tv(pair, params)
+        fx, fy, ft = image_derivatives(pair)
+        r = ofc_residual(fx, fy, ft, w)
+        gu, gv = gradient(w.u), gradient(w.v)
+        tv = np.sum(np.sqrt(gu.u ** 2 + gu.v ** 2 + gv.u ** 2 + gv.v ** 2 + params.eps ** 2))
+        want = np.sum(r * r) + 2.0 * params.lam * tv
+        assert report.objective_history[-1] == pytest.approx(want, rel=1e-12)
+
+    def test_image_driven_energy(self):
+        pair, _ = synth.make_split_motion()
+        params = FlowParams(lam=0.003, eps=0.05, variant=FlowVariant.IMAGE_DRIVEN)
+        w, report = flow_image_driven(pair, params)
+        fx, fy, ft = image_derivatives(pair)
+        r = ofc_residual(fx, fy, ft, w)
+        t = diffusion_tensor(flow.centered_gradient(pair.f1), params.eps)
+        smooth = 0.0
+        for z in (w.u, w.v):
+            gx, gy = gradient(z)
+            smooth += np.sum(t.xx * gx * gx + 2.0 * t.xy * gx * gy + t.yy * gy * gy)
+        want = np.sum(r * r) + params.lam * smooth
+        assert report.objective_history[-1] == pytest.approx(want, rel=1e-12)
 
 
 class TestVariantAgreement:

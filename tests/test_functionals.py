@@ -68,6 +68,21 @@ class TestEnergies:
         assert tv_anisotropic(f, a) == pytest.approx(36 * a + aniso, rel=1e-12)
         assert tv_anisotropic_smoothed(f, a) == pytest.approx(smoothed, rel=1e-12)
 
+    def test_stacked_field_shares_one_edge_set(self):
+        rng = np.random.default_rng(23)
+        w = rng.standard_normal((2, 5, 5))
+        a = 0.03
+        du, dv = grid.gradient(w[0]), grid.gradient(w[1])
+        want = np.sum(np.sqrt(du.u ** 2 + du.v ** 2 + dv.u ** 2 + dv.v ** 2 + a * a))
+        assert tv_isotropic(w, a) == pytest.approx(want, rel=1e-13)
+
+    def test_plane_field_matches_direct_formula_exactly(self):
+        rng = np.random.default_rng(31)
+        f = rng.standard_normal((6, 7))
+        a = 0.02
+        dx, dy = grid.gradient(f)
+        assert tv_isotropic(f, a) == float(np.sum(np.sqrt(dx * dx + dy * dy + a * a)))
+
     def test_vertical_step_closed_form(self):
         # left half 0, right half 1: H unit jumps down a single column
         h, w, a = 8, 12, 1e-3
@@ -243,10 +258,6 @@ class TestOperator:
         np.testing.assert_allclose(ax, 1.0 / np.sqrt(dx ** 2 + a * a), rtol=1e-15)
         np.testing.assert_allclose(ay, 1.0 / np.sqrt(dy ** 2 + a * a), rtol=1e-15)
 
-    def test_spectral_variant_has_no_weights(self):
-        with pytest.raises(ValueError):
-            diffusion_weights(np.zeros((3, 3)), variant=TVVariant.SPECTRAL)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             apply_tv_operator(np.zeros((3, 3)), np.zeros((3, 4)))
@@ -295,8 +306,6 @@ class TestObjective:
             tv_objective(np.zeros((4, 5)), g, Kernel.delta(), 0.1)
         with pytest.raises(ValueError):
             tv_objective(g, g, Kernel.delta(), -0.1)
-        with pytest.raises(ValueError):
-            tv_objective(g, g, Kernel.delta(), 0.1, variant=TVVariant.SPECTRAL)
 
 
 class TestSpectralTV:

@@ -62,6 +62,16 @@ class TestGradient:
                 assert g.u[j, i] == du
                 assert g.v[j, i] == dv
 
+    def test_stack_gives_channel_gradients(self):
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((3, 5, 4))
+        g = grid.gradient(f)
+        assert g.u.shape == g.v.shape == f.shape
+        for c in range(3):
+            gc = grid.gradient(f[c])
+            assert np.array_equal(g.u[c], gc.u)
+            assert np.array_equal(g.v[c], gc.v)
+
 
 class TestDivergence:
     def test_zero_field(self):

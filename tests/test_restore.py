@@ -19,6 +19,8 @@ from tvkit.restore import (
 )
 from tvkit.solvers import SolveReport, SolverConfig
 
+from conftest import materialize
+
 
 TIGHT = SolverConfig(tol_cg=1e-12, max_cg=5000)
 
@@ -257,6 +259,19 @@ class TestBlindDeconvolve:
             for e in np.eye(20)
         ])
         assert np.abs(A.T - At).max() < 1e-14
+
+    def test_unregularized_kernel_step_is_projected_least_squares(self):
+        # lam_kernel = 0 leaves only the data term: the step is the projected
+        # dense least-squares kernel
+        rng = np.random.default_rng(47)
+        f = rng.uniform(0.0, 1.0, (8, 8))
+        g = grid.convolve(f, self.ktrue) + 0.01 * rng.standard_normal((8, 8))
+        params = BlindParams(lam_kernel=0.0, solver=SolverConfig(tol_cg=1e-12))
+        h, _, converged = restore._kernel_step(g, f, Kernel.delta(3).weights, params)
+        A = materialize(lambda x: restore._image_times_kernel(f, x), (3, 3))
+        h_ls = np.linalg.lstsq(A, g.ravel(), rcond=None)[0].reshape(3, 3)
+        assert converged
+        np.testing.assert_allclose(h, restore._project_kernel(h_ls), rtol=1e-9, atol=1e-12)
 
     def test_degenerate_projection_signals(self):
         with pytest.raises(DegenerateKernelError):
