@@ -12,55 +12,19 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from . import fileio, functionals, restore, synth
+from . import functionals, restore, synth
 from .fileio import read_flo, read_pgm, write_flo, write_pgm, write_report
 from .flow import FlowParams, FlowVariant, FramePair, endpoint_error, estimate_flow
 from .functionals import TVVariant
-from .grid import Kernel, VectorField
+from .grid import Kernel
 from .restore import BlindParams, RestoreParams
 from .solvers import SolverConfig, SolverDivergenceError
 
 SYNTH_MAXVAL = 65535
-
-
-@dataclass
-class JobSpec:
-    """One batch job, fully determined by flags (plus file contents)."""
-
-    command: str
-    input: Optional[Path] = None
-    input2: Optional[Path] = None
-    output: Optional[Path] = None
-    kernel_out: Optional[Path] = None
-    ref: Optional[Path] = None
-    gt: Optional[Path] = None
-    psf: Optional[str] = None
-    init_psf: Optional[str] = None
-    lam: float = 0.05
-    lam_kernel: float = 1e-3
-    alpha: float = functionals.DEFAULT_ALPHA
-    eps: float = 0.01
-    variant: str = "iso"
-    kernel_size: int = 3
-    max_iter: int = 50
-    tol: Optional[float] = None
-    seed: int = 0
-    sigma: float = 0.05
-    maxval: int = 255
-    peak: float = 1.0
-    fixture: Optional[str] = None
-    outdir: Optional[Path] = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "JobSpec":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in vars(args).items() if k in known})
 
 
 def parse_kernel(spec: str) -> Kernel:
@@ -109,19 +73,8 @@ def write_kernel_text(path, kernel: Kernel) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _solver_config(job: JobSpec) -> SolverConfig:
-    return SolverConfig(tol_outer=job.tol, max_outer=job.max_iter)
-
-
-def _tv_variant(name: str) -> TVVariant:
-    try:
-        return TVVariant(name)
-    except ValueError:
-        raise ValueError(f"unknown TV variant {name!r} (expected iso or aniso)") from None
-
-
-def _report_path(output: Path) -> Path:
-    return output.with_suffix(".csv")
+def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    return SolverConfig(tol_outer=args.tol, max_outer=args.max_iter)
 
 
 def _print_metrics(pairs) -> None:
@@ -129,154 +82,128 @@ def _print_metrics(pairs) -> None:
         print(f"{key}={value:.6g}" if isinstance(value, float) else f"{key}={value}")
 
 
-def _finish_image_job(job: JobSpec, f, report, g, started) -> int:
-    write_pgm(job.output, f, maxval=job.maxval)
-    write_report(_report_path(job.output), report)
-    metrics = [("objective", report.objective_history[-1] if report.objective_history else float("nan"))]
-    if job.ref is not None:
-        reference = read_pgm(job.ref)
-        metrics.append(("psnr", restore.psnr(f, reference, peak=job.peak)))
-    metrics.append(("wall_time_s", time.perf_counter() - started))
-    _print_metrics(metrics)
+def _psnr(args: argparse.Namespace, f) -> list:
+    """``[("psnr", value)]`` against ``--ref``, or nothing without one."""
+    if args.ref is None:
+        return []
+    return [("psnr", restore.psnr(f, read_pgm(args.ref), peak=args.peak))]
+
+
+def _epe(args: argparse.Namespace, w) -> list:
+    """``epe_mean`` and ``epe_max`` against ``--gt``, or nothing without one."""
+    if args.gt is None:
+        return []
+    epe_mean, epe_max = endpoint_error(w, read_flo(args.gt))
+    return [("epe_mean", epe_mean), ("epe_max", epe_max)]
+
+
+def _finish(args: argparse.Namespace, report, quality, started) -> int:
+    """Write the CSV report beside the output, then print the final
+    objective, the keys ``quality()`` returns and the wall time.  Quality
+    is measured after the report is written, so a bad ``--ref`` or
+    ``--gt`` path still leaves the report of the finished solve."""
+    write_report(args.output.with_suffix(".csv"), report)
+    _print_metrics([
+        ("objective", report.objective_history[-1]),
+        *quality(),
+        ("wall_time_s", time.perf_counter() - started),
+    ])
     return 0
 
 
-def _run_restore(job: JobSpec) -> int:
+def _run_restore(args: argparse.Namespace) -> int:
     """denoise and deconv: denoising is deconvolution with the delta kernel."""
     started = time.perf_counter()
-    g = read_pgm(job.input)
-    kernel = parse_kernel(job.psf or "delta")
+    g = read_pgm(args.input)
+    kernel = parse_kernel(args.psf)
     params = RestoreParams(
-        lam=job.lam,
-        alpha=job.alpha,
-        variant=_tv_variant(job.variant),
-        solver=_solver_config(job),
+        lam=args.lam,
+        alpha=args.alpha,
+        variant=TVVariant(args.variant),
+        solver=_solver_config(args),
     )
     f, report = restore.tv_deconvolve(g, kernel, params)
-    return _finish_image_job(job, f, report, g, started)
+    write_pgm(args.output, f, maxval=args.maxval)
+    return _finish(args, report, lambda: _psnr(args, f), started)
 
 
-def _run_blind(job: JobSpec) -> int:
+def _run_blind(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    g = read_pgm(job.input)
-    kernel0 = parse_kernel(job.init_psf) if job.init_psf else None
+    g = read_pgm(args.input)
+    kernel0 = parse_kernel(args.init_psf) if args.init_psf else None
     params = BlindParams(
-        lam_image=job.lam,
-        lam_kernel=job.lam_kernel,
-        kernel_size=job.kernel_size,
-        alpha=job.alpha,
-        solver=_solver_config(job),
+        lam_image=args.lam,
+        lam_kernel=args.lam_kernel,
+        kernel_size=args.kernel_size,
+        alpha=args.alpha,
+        solver=_solver_config(args),
     )
     f, kernel, report = restore.blind_deconvolve(g, params, kernel0=kernel0)
-    if job.kernel_out is not None:
-        write_kernel_text(job.kernel_out, kernel)
-    return _finish_image_job(job, f, report, g, started)
+    if args.kernel_out is not None:
+        write_kernel_text(args.kernel_out, kernel)
+    write_pgm(args.output, f, maxval=args.maxval)
+    return _finish(args, report, lambda: _psnr(args, f), started)
 
 
-def _run_flow(job: JobSpec) -> int:
+def _run_flow(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    pair = FramePair(read_pgm(job.input), read_pgm(job.input2))
-    try:
-        variant = FlowVariant(job.variant)
-    except ValueError:
-        raise ValueError(
-            f"unknown flow variant {job.variant!r} (expected an or tv)"
-        ) from None
+    pair = FramePair(read_pgm(args.input), read_pgm(args.input2))
     params = FlowParams(
-        lam=job.lam, eps=job.eps, variant=variant, solver=_solver_config(job)
+        lam=args.lam,
+        eps=args.eps,
+        variant=FlowVariant(args.variant),
+        solver=_solver_config(args),
     )
     w, report = estimate_flow(pair, params)
-    write_flo(job.output, w)
-    write_report(_report_path(job.output), report)
-    metrics = [("objective", report.objective_history[-1])]
-    if job.gt is not None:
-        gt = read_flo(job.gt)
-        epe_mean, epe_max = endpoint_error(w, gt)
-        metrics.extend([("epe_mean", epe_mean), ("epe_max", epe_max)])
-    metrics.append(("wall_time_s", time.perf_counter() - started))
-    _print_metrics(metrics)
+    write_flo(args.output, w)
+    return _finish(args, report, lambda: _epe(args, w), started)
+
+
+def _run_metrics(args: argparse.Namespace) -> int:
+    _print_metrics(_psnr(args, read_pgm(args.input)))
     return 0
 
 
-def _run_metrics(job: JobSpec) -> int:
-    f = read_pgm(job.input)
-    reference = read_pgm(job.ref)
-    _print_metrics([("psnr", restore.psnr(f, reference, peak=job.peak))])
-    return 0
-
-
-def _run_synth(job: JobSpec) -> int:
-    outdir = job.outdir or Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if job.fixture == "step32":
-        clean, noisy = synth.make_step32(job.seed, job.sigma)
-        written += _write_image_pair(outdir, "step32", clean, noisy)
-    elif job.fixture == "piecewise64":
-        clean, noisy = synth.make_piecewise64(job.seed, job.sigma)
-        written += _write_image_pair(outdir, "piecewise64", clean, noisy)
-    elif job.fixture == "ramp-shift":
-        pair, gt = synth.make_ramp_shift(job.seed)
-        written += _write_flow_fixture(outdir, "ramp_shift", pair, gt)
-    elif job.fixture == "split-motion":
-        pair, gt = synth.make_split_motion(job.seed)
-        written += _write_flow_fixture(outdir, "split_motion", pair, gt)
+def _run_synth(args: argparse.Namespace) -> int:
+    # fixture NAME is made by synth.make_NAME, with '-' spelled '_'
+    stem = args.fixture.replace("-", "_")
+    make = getattr(synth, f"make_{stem}")
+    gt = None
+    if args.fixture in ("ramp-shift", "split-motion"):
+        pair, gt = make(args.seed)
+        images = {"f1": pair.f1, "f2": pair.f2}
     else:
-        raise ValueError(f"unknown fixture {job.fixture!r}")
-    for path in written:
+        images = dict(zip(("clean", "noisy"), make(args.seed, args.sigma)))
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    for suffix, image in images.items():
+        path = args.outdir / f"{stem}_{suffix}.pgm"
+        write_pgm(path, image, maxval=SYNTH_MAXVAL)
+        print(f"wrote {path}")
+    if gt is not None:
+        path = args.outdir / f"{stem}_gt.flo"
+        write_flo(path, gt)
         print(f"wrote {path}")
     return 0
 
 
-def _write_image_pair(outdir: Path, stem: str, clean, noisy):
-    paths = [outdir / f"{stem}_clean.pgm", outdir / f"{stem}_noisy.pgm"]
-    write_pgm(paths[0], clean, maxval=SYNTH_MAXVAL)
-    write_pgm(paths[1], noisy, maxval=SYNTH_MAXVAL)
-    return paths
-
-
-def _write_flow_fixture(outdir: Path, stem: str, pair: FramePair, gt: VectorField):
-    paths = [
-        outdir / f"{stem}_f1.pgm",
-        outdir / f"{stem}_f2.pgm",
-        outdir / f"{stem}_gt.flo",
-    ]
-    write_pgm(paths[0], pair.f1, maxval=SYNTH_MAXVAL)
-    write_pgm(paths[1], pair.f2, maxval=SYNTH_MAXVAL)
-    write_flo(paths[2], gt)
-    return paths
-
-
-def _flush_partial(job: JobSpec, err) -> None:
+def _flush_partial(args: argparse.Namespace, err) -> None:
     """Write whatever convergence history exists before failing."""
     report = getattr(err, "report", None)
-    if report is not None and job.output is not None:
+    if report is not None:
         try:
-            write_report(_report_path(job.output), report)
+            write_report(args.output.with_suffix(".csv"), report)
         except OSError:
             pass
 
 
-_COMMANDS = {
-    "denoise": _run_restore,
-    "deconv": _run_restore,
-    "blind": _run_blind,
-    "flow": _run_flow,
-    "metrics": _run_metrics,
-    "synth": _run_synth,
-}
-
-
-def run(job: JobSpec) -> int:
-    """Execute one job; returns the process exit status.  A solver failure
-    flushes the partial convergence report before it propagates."""
-    handler = _COMMANDS.get(job.command)
-    if handler is None:
-        raise ValueError(f"unknown command {job.command!r}")
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit status.  A
+    solver failure flushes the partial convergence report before it
+    propagates."""
     try:
-        return handler(job)
+        return args.run(args)
     except (SolverDivergenceError, restore.DegenerateKernelError) as err:
-        _flush_partial(job, err)
+        _flush_partial(args, err)
         raise
 
 
@@ -290,10 +217,20 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_image_flags(p: argparse.ArgumentParser) -> None:
+def _add_image_command(sub, name: str, summary: str, lam: float, lam_help=None):
+    """A subparser for one image-restoration command: input and output PGM,
+    ``--lambda`` with this command's default, ``--alpha``, the solver flags
+    and the PSNR flags."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("input", type=Path)
+    p.add_argument("output", type=Path)
+    p.add_argument("--lambda", dest="lam", type=float, default=lam, help=lam_help)
+    p.add_argument("--alpha", type=float, default=functionals.DEFAULT_ALPHA)
+    _add_solver_flags(p)
     p.add_argument("--ref", type=Path, default=None, help="reference image for PSNR")
     p.add_argument("--maxval", type=int, default=255, help="output PGM maxval")
     p.add_argument("--peak", type=float, default=1.0, help="PSNR peak value")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,58 +239,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Total-variation image restoration and optical flow.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tv_variants = [v.value for v in TVVariant]
 
-    p = sub.add_parser("denoise", help="TV denoising")
-    p.add_argument("input", type=Path)
-    p.add_argument("output", type=Path)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.05)
-    p.add_argument("--alpha", type=float, default=functionals.DEFAULT_ALPHA)
-    p.add_argument("--variant", choices=["iso", "aniso"], default="iso")
-    _add_solver_flags(p)
-    _add_image_flags(p)
+    p = _add_image_command(sub, "denoise", "TV denoising", lam=0.05)
+    p.add_argument("--variant", choices=tv_variants, default="iso")
+    p.set_defaults(run=_run_restore, psf="delta")
 
-    p = sub.add_parser("deconv", help="TV deconvolution with a known kernel")
-    p.add_argument("input", type=Path)
-    p.add_argument("output", type=Path)
+    p = _add_image_command(sub, "deconv", "TV deconvolution with a known kernel", lam=0.01)
     p.add_argument("--psf", required=True, help="blur kernel (see parse_kernel)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--alpha", type=float, default=functionals.DEFAULT_ALPHA)
-    p.add_argument("--variant", choices=["iso", "aniso"], default="iso")
-    _add_solver_flags(p)
-    _add_image_flags(p)
+    p.add_argument("--variant", choices=tv_variants, default="iso")
+    p.set_defaults(run=_run_restore)
 
-    p = sub.add_parser("blind", help="alternating-minimization blind deconvolution")
-    p.add_argument("input", type=Path)
-    p.add_argument("output", type=Path)
+    p = _add_image_command(
+        sub,
+        "blind",
+        "alternating-minimization blind deconvolution",
+        lam=1e-3,
+        lam_help="image TV weight",
+    )
     p.add_argument("--kernel-out", type=Path, default=None, help="write the estimated kernel here")
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-3, help="image TV weight")
     p.add_argument("--lambda-kernel", dest="lam_kernel", type=float, default=1e-3)
     p.add_argument("--kernel-size", dest="kernel_size", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=functionals.DEFAULT_ALPHA)
     p.add_argument("--init-psf", dest="init_psf", default=None, help="initial kernel guess")
-    _add_solver_flags(p)
-    _add_image_flags(p)
+    p.set_defaults(run=_run_blind)
 
     p = sub.add_parser("flow", help="optical flow between two frames")
     p.add_argument("input", type=Path, help="frame 1 (PGM)")
     p.add_argument("input2", type=Path, help="frame 2 (PGM)")
     p.add_argument("output", type=Path, help="output .flo")
-    p.add_argument("--variant", choices=["an", "tv"], default="tv")
+    p.add_argument("--variant", choices=[v.value for v in FlowVariant], default="tv")
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--gt", type=Path, default=None, help="ground-truth .flo for EPE")
     _add_solver_flags(p)
+    p.set_defaults(run=_run_flow)
 
     p = sub.add_parser("metrics", help="PSNR of an image against a reference")
     p.add_argument("input", type=Path)
     p.add_argument("--ref", type=Path, required=True)
     p.add_argument("--peak", type=float, default=1.0)
+    p.set_defaults(run=_run_metrics)
 
     p = sub.add_parser("synth", help="generate a synthetic fixture")
     p.add_argument("fixture", choices=list(synth.FIXTURES))
     p.add_argument("--outdir", type=Path, default=Path("."))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", type=float, default=0.05)
+    p.set_defaults(run=_run_synth)
 
     return parser
 
@@ -365,9 +297,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; fold usage into 1
         return 0 if exc.code == 0 else 1
-    job = JobSpec.from_args(args)
     try:
-        return run(job)
+        return run(args)
     except (SolverDivergenceError, restore.DegenerateKernelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

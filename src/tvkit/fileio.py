@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +37,9 @@ class FloFormatError(ValueError):
     """Malformed .flo input."""
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
-    """Next header token after whitespace and '#' comments.
-
-    Returns (token, token_offset, position_after_token).
-    """
+def _skip_space(data: bytes, pos: int) -> int:
+    """Position of the first byte at or after ``pos`` that is neither
+    whitespace nor inside a '#' comment (``len(data)`` if none)."""
     n = len(data)
     while pos < n:
         c = data[pos]
@@ -53,6 +50,16 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
                 pos += 1
         else:
             break
+    return pos
+
+
+def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
+    """Next header token after whitespace and '#' comments.
+
+    Returns (token, token_offset, position_after_token).
+    """
+    n = len(data)
+    pos = _skip_space(data, pos)
     if pos >= n:
         raise PgmParseError("unexpected end of file in header", pos)
     start = pos
@@ -140,16 +147,9 @@ def read_pgm(path) -> np.ndarray:
                 )
             values[k] = sample
         # only whitespace/comments may follow the last sample
-        n = len(data)
-        while pos < n:
-            c = data[pos]
-            if c in _WHITESPACE:
-                pos += 1
-            elif c == 0x23:
-                while pos < n and data[pos] not in b"\r\n":
-                    pos += 1
-            else:
-                raise PgmParseError("trailing data after P2 samples", pos)
+        pos = _skip_space(data, pos)
+        if pos < len(data):
+            raise PgmParseError("trailing data after P2 samples", pos)
 
     return values.reshape(height, width) / float(maxval)
 
@@ -210,37 +210,20 @@ def write_flo(path, w: VectorField) -> None:
         fh.write(interleaved.tobytes())
 
 
-@dataclass(frozen=True)
-class RunReportRow:
-    """One line of a convergence report."""
-
-    iteration: int
-    objective: float
-    step_norm: float
-    cg_iters: int
-
-
 def write_report(path, report: SolveReport) -> None:
     """Write the per-iteration histories of a solve as CSV."""
-    rows = report_rows(report)
+    histories = (
+        report.objective_history,
+        report.step_norm_history,
+        report.cg_iters_history,
+    )
+    if any(len(h) != len(histories[0]) for h in histories):
+        raise ValueError("report histories have inconsistent lengths")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
-        for row in rows:
-            writer.writerow(
-                [row.iteration, repr(row.objective), repr(row.step_norm), row.cg_iters]
-            )
-
-
-def report_rows(report: SolveReport) -> list[RunReportRow]:
-    n = len(report.objective_history)
-    cg = report.cg_iters_history
-    if len(report.step_norm_history) != n or len(cg) != n:
-        raise ValueError("report histories have inconsistent lengths")
-    return [
-        RunReportRow(k + 1, report.objective_history[k], report.step_norm_history[k], cg[k])
-        for k in range(n)
-    ]
+        for k, (objective, step_norm, cg_iters) in enumerate(zip(*histories), start=1):
+            writer.writerow([k, repr(objective), repr(step_norm), cg_iters])
 
 
 def read_report(path) -> SolveReport:
@@ -258,7 +241,7 @@ def read_report(path) -> SolveReport:
             raise ValueError(f"bad report header {header!r}")
         last = 0
         for row in reader:
-            if len(row) != 4:
+            if len(row) != len(REPORT_HEADER):
                 raise ValueError(f"bad report row {row!r}")
             iteration = int(row[0])
             if iteration != last + 1:

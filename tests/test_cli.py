@@ -16,7 +16,7 @@ from tvkit.fileio import (
     write_report,
 )
 from tvkit.grid import Kernel, VectorField
-from tvkit.solvers import SolverConfig, tv_restore_fixed_point
+from tvkit.solvers import SolveReport, SolverConfig, tv_restore_fixed_point
 
 
 class TestPgm:
@@ -49,6 +49,19 @@ class TestPgm:
         p.write_bytes(b"P2 # magic\n# a comment line\n2 1\n255\n7 250\n")
         img = read_pgm(p)
         np.testing.assert_allclose(img, [[7 / 255, 250 / 255]])
+
+    def test_ascii_comments_between_samples(self, tmp_path):
+        p = tmp_path / "cs.pgm"
+        p.write_bytes(b"P2\n2 1\n255\n7 # c\n250\n# end\n")
+        np.testing.assert_allclose(read_pgm(p), [[7 / 255, 250 / 255]])
+
+    def test_ascii_trailing_data_rejected_with_offset(self, tmp_path):
+        p = tmp_path / "trail.pgm"
+        p.write_bytes(b"P2\n1 1\n255\n5\nx")
+        with pytest.raises(PgmParseError) as exc_info:
+            read_pgm(p)
+        assert str(exc_info.value) == "trailing data after P2 samples (byte offset 13)"
+        assert exc_info.value.offset == 13
 
     def test_ascii_header_size_bounded_by_file(self, tmp_path):
         # a 4000x4000 header with 3 samples must fail before allocating
@@ -155,6 +168,13 @@ class TestReportCsv:
         assert back.cg_iters_history == report.cg_iters_history
         assert back.outer_iterations == report.outer_iterations
 
+    def test_inconsistent_histories_rejected(self, tmp_path):
+        report = SolveReport(objective_history=[1.0], cg_iters_history=[3])
+        p = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="inconsistent lengths"):
+            write_report(p, report)
+        assert not p.exists()
+
     def test_non_contiguous_iterations_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("iteration,objective,step_norm,cg_iters\n1,0.5,0.1,3\n3,0.4,0.05,2\n")
@@ -220,14 +240,89 @@ class TestSynthFixtures:
         assert np.all((0.0 <= u) & (u < 1.0))
 
 
+SOLVER_DEFAULTS = {"max_iter": 50, "tol": None}
+IMAGE_DEFAULTS = {**SOLVER_DEFAULTS, "maxval": 255, "peak": 1.0}
+
+
+class TestParserDefaults:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["denoise", "in.pgm", "out.pgm"],
+                {**IMAGE_DEFAULTS, "lam": 0.05, "psf": "delta", "variant": "iso"},
+            ),
+            (["deconv", "in.pgm", "out.pgm", "--psf", "box3"], {**IMAGE_DEFAULTS, "lam": 0.01}),
+            (
+                ["blind", "in.pgm", "out.pgm"],
+                {
+                    **IMAGE_DEFAULTS,
+                    "lam": 1e-3,
+                    "lam_kernel": 1e-3,
+                    "kernel_size": 3,
+                    "init_psf": None,
+                },
+            ),
+            (
+                ["flow", "f1.pgm", "f2.pgm", "out.flo"],
+                {**SOLVER_DEFAULTS, "lam": 0.1, "eps": 0.01, "variant": "tv"},
+            ),
+        ],
+        ids=["denoise", "deconv", "blind", "flow"],
+    )
+    def test_defaults(self, argv, expected):
+        args = cli.build_parser().parse_args(argv)
+        assert {key: getattr(args, key) for key in expected} == expected
+
+
 class TestCliRuns:
-    def test_synth_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "fixture, names",
+        [
+            ("step32", ["step32_clean.pgm", "step32_noisy.pgm"]),
+            ("piecewise64", ["piecewise64_clean.pgm", "piecewise64_noisy.pgm"]),
+            ("ramp-shift", ["ramp_shift_f1.pgm", "ramp_shift_f2.pgm", "ramp_shift_gt.flo"]),
+            (
+                "split-motion",
+                ["split_motion_f1.pgm", "split_motion_f2.pgm", "split_motion_gt.flo"],
+            ),
+        ],
+        ids=["step32", "piecewise64", "ramp-shift", "split-motion"],
+    )
+    def test_synth_byte_identical(self, tmp_path, capsys, fixture, names):
         d1 = tmp_path / "a"
         d2 = tmp_path / "b"
         for d in (d1, d2):
-            assert main(["synth", "step32", "--outdir", str(d), "--seed", "7"]) == 0
-        for name in ("step32_clean.pgm", "step32_noisy.pgm"):
+            assert main(["synth", fixture, "--outdir", str(d), "--seed", "7"]) == 0
+            assert capsys.readouterr().out.split("\n")[:-1] == [
+                f"wrote {d / name}" for name in names
+            ]
+            assert sorted(p.name for p in d.iterdir()) == sorted(names)
+        for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_denoise_aniso_runs(self, tmp_path):
+        assert main(["synth", "step32", "--outdir", str(tmp_path)]) == 0
+        out = tmp_path / "den.pgm"
+        code = main([
+            "denoise", str(tmp_path / "step32_noisy.pgm"), str(out),
+            "--variant", "aniso", "--max-iter", "3",
+        ])
+        assert code == 0
+        assert out.exists() and (tmp_path / "den.csv").exists()
+
+    def test_flow_image_driven_runs(self, tmp_path, capsys):
+        assert main(["synth", "split-motion", "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code = main([
+            "flow", str(tmp_path / "split_motion_f1.pgm"),
+            str(tmp_path / "split_motion_f2.pgm"), str(tmp_path / "est.flo"),
+            "--variant", "an", "--gt", str(tmp_path / "split_motion_gt.flo"),
+        ])
+        assert code == 0
+        keys = [item.split("=")[0] for item in capsys.readouterr().out.split()]
+        assert keys == ["objective", "epe_mean", "epe_max", "wall_time_s"]
+        assert read_flo(tmp_path / "est.flo").u.shape == (32, 32)
 
     def test_denoise_zero_lambda_copies_input(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -282,6 +377,15 @@ class TestCliRuns:
         code = main(["denoise", str(tmp_path / "nope.pgm"), str(out)])
         assert code == 1
         assert not out.exists()
+
+    def test_missing_ref_exits_one_after_writing_report(self, tmp_path):
+        src = tmp_path / "in.pgm"
+        out = tmp_path / "out.pgm"
+        write_pgm(src, np.random.default_rng(4).uniform(0.0, 1.0, (8, 8)))
+        code = main(["denoise", str(src), str(out), "--ref", str(tmp_path / "nope.pgm")])
+        assert code == 1
+        assert out.exists()
+        assert len(read_report(tmp_path / "out.csv").objective_history) >= 1
 
     def test_unknown_fixture_exits_one(self, tmp_path):
         assert main(["synth", "mystery", "--outdir", str(tmp_path)]) == 1
