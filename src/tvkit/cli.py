@@ -82,26 +82,30 @@ def _print_metrics(pairs) -> None:
         print(f"{key}={value:.6g}" if isinstance(value, float) else f"{key}={value}")
 
 
-def _psnr(args: argparse.Namespace, f) -> list:
-    """``[("psnr", value)]`` against ``--ref``, or nothing without one."""
-    if args.ref is None:
+def _psnr(args: argparse.Namespace, ref, f) -> list:
+    """``[("psnr", value)]`` against the ``--ref`` image, or nothing
+    without one."""
+    if ref is None:
         return []
-    return [("psnr", restore.psnr(f, read_pgm(args.ref), peak=args.peak))]
+    return [("psnr", restore.psnr(f, ref, peak=args.peak))]
 
 
-def _epe(args: argparse.Namespace, w) -> list:
-    """``epe_mean`` and ``epe_max`` against ``--gt``, or nothing without one."""
-    if args.gt is None:
+def _epe(gt, w) -> list:
+    """``epe_mean`` and ``epe_max`` against the ``--gt`` flow, or nothing
+    without one."""
+    if gt is None:
         return []
-    epe_mean, epe_max = endpoint_error(w, read_flo(args.gt))
+    epe_mean, epe_max = endpoint_error(w, gt)
     return [("epe_mean", epe_mean), ("epe_max", epe_max)]
 
 
 def _finish(args: argparse.Namespace, report, quality, started) -> int:
     """Write the CSV report beside the output, then print the final
-    objective, the keys ``quality()`` returns and the wall time.  Quality
-    is measured after the report is written, so a bad ``--ref`` or
-    ``--gt`` path still leaves the report of the finished solve."""
+    objective, the keys ``quality()`` returns and the wall time.  Handlers
+    read ``--ref`` or ``--gt`` before they solve, so a bad path fails
+    before any output is written; quality is measured after the report is
+    written, so a reference that does not match the output still leaves
+    the report of the finished solve."""
     write_report(args.output.with_suffix(".csv"), report)
     _print_metrics([
         ("objective", report.objective_history[-1]),
@@ -115,6 +119,7 @@ def _run_restore(args: argparse.Namespace) -> int:
     """denoise and deconv: denoising is deconvolution with the delta kernel."""
     started = time.perf_counter()
     g = read_pgm(args.input)
+    ref = None if args.ref is None else read_pgm(args.ref)
     kernel = parse_kernel(args.psf)
     params = RestoreParams(
         lam=args.lam,
@@ -124,12 +129,13 @@ def _run_restore(args: argparse.Namespace) -> int:
     )
     f, report = restore.tv_deconvolve(g, kernel, params)
     write_pgm(args.output, f, maxval=args.maxval)
-    return _finish(args, report, lambda: _psnr(args, f), started)
+    return _finish(args, report, lambda: _psnr(args, ref, f), started)
 
 
 def _run_blind(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g = read_pgm(args.input)
+    ref = None if args.ref is None else read_pgm(args.ref)
     kernel0 = parse_kernel(args.init_psf) if args.init_psf else None
     params = BlindParams(
         lam_image=args.lam,
@@ -142,12 +148,13 @@ def _run_blind(args: argparse.Namespace) -> int:
     if args.kernel_out is not None:
         write_kernel_text(args.kernel_out, kernel)
     write_pgm(args.output, f, maxval=args.maxval)
-    return _finish(args, report, lambda: _psnr(args, f), started)
+    return _finish(args, report, lambda: _psnr(args, ref, f), started)
 
 
 def _run_flow(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     pair = FramePair(read_pgm(args.input), read_pgm(args.input2))
+    gt = None if args.gt is None else read_flo(args.gt)
     params = FlowParams(
         lam=args.lam,
         eps=args.eps,
@@ -156,11 +163,12 @@ def _run_flow(args: argparse.Namespace) -> int:
     )
     w, report = estimate_flow(pair, params)
     write_flo(args.output, w)
-    return _finish(args, report, lambda: _epe(args, w), started)
+    return _finish(args, report, lambda: _epe(gt, w), started)
 
 
 def _run_metrics(args: argparse.Namespace) -> int:
-    _print_metrics(_psnr(args, read_pgm(args.input)))
+    f = read_pgm(args.input)
+    _print_metrics(_psnr(args, read_pgm(args.ref), f))
     return 0
 
 

@@ -126,7 +126,23 @@ def apply_weighted_laplacian(wx: np.ndarray, wy: np.ndarray, v: np.ndarray) -> n
     annihilates constant fields.
     """
     gx, gy = gradient(v)
-    return -divergence(VectorField(wx * gx, wy * gy))
+    gx *= wx
+    gy *= wy
+    out = divergence(VectorField(gx, gy))
+    return np.negative(out, out=out)
+
+
+def weighted_laplacian_diagonal(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Diagonal of the `apply_weighted_laplacian` operator: each forward
+    difference weight ``wx[..., j, i]`` (``i`` short of the last column)
+    lands on both pixels it couples, ``i`` and ``i+1``, and likewise
+    ``wy`` on rows ``j`` and ``j+1``."""
+    d = np.zeros(np.shape(wx))
+    d[..., :-1] += wx[..., :-1]
+    d[..., 1:] += wx[..., :-1]
+    d[..., :-1, :] += wy[..., :-1, :]
+    d[..., 1:, :] += wy[..., :-1, :]
+    return d
 
 
 def apply_tv_operator(

@@ -6,9 +6,9 @@ The restoration fixed point solves
 
 where ``L(f_k)`` is the TV operator with diffusivity weights frozen at the
 previous iterate.  Freezing the weights makes each outer step a linear SPD
-solve (done by CG), and because the TV potential is concave in the squared
-gradient the step minimizes a majorizer of the true objective, so the
-objective decreases monotonically up to solver tolerance.
+solve (done by Jacobi-preconditioned CG), and because the TV potential is
+concave in the squared gradient the step minimizes a majorizer of the true
+objective, so the objective decreases monotonically up to solver tolerance.
 """
 
 from __future__ import annotations
@@ -99,29 +99,46 @@ def conjugate_gradient(
     b: np.ndarray,
     x0: Optional[np.ndarray] = None,
     cfg: Optional[SolverConfig] = None,
+    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> tuple[np.ndarray, int, bool]:
     """Solve ``A x = b`` for a symmetric positive (semi-)definite operator.
 
     Standard CG recurrences on arrays of any shape; stops when
     ``||A x - b|| <= tol_cg * ||b||`` or after ``max_cg`` iterations.
-    Returns ``(x, iterations, converged)``.  Raises `SolverDivergenceError`
-    if the residual turns non-finite (indefinite or ill-posed operator).
+    ``precond``, if given, applies an SPD approximation of ``A^-1`` to a
+    residual (preconditioned CG); the stopping test stays on the
+    unpreconditioned residual.  Returns ``(x, iterations, converged)``.
+    Raises `SolverDivergenceError` if the residual turns non-finite
+    (indefinite or ill-posed operator).
     """
     cfg = cfg or SolverConfig()
     b = np.asarray(b, dtype=np.float64)
     bnorm = float(np.sqrt(np.vdot(b, b).real))
     if bnorm == 0.0:
         return np.zeros_like(b), 0, True
+    # private copy: x, r and p are updated in place
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
     threshold = cfg.tol_cg * bnorm
 
     r = b - apply_A(x)
+    del b  # not needed past the first residual: one vector less to hold
     rs = float(np.vdot(r, r).real)
     if not np.isfinite(rs):
         raise SolverDivergenceError("non-finite residual entering CG")
     if math.sqrt(rs) <= threshold:
         return x, 0, True
-    p = r.copy()
+
+    def preconditioned(r, rs):
+        """``(z, <r, z>)`` with ``z = M^-1 r``; the plain CG pair without
+        ``precond``, with no extra inner product."""
+        if precond is None:
+            return r, rs
+        z = precond(r)
+        return z, float(np.vdot(r, z).real)
+
+    z, rz = preconditioned(r, rs)
+    p = z.copy()
+    del z
     for k in range(1, cfg.max_cg + 1):
         Ap = apply_A(p)
         pAp = float(np.vdot(p, Ap).real)
@@ -130,16 +147,21 @@ def conjugate_gradient(
         if pAp <= 0.0:
             # null-space direction of a semi-definite operator: nothing left to do
             return x, k - 1, math.sqrt(rs) <= threshold
-        alpha = rs / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = float(np.vdot(r, r).real)
-        if not np.isfinite(rs_new):
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        rs = float(np.vdot(r, r).real)
+        if not np.isfinite(rs):
             raise SolverDivergenceError(f"non-finite residual at CG iteration {k}")
-        if math.sqrt(rs_new) <= threshold:
+        if math.sqrt(rs) <= threshold:
             return x, k, True
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z, rz_new = preconditioned(r, rs)
+        p *= rz_new / rz
+        p += z
+        # z must not outlive this update: alive through the next apply_A it
+        # would add one more vector to the solve's peak memory
+        del z
+        rz = rz_new
     return x, cfg.max_cg, False
 
 
@@ -221,15 +243,24 @@ def tv_restore_fixed_point(
     else:
         raise ValueError(f"unknown init {init!r}")
 
+    # diagonal of H^T H: exact away from the border, where the replicate
+    # boundary folds taps onto the edge pixels
+    hth_diag = float(np.sum(kernel.weights * kernel.weights))
+
     def step(f_k):
         wx, wy = functionals.diffusion_weights(f_k, alpha, variant)
+        # Jacobi preconditioner; a zero diagonal (zero kernel, no penalty)
+        # leaves its residual entries unscaled
+        diag = hth_diag + lam * functionals.weighted_laplacian_diagonal(wx, wy)
+        inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
 
         def apply_A(x):
             return convolve_adjoint(convolve(x, kernel), kernel) + lam * (
                 functionals.apply_weighted_laplacian(wx, wy, x)
             )
 
-        return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg)
+        return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
+                                  precond=lambda r: inv_diag * r)
 
     def objective(f_next):
         return functionals.tv_objective(f_next, g, kernel, lam, alpha, variant)

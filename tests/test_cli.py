@@ -378,14 +378,30 @@ class TestCliRuns:
         assert code == 1
         assert not out.exists()
 
-    def test_missing_ref_exits_one_after_writing_report(self, tmp_path):
+    @pytest.mark.parametrize("command, solver", [
+        ("denoise", (restore, "tv_deconvolve")),
+        ("deconv", (restore, "tv_deconvolve")),
+        ("blind", (restore, "blind_deconvolve")),
+        ("flow", (cli, "estimate_flow")),
+    ], ids=["denoise", "deconv", "blind", "flow"])
+    def test_missing_reference_exits_one_before_solving(self, tmp_path, monkeypatch,
+                                                        command, solver):
+        def never(*args, **kwargs):
+            raise AssertionError("solver called")
+
+        monkeypatch.setattr(*solver, never)
         src = tmp_path / "in.pgm"
-        out = tmp_path / "out.pgm"
         write_pgm(src, np.random.default_rng(4).uniform(0.0, 1.0, (8, 8)))
-        code = main(["denoise", str(src), str(out), "--ref", str(tmp_path / "nope.pgm")])
-        assert code == 1
-        assert out.exists()
-        assert len(read_report(tmp_path / "out.csv").objective_history) >= 1
+        if command == "flow":
+            out = tmp_path / "out.flo"
+            argv = ["flow", str(src), str(src), str(out), "--gt", str(tmp_path / "nope.flo")]
+        else:
+            out = tmp_path / "out.pgm"
+            argv = [command, str(src), str(out), "--ref", str(tmp_path / "nope.pgm")]
+            if command == "deconv":
+                argv += ["--psf", "box3"]
+        assert main(argv) == 1
+        assert sorted(tmp_path.iterdir()) == [src]
 
     def test_unknown_fixture_exits_one(self, tmp_path):
         assert main(["synth", "mystery", "--outdir", str(tmp_path)]) == 1

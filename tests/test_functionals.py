@@ -18,6 +18,7 @@ from tvkit.functionals import (
     tv_objective,
     tv_potential,
     tv_potential_prime,
+    weighted_laplacian_diagonal,
 )
 from tvkit.grid import Kernel, inner
 
@@ -270,6 +271,17 @@ class TestOperator:
         out = apply_weighted_laplacian(ones, ones, v)
         interior = 4 * v[1:-1, 1:-1] - v[1:-1, :-2] - v[1:-1, 2:] - v[:-2, 1:-1] - v[2:, 1:-1]
         np.testing.assert_allclose(out[1:-1, 1:-1], interior, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", list(TVVariant))
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (4, 6)])
+    def test_weighted_laplacian_diagonal(self, shape, variant):
+        rng = np.random.default_rng(53)
+        wx, wy = diffusion_weights(rng.standard_normal(shape), 0.3, variant)
+        # the isotropic weights are one array shared by both axes
+        assert (wx is wy) == (variant is TVVariant.ISOTROPIC)
+        dense = materialize(lambda v: apply_weighted_laplacian(wx, wy, v), shape)
+        np.testing.assert_allclose(weighted_laplacian_diagonal(wx, wy),
+                                   np.diag(dense).reshape(shape), rtol=1e-14, atol=0)
 
 
 class TestObjective:

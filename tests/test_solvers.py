@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +125,88 @@ class TestConjugateGradient:
             res.append(np.linalg.norm(apply_A(x) - b))
         assert all(r2 <= r1 * (1 + 1e-10) for r1, r2 in zip(res, res[1:]))
 
+    def test_plain_loop_unchanged(self):
+        # the textbook CG recurrences, out of place: the solver without a
+        # preconditioner must compute exactly this
+        def reference_cg(apply_A, b, x, cfg):
+            threshold = cfg.tol_cg * np.sqrt(np.vdot(b, b))
+            r = b - apply_A(x)
+            rs = float(np.vdot(r, r))
+            p = r.copy()
+            for k in range(1, cfg.max_cg + 1):
+                Ap = apply_A(p)
+                alpha = rs / float(np.vdot(p, Ap))
+                x = x + alpha * p
+                r = r - alpha * Ap
+                rs_new = float(np.vdot(r, r))
+                if np.sqrt(rs_new) <= threshold:
+                    return x, k
+                p = r + (rs_new / rs) * p
+                rs = rs_new
+            return x, cfg.max_cg
+
+        rng = np.random.default_rng(23)
+        m = rng.standard_normal((36, 36))
+        a = m.T @ m + 0.1 * np.eye(36)
+
+        def apply_A(v):
+            return (a @ v.ravel()).reshape(6, 6)
+
+        b = rng.standard_normal((6, 6))
+        x0 = rng.standard_normal((6, 6))
+        x0_before = x0.copy()
+        for cfg in (SolverConfig(tol_cg=1e-10), SolverConfig(max_cg=7)):
+            x, iters, _ = conjugate_gradient(apply_A, b, x0=x0, cfg=cfg)
+            want, want_iters = reference_cg(apply_A, b, x0, cfg)
+            np.testing.assert_array_equal(x, want)
+            assert iters == want_iters
+        # the in-place updates work on a private copy of the start
+        np.testing.assert_array_equal(x0, x0_before)
+
+    def test_identity_preconditioner_is_plain_cg(self):
+        rng = np.random.default_rng(19)
+        m = rng.standard_normal((36, 36))
+        a = m.T @ m + 0.5 * np.eye(36)
+
+        def apply_A(v):
+            return (a @ v.ravel()).reshape(6, 6)
+
+        b = rng.standard_normal((6, 6))
+        cfg = SolverConfig(tol_cg=1e-12)
+        x, iters, converged = conjugate_gradient(apply_A, b, cfg=cfg)
+        xp, iters_p, converged_p = conjugate_gradient(apply_A, b, cfg=cfg,
+                                                      precond=lambda r: r.copy())
+        np.testing.assert_array_equal(xp, x)
+        assert (iters_p, converged_p) == (iters, converged)
+
+    def test_jacobi_preconditioner_badly_scaled(self):
+        rng = np.random.default_rng(31)
+        m = rng.standard_normal((64, 64))
+        scale = np.logspace(0, 3, 64)
+        a = scale[:, None] * (m.T @ m / 64 + np.eye(64)) * scale[None, :]
+        diag = np.diag(a).reshape(8, 8)
+
+        def apply_A(v):
+            return (a @ v.ravel()).reshape(8, 8)
+
+        b = rng.standard_normal((8, 8))
+        cfg = SolverConfig(tol_cg=1e-12, max_cg=5000)
+        _, plain_iters, _ = conjugate_gradient(apply_A, b, cfg=cfg)
+        x, iters, converged = conjugate_gradient(apply_A, b, cfg=cfg,
+                                                 precond=lambda r: r / diag)
+        assert converged
+        assert iters < plain_iters
+        np.testing.assert_allclose(x.ravel(), np.linalg.solve(a, b.ravel()),
+                                   rtol=1e-8, atol=0)
+
+    def test_exact_diagonal_preconditioner_one_iteration(self):
+        d = np.array([[1.0, 10.0], [1e3, 1e-2]])
+        b = np.array([[1.0, -2.0], [3.0, 0.5]])
+        x, iters, converged = conjugate_gradient(lambda v: d * v, b,
+                                                 precond=lambda r: r / d)
+        assert converged and iters == 1
+        np.testing.assert_allclose(x, b / d, rtol=1e-14)
+
     def test_nonfinite_diverges(self):
         def bad(v):
             out = v.copy()
@@ -149,6 +232,42 @@ class TestLaggedStep:
         a = lagged_step(rng.standard_normal((6, 6)), g, k, 0.0, alpha=1e-3, cfg=cfg)
         b = lagged_step(rng.standard_normal((6, 6)), g, k, 0.0, alpha=1e-1, cfg=cfg)
         np.testing.assert_allclose(a, b, atol=1e-8)
+
+    def test_preconditioned_step_meets_tol_on_true_residual(self):
+        # one lagged step from f_k: Jacobi-preconditioned CG takes fewer
+        # iterations than plain CG on the same frozen-weight system, and
+        # stops on the true residual.  Flat regions weigh 1/alpha and edges
+        # far less, so this diagonal spans two decades; a test on the
+        # preconditioned residual would leave ||A f - b|| near 1.6e-7 here.
+        clean, _ = noisy_step(16, 16)
+        k = Kernel.box(3)
+        g = grid.convolve(clean, k) + 1e-3 * np.random.default_rng(8).standard_normal((16, 16))
+        lam, f_k = 0.05, g.copy()
+        f, report = tv_restore_fixed_point(g, k, lam, cfg=SolverConfig(max_outer=1), init=f_k)
+        wx, wy = functionals.diffusion_weights(f_k, functionals.DEFAULT_ALPHA)
+
+        def apply_A(x):
+            return (grid.convolve_adjoint(grid.convolve(x, k), k)
+                    + lam * functionals.apply_weighted_laplacian(wx, wy, x))
+
+        b = grid.convolve_adjoint(g, k)
+        assert np.linalg.norm(apply_A(f) - b) <= 1e-7 * np.linalg.norm(b)
+        _, plain_iters, _ = conjugate_gradient(apply_A, b, x0=f_k)
+        assert report.cg_iters_history[0] < plain_iters
+
+    @pytest.mark.parametrize("g, lam", [
+        (np.random.default_rng(2).uniform(0.0, 1.0, (6, 6)), 0.0),
+        (np.full((1, 1), 0.3), 0.1),
+    ], ids=["no-penalty", "single-pixel"])
+    def test_zero_jacobi_diagonal(self, g, lam):
+        # a zero kernel zeroes H^T H; with no penalty term (lam = 0, or a
+        # single pixel that has no differences) the Jacobi diagonal is zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, report = tv_restore_fixed_point(g, Kernel(np.zeros((3, 3))), lam)
+        np.testing.assert_array_equal(f, np.zeros_like(g))
+        assert report.converged
+        assert report.outer_iterations == 2
 
     def test_fixed_point_property(self):
         # solve once, then feed the solution back in: the step keeps it
