@@ -81,26 +81,6 @@ def tv_anisotropic_smoothed(f: np.ndarray, alpha: float = DEFAULT_ALPHA) -> floa
     return float(np.sum(np.sqrt(dx * dx + a2)) + np.sum(np.sqrt(dy * dy + a2)))
 
 
-def tv_potential(t, alpha: float = DEFAULT_ALPHA):
-    """Potential ``2*sqrt(t + alpha^2)`` of the squared gradient magnitude."""
-    _check_alpha(alpha)
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
-        raise ValueError("potential argument must be nonnegative")
-    out = 2.0 * np.sqrt(t + alpha * alpha)
-    return float(out) if out.ndim == 0 else out
-
-
-def tv_potential_prime(t, alpha: float = DEFAULT_ALPHA):
-    """Derivative ``1/sqrt(t + alpha^2)`` of `tv_potential`."""
-    _check_alpha(alpha)
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
-        raise ValueError("potential argument must be nonnegative")
-    out = 1.0 / np.sqrt(t + alpha * alpha)
-    return float(out) if out.ndim == 0 else out
-
-
 def diffusion_weights(
     f: np.ndarray, alpha: float = DEFAULT_ALPHA, variant: TVVariant = TVVariant.ISOTROPIC
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -127,22 +127,18 @@ def divergence(p: VectorField) -> np.ndarray:
     """Backward-difference divergence, the exact negative adjoint of `gradient`.
 
     Satisfies ``inner(gradient(f).u, p.u) + inner(gradient(f).v, p.v)
-    == -inner(f, divergence(p))`` for all fields.
+    == -inner(f, divergence(p))`` for all fields.  Like `gradient` it acts
+    on the last two axes, so a stacked field gives its channel divergences.
     """
     u = np.asarray(p.u, dtype=np.float64)
     v = np.asarray(p.v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"vector field components differ: {u.shape} vs {v.shape}")
-    h, w = u.shape
     out = np.zeros_like(u)
-    if w > 1:
-        out[:, 0] += u[:, 0]
-        out[:, 1 : w - 1] += u[:, 1 : w - 1] - u[:, : w - 2]
-        out[:, w - 1] += -u[:, w - 2]
-    if h > 1:
-        out[0, :] += v[0, :]
-        out[1 : h - 1, :] += v[1 : h - 1, :] - v[: h - 2, :]
-        out[h - 1, :] += -v[h - 2, :]
+    out[..., :-1] += u[..., :-1]
+    out[..., 1:] -= u[..., :-1]
+    out[..., :-1, :] += v[..., :-1, :]
+    out[..., 1:, :] -= v[..., :-1, :]
     return out
 
 
@@ -212,13 +208,3 @@ def inner(f: np.ndarray, g: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {f.shape} vs {g.shape}")
     return float(np.dot(f.ravel(), g.ravel()))
 
-
-def norm2(f: np.ndarray) -> float:
-    """Euclidean norm."""
-    f = np.asarray(f, dtype=np.float64)
-    return float(np.sqrt(np.dot(f.ravel(), f.ravel())))
-
-
-def norm1(f: np.ndarray) -> float:
-    """Sum of absolute values."""
-    return float(np.sum(np.abs(np.asarray(f, dtype=np.float64))))

@@ -170,15 +170,13 @@ def _kernel_step(
     """TV-regularized LS solve for the kernel with the image fixed, followed
     by the nonnegativity/unit-sum projection.  Returns the projected kernel
     and the CG iteration count and converged flag."""
-    wx, wy = functionals.diffusion_weights(h_k, params.alpha)
-
-    def apply_A(x):
-        return _image_times_kernel_adjoint(
-            f, _image_times_kernel(f, x), params.kernel_size
-        ) + params.lam_kernel * functionals.apply_weighted_laplacian(wx, wy, x)
-
-    b = _image_times_kernel_adjoint(f, g, params.kernel_size)
-    h_new, iters, converged = solvers.conjugate_gradient(apply_A, b, x0=h_k, cfg=params.solver)
+    ks = params.kernel_size
+    # diag(F^T F): column (b, a) of F is the edge-padded image shifted by
+    # that tap, so its squared norm correlates f * f with ones
+    ftf_diag = _image_times_kernel_adjoint(f * f, np.ones_like(f), ks)
+    h_new, iters, converged = solvers.lagged_tv_step(
+        lambda x: _image_times_kernel(f, x), lambda r: _image_times_kernel_adjoint(f, r, ks),
+        g, h_k, ftf_diag, params.lam_kernel, params.alpha, TVVariant.ISOTROPIC, params.solver)
     return _project_kernel(h_new), iters, converged
 
 

@@ -6,9 +6,11 @@ The restoration fixed point solves
 
 where ``L(f_k)`` is the TV operator with diffusivity weights frozen at the
 previous iterate.  Freezing the weights makes each outer step a linear SPD
-solve (done by Jacobi-preconditioned CG), and because the TV potential is
-concave in the squared gradient the step minimizes a majorizer of the true
-objective, so the objective decreases monotonically up to solver tolerance.
+solve, done by `lagged_tv_step` (Jacobi-preconditioned CG) for restore and
+both halves of blind deconvolution; flow runs plain CG on its own system.
+Because the TV potential is concave in the squared gradient the step
+minimizes a majorizer of the true objective, so the objective decreases
+monotonically up to solver tolerance.
 """
 
 from __future__ import annotations
@@ -209,6 +211,31 @@ def lagged_loop(
     return x, _finalize_report(report)
 
 
+def lagged_tv_step(
+    K: Callable[[np.ndarray], np.ndarray], Kt: Callable[[np.ndarray], np.ndarray],
+    g: np.ndarray, x_k: np.ndarray, ktk_diag, lam: float, alpha: float,
+    variant: TVVariant, cfg: SolverConfig,
+) -> tuple[np.ndarray, int, bool]:
+    """Freeze the TV weights ``w`` at ``x_k`` and solve ``[K^T K + lam L(w)]
+    x = K^T g`` by CG from ``x_k``, preconditioned by the inverse Jacobi
+    diagonal ``ktk_diag + lam diag(L(w))`` (``ktk_diag``, the diagonal of
+    ``K^T K``, is a scalar or shaped like ``x_k``).  Returns
+    `conjugate_gradient`'s triple; a non-finite diagonal raises
+    `SolverDivergenceError`."""
+    wx, wy = functionals.diffusion_weights(x_k, alpha, variant)
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        diag = ktk_diag + lam * functionals.weighted_laplacian_diagonal(wx, wy)
+    if not np.all(np.isfinite(diag)):
+        raise SolverDivergenceError("non-finite Jacobi diagonal")
+    # a zero diagonal (zero kernel, no penalty) leaves its residual entries unscaled
+    inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
+
+    def apply_A(x):
+        return Kt(K(x)) + lam * functionals.apply_weighted_laplacian(wx, wy, x)
+
+    return conjugate_gradient(apply_A, Kt(g), x0=x_k, cfg=cfg, precond=lambda r: inv_diag * r)
+
+
 def tv_restore_fixed_point(
     g: np.ndarray,
     kernel: Kernel,
@@ -248,19 +275,8 @@ def tv_restore_fixed_point(
     hth_diag = float(np.sum(kernel.weights * kernel.weights))
 
     def step(f_k):
-        wx, wy = functionals.diffusion_weights(f_k, alpha, variant)
-        # Jacobi preconditioner; a zero diagonal (zero kernel, no penalty)
-        # leaves its residual entries unscaled
-        diag = hth_diag + lam * functionals.weighted_laplacian_diagonal(wx, wy)
-        inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
-
-        def apply_A(x):
-            return convolve_adjoint(convolve(x, kernel), kernel) + lam * (
-                functionals.apply_weighted_laplacian(wx, wy, x)
-            )
-
-        return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
-                                  precond=lambda r: inv_diag * r)
+        return lagged_tv_step(lambda x: convolve(x, kernel), lambda y: convolve_adjoint(y, kernel),
+                              g, f_k, hth_diag, lam, alpha, variant, cfg)
 
     def objective(f_next):
         return functionals.tv_objective(f_next, g, kernel, lam, alpha, variant)

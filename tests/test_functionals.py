@@ -16,8 +16,6 @@ from tvkit.functionals import (
     tv_gradient,
     tv_isotropic,
     tv_objective,
-    tv_potential,
-    tv_potential_prime,
     weighted_laplacian_diagonal,
 )
 from tvkit.grid import Kernel, inner
@@ -130,40 +128,6 @@ class TestEnergies:
                 fn(f, 0.0)
             with pytest.raises(ValueError):
                 fn(f, -1e-3)
-
-
-class TestPotential:
-    def test_values_at_zero(self):
-        assert tv_potential(0.0, 0.25) == pytest.approx(0.5, rel=1e-15)
-        assert tv_potential_prime(0.0, 0.25) == pytest.approx(4.0, rel=1e-15)
-
-    def test_derivative_matches_finite_difference(self):
-        a = 1e-2
-        for t in (1e-4, 0.02, 0.3, 2.0):
-            h = 1e-5 * (t + a * a)
-            fd = (tv_potential(t + h, a) - tv_potential(t - h, a)) / (2 * h)
-            assert tv_potential_prime(t, a) == pytest.approx(fd, rel=1e-6)
-
-    def test_array_broadcast(self):
-        t = np.array([0.0, 1.0, 4.0])
-        out = tv_potential(t, 1e-3)
-        assert out.shape == (3,)
-        assert isinstance(tv_potential(1.0), float)
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            tv_potential(-1e-9)
-        with pytest.raises(ValueError):
-            tv_potential_prime(np.array([0.5, -0.5]))
-
-    def test_energy_identity(self):
-        # 0.5 * sum psi(dx^2 + dy^2) recovers the smoothed isotropic energy
-        rng = np.random.default_rng(23)
-        f = rng.standard_normal((7, 7))
-        a = 3e-3
-        dx, dy = grid.gradient(f)
-        via_psi = 0.5 * np.sum(tv_potential(dx * dx + dy * dy, a))
-        assert via_psi == pytest.approx(tv_isotropic(f, a), rel=1e-13)
 
 
 class TestTVGradient:

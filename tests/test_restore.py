@@ -260,6 +260,16 @@ class TestBlindDeconvolve:
         ])
         assert np.abs(A.T - At).max() < 1e-14
 
+    @pytest.mark.parametrize("ks", [3, 5])
+    @pytest.mark.parametrize("shape", [(2, 3), (7, 9)])
+    def test_kernel_step_jacobi_diagonal(self, shape, ks):
+        # the kernel step's preconditioner: diag(F^T F) of the dense F
+        rng = np.random.default_rng(53)
+        f = rng.standard_normal(shape)
+        A = materialize(lambda x: restore._image_times_kernel(f, x), (ks, ks))
+        got = restore._image_times_kernel_adjoint(f * f, np.ones_like(f), ks)
+        np.testing.assert_allclose(got.ravel(), np.diag(A.T @ A), rtol=1e-13, atol=0)
+
     def test_unregularized_kernel_step_is_projected_least_squares(self):
         # lam_kernel = 0 leaves only the data term: the step is the projected
         # dense least-squares kernel

@@ -364,6 +364,15 @@ class TestFixedPointSolver:
             tv_restore_fixed_point(g, Kernel.delta(), 0.1)
         assert isinstance(exc_info.value.report, SolveReport)
 
+    def test_overflowing_jacobi_diagonal_raises(self):
+        # lam / alpha overflows the Jacobi diagonal to inf: its inverse would
+        # zero every residual entry and PCG would stop at once, leaving the
+        # flat start as an unconverged "solution"
+        _, noisy = synth.make_step32()
+        with pytest.raises(SolverDivergenceError) as exc_info:
+            tv_restore_fixed_point(noisy, Kernel.delta(), 1e300, alpha=1e-160, init="mean")
+        assert isinstance(exc_info.value.report, SolveReport)
+
 
 def capped_denoise(cfg):
     _, noisy = synth.make_step32()
