@@ -15,7 +15,6 @@ from .flow import (
 from .functionals import (
     DEFAULT_ALPHA,
     TVVariant,
-    spectral_tv,
     tv_anisotropic,
     tv_gradient,
     tv_isotropic,
@@ -55,7 +54,6 @@ __all__ = [
     "gradient",
     "DEFAULT_ALPHA",
     "TVVariant",
-    "spectral_tv",
     "tv_anisotropic",
     "tv_gradient",
     "tv_isotropic",

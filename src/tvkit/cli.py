@@ -194,25 +194,13 @@ def _run_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flush_partial(args: argparse.Namespace, err) -> None:
+def _flush_partial(args: argparse.Namespace, err: SolverDivergenceError) -> None:
     """Write whatever convergence history exists before failing."""
-    report = getattr(err, "report", None)
-    if report is not None:
+    if err.report is not None:
         try:
-            write_report(args.output.with_suffix(".csv"), report)
+            write_report(args.output.with_suffix(".csv"), err.report)
         except OSError:
             pass
-
-
-def run(args: argparse.Namespace) -> int:
-    """Execute one parsed command line; returns the process exit status.  A
-    solver failure flushes the partial convergence report before it
-    propagates."""
-    try:
-        return args.run(args)
-    except (SolverDivergenceError, restore.DegenerateKernelError) as err:
-        _flush_partial(args, err)
-        raise
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -306,8 +294,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; fold usage into 1
         return 0 if exc.code == 0 else 1
     try:
-        return run(args)
-    except (SolverDivergenceError, restore.DegenerateKernelError) as err:
+        return args.run(args)
+    except SolverDivergenceError as err:
+        _flush_partial(args, err)
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as err:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import VectorField
-from .solvers import SolveReport, _finalize_report
+from .solvers import SolveReport
 
 FLO_MAGIC = b"PIEH"
 REPORT_HEADER = ("iteration", "objective", "step_norm", "cg_iters")
@@ -227,7 +227,9 @@ def write_report(path, report: SolveReport) -> None:
 
 
 def read_report(path) -> SolveReport:
-    """Parse a CSV report back into a `SolveReport` (histories and counts).
+    """Parse a CSV report back into a `SolveReport`: its three histories,
+    with ``cg_iterations_total`` their CG sum.  ``outer_iterations`` and the
+    monotone flags derive from the histories as for any report.
 
     The file stores neither the converged flag nor the per-iteration CG
     converged history, so ``converged`` reads back False and
@@ -252,6 +254,5 @@ def read_report(path) -> SolveReport:
             report.objective_history.append(float(row[1]))
             report.step_norm_history.append(float(row[2]))
             report.cg_iters_history.append(int(row[3]))
-    report.outer_iterations = last
     report.cg_iterations_total = sum(report.cg_iters_history)
-    return _finalize_report(report)
+    return report

@@ -227,7 +227,6 @@ def flow_image_driven(
         inner(w.u, apply_smooth(w.u)) + inner(w.v, apply_smooth(w.v))
     )
     report = SolveReport(
-        outer_iterations=1,
         converged=cg_ok,
         objective_history=[energy],
         step_norm_history=[float(np.linalg.norm(wvec))],
@@ -235,7 +234,7 @@ def flow_image_driven(
         cg_iters_history=[cg_iters],
         cg_converged_history=[cg_ok],
     )
-    return w, solvers._finalize_report(report)
+    return w, report
 
 
 def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveReport]:

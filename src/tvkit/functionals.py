@@ -61,10 +61,11 @@ def tv_isotropic(f: np.ndarray, alpha: float = DEFAULT_ALPHA) -> float:
 
 
 def tv_anisotropic(f: np.ndarray, alpha: float = DEFAULT_ALPHA) -> float:
-    """Anisotropic (L1) TV: ``M*N*alpha + sum(|dx| + |dy|)``."""
+    """Anisotropic (L1) TV: ``M*N*alpha + sum(|dx| + |dy|)``; the sum runs
+    over every channel of a stacked ``(C, M, N)`` field."""
     _check_alpha(alpha)
     dx, dy = gradient(f)
-    h, w = np.asarray(f).shape
+    h, w = np.shape(f)[-2:]
     return float(h * w * alpha + np.sum(np.abs(dx)) + np.sum(np.abs(dy)))
 
 
@@ -170,50 +171,3 @@ def tv_objective(
     else:
         reg = tv_anisotropic_smoothed(f, alpha)
     return fidelity + lam * reg
-
-
-def _derivative_spectra(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """DFT spectra of the x- and y-derivatives of the trigonometric interpolate.
-
-    The Nyquist row/column (present for even sizes) is treated as
-    cosine-only and gets zero derivative weight, keeping the interpolate
-    real-valued.
-    """
-    h, w = f.shape
-    spec = np.fft.fft2(f)
-    freq_x = np.fft.fftfreq(w)
-    freq_y = np.fft.fftfreq(h)
-    omega_x = 2.0 * np.pi * np.where(np.abs(freq_x) == 0.5, 0.0, freq_x)
-    omega_y = 2.0 * np.pi * np.where(np.abs(freq_y) == 0.5, 0.0, freq_y)
-    return spec * (1j * omega_x)[None, :], spec * (1j * omega_y)[:, None]
-
-
-def _oversampled_values(spec: np.ndarray, n: int) -> np.ndarray:
-    """Evaluate the trig polynomial with DFT spectrum ``spec`` on the n-times
-    finer grid, via centered zero-padding."""
-    h, w = spec.shape
-    if n == 1:
-        return np.fft.ifft2(spec).real
-    padded = np.zeros((n * h, n * w), dtype=np.complex128)
-    shifted = np.fft.fftshift(spec)
-    r0 = n * h // 2 - h // 2
-    c0 = n * w // 2 - w // 2
-    padded[r0 : r0 + h, c0 : c0 + w] = shifted
-    return (n * n) * np.fft.ifft2(np.fft.ifftshift(padded)).real
-
-
-def spectral_tv(f: np.ndarray, n: int = 2) -> float:
-    """TV of the Shannon (trigonometric) interpolate, sampled on an n-times
-    oversampled grid.
-
-    Computes the interpolate's partial derivatives in the frequency domain,
-    evaluates them at the fine grid points, and returns the Riemann sum
-    ``(1/n^2) * sum |grad F|``.  Exactly zero for constant fields.
-    """
-    if n < 1:
-        raise ValueError(f"oversampling order must be >= 1, got {n}")
-    f = np.asarray(f, dtype=np.float64)
-    spec_x, spec_y = _derivative_spectra(f)
-    fx = _oversampled_values(spec_x, n)
-    fy = _oversampled_values(spec_y, n)
-    return float(np.sum(np.hypot(fx, fy)) / (n * n))

@@ -18,13 +18,9 @@ from .solvers import SolverConfig, SolveReport
 PSNR_CAP_DB = 300.0
 
 
-class DegenerateKernelError(RuntimeError):
+class DegenerateKernelError(solvers.SolverDivergenceError):
     """Blind deconvolution kernel collapsed to zero after projection
     (kernel regularization too strong)."""
-
-    def __init__(self, message: str, report: SolveReport | None = None):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass
@@ -243,13 +239,9 @@ def blind_deconvolve(
         return f_next, kernel_cg + inner_rep.cg_iterations_total, cg_ok
 
     report = SolveReport(cg_iterations_total=init_rep.cg_iterations_total)
-    try:
-        f, report = solvers.lagged_loop(
-            step, lambda f_next: _blind_objective(g, f_next, h, params), f, cfg, report
-        )
-    except DegenerateKernelError as err:
-        err.report = solvers._finalize_report(report)
-        raise
+    f, report = solvers.lagged_loop(
+        step, lambda f_next: _blind_objective(g, f_next, h, params), f, cfg, report
+    )
     report.converged = report.converged and all(init_rep.cg_converged_history)
     return f, Kernel(h), report
 

@@ -29,10 +29,8 @@ DESCENT_SLACK = 1e-9
 
 
 class SolverDivergenceError(RuntimeError):
-    """Raised when an iteration produces non-finite values.
-
-    Carries the partial `SolveReport` (if any) in ``report``.
-    """
+    """A solve failed; carries the partial `SolveReport` (if any) in
+    ``report``."""
 
     def __init__(self, message: str, report: "SolveReport | None" = None):
         super().__init__(message)
@@ -66,11 +64,16 @@ class SolverConfig:
         return 1e-4 * math.sqrt(n_unknowns)
 
 
+def _monotone(history: list[float]) -> bool:
+    return all(b <= a + DESCENT_SLACK for a, b in zip(history, history[1:]))
+
+
 @dataclass
 class SolveReport:
-    """Per-iteration record of an outer solve."""
+    """Per-iteration record of an outer solve.  The iteration count and the
+    monotone flags derive from the histories; descent and contraction are
+    monitored, not enforced."""
 
-    outer_iterations: int = 0
     # the outer step norm fell below its tolerance and every CG solve converged
     converged: bool = False
     objective_history: list[float] = field(default_factory=list)
@@ -79,21 +82,18 @@ class SolveReport:
     cg_iters_history: list[int] = field(default_factory=list)
     # whether each outer iteration's CG solves all converged
     cg_converged_history: list[bool] = field(default_factory=list)
-    # descent / contraction are monitored, not enforced
-    objective_monotone: bool = True
-    step_norms_monotone: bool = True
 
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.objective_history)
 
-def _finalize_report(report: SolveReport) -> SolveReport:
-    obj = report.objective_history
-    report.objective_monotone = all(
-        b <= a + DESCENT_SLACK for a, b in zip(obj, obj[1:])
-    )
-    steps = report.step_norm_history
-    report.step_norms_monotone = all(
-        b <= a + DESCENT_SLACK for a, b in zip(steps, steps[1:])
-    )
-    return report
+    @property
+    def objective_monotone(self) -> bool:
+        return _monotone(self.objective_history)
+
+    @property
+    def step_norms_monotone(self) -> bool:
+        return _monotone(self.step_norm_history)
 
 
 def conjugate_gradient(
@@ -182,9 +182,9 @@ def lagged_loop(
     CG and returns ``(x_next, cg_iters, cg_converged)``; ``objective(x_next)``
     is recorded after every step.  ``converged`` requires the last step below
     the tolerance and every CG solve converged.  A `SolverDivergenceError`
-    is re-raised with the partial report and its outer iteration; a given
-    ``report`` is filled in place, so a caller can attach the partial record
-    to an error of its own.
+    (or subclass) is re-raised as its own type with the partial report and
+    its outer iteration; a given ``report`` is filled in place, so a caller
+    can pre-seed counts such as ``cg_iterations_total``.
     """
     tol = cfg.resolved_tol_outer(x0.size)
     report = SolveReport() if report is None else report
@@ -193,12 +193,10 @@ def lagged_loop(
         try:
             x_next, cg_iters, cg_converged = step(x)
         except SolverDivergenceError as err:
-            raise SolverDivergenceError(
-                f"{err} (outer iteration {report.outer_iterations + 1})",
-                report=_finalize_report(report),
+            raise type(err)(
+                f"{err} (outer iteration {report.outer_iterations + 1})", report=report
             ) from err
         step_norm = float(np.linalg.norm(x_next - x))
-        report.outer_iterations += 1
         report.cg_iterations_total += cg_iters
         report.cg_iters_history.append(cg_iters)
         report.cg_converged_history.append(cg_converged)
@@ -208,7 +206,7 @@ def lagged_loop(
         if step_norm < tol:
             report.converged = all(report.cg_converged_history)
             break
-    return x, _finalize_report(report)
+    return x, report
 
 
 def lagged_tv_step(
@@ -243,15 +241,14 @@ def tv_restore_fixed_point(
     alpha: float = functionals.DEFAULT_ALPHA,
     cfg: Optional[SolverConfig] = None,
     variant: TVVariant = TVVariant.ISOTROPIC,
-    init="observed",
+    init: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve ``[H^T H + lam L(f_k)] f_{k+1} = H^T g`` by `lagged_loop`, each
     step warm-started at ``f_k``, until the step norm drops below the outer
     tolerance or the iteration cap is reached.
 
-    ``init`` selects the starting image: ``"observed"`` (the data, default),
-    ``"mean"`` (a flat image at the observation's mean intensity), or an
-    explicit starting array for warm starts.  With
+    ``init`` is the starting image: ``None`` starts from the observation,
+    an array shaped like ``g`` is a warm start.  With
     ``cfg=replace(cfg, max_outer=1)`` and ``init=f_k`` this is one lagged
     step from ``f_k``.
     """
@@ -259,16 +256,12 @@ def tv_restore_fixed_point(
         raise ValueError(f"lam must be nonnegative, got {lam}")
     g = np.asarray(g, dtype=np.float64)
     cfg = cfg or SolverConfig()
-    if isinstance(init, np.ndarray):
-        if init.shape != g.shape:
-            raise ValueError("init array must match the observation shape")
-        f = init.astype(np.float64, copy=True)
-    elif init == "observed":
+    if init is None:
         f = g.copy()
-    elif init == "mean":
-        f = np.full_like(g, g.mean())
+    elif isinstance(init, np.ndarray) and init.shape == g.shape:
+        f = init.astype(np.float64, copy=True)
     else:
-        raise ValueError(f"unknown init {init!r}")
+        raise ValueError("init must be None or an array shaped like the observation")
 
     # diagonal of H^T H: exact away from the border, where the replicate
     # boundary folds taps onto the edge pixels

@@ -10,7 +10,6 @@ from tvkit.functionals import (
     apply_tv_operator,
     apply_weighted_laplacian,
     diffusion_weights,
-    spectral_tv,
     tv_anisotropic,
     tv_anisotropic_smoothed,
     tv_gradient,
@@ -74,6 +73,16 @@ class TestEnergies:
         du, dv = grid.gradient(w[0]), grid.gradient(w[1])
         want = np.sum(np.sqrt(du.u ** 2 + du.v ** 2 + dv.u ** 2 + dv.v ** 2 + a * a))
         assert tv_isotropic(w, a) == pytest.approx(want, rel=1e-13)
+
+    def test_anisotropic_stacked_field(self):
+        rng = np.random.default_rng(29)
+        w = rng.standard_normal((2, 5, 4))
+        a = 0.03
+        l1 = sum(np.abs(np.diff(c, axis=1)).sum() + np.abs(np.diff(c, axis=0)).sum() for c in w)
+        assert tv_anisotropic(w, a) == pytest.approx(5 * 4 * a + l1, rel=1e-13)
+        # a constant stack pays the alpha floor once per pixel, as tv_isotropic does
+        assert tv_anisotropic(np.full((2, 5, 4), 0.3), a) == pytest.approx(
+            tv_isotropic(np.full((2, 5, 4), 0.3), a), rel=1e-14)
 
     def test_plane_field_matches_direct_formula_exactly(self):
         rng = np.random.default_rng(31)
@@ -282,39 +291,3 @@ class TestObjective:
             tv_objective(np.zeros((4, 5)), g, Kernel.delta(), 0.1)
         with pytest.raises(ValueError):
             tv_objective(g, g, Kernel.delta(), -0.1)
-
-
-class TestSpectralTV:
-    def test_constant_is_zero(self):
-        f = np.full((6, 9), 0.4)
-        for n in (1, 2, 3):
-            assert spectral_tv(f, n) == 0.0
-
-    def test_sinusoid_quadrature_convergence(self):
-        # f(i,j) = sin(2*pi*i/N) interpolates to F(x,y) = sin(2*pi*x/N);
-        # integrating |grad F| = (2*pi/N)|cos(2*pi*x/N)| over the N x N cell
-        # gives exactly 4N.
-        N = 16
-        ii = np.tile(np.arange(N, dtype=np.float64), (N, 1))
-        f = np.sin(2 * np.pi * ii / N)
-        exact = 4.0 * N
-        errs = [abs(spectral_tv(f, n) - exact) / exact for n in range(1, 5)]
-        assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
-        assert errs[-1] < 1.5e-3
-
-    def test_diagonal_sinusoid(self):
-        # gradient magnitude picks up sqrt(2): integral is 4*sqrt(2)*N
-        N = 16
-        jj, ii = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        f = np.sin(2 * np.pi * (ii + jj) / N)
-        exact = 4 * np.sqrt(2.0) * N
-        assert abs(spectral_tv(f, 4) - exact) / exact < 2e-3
-
-    def test_default_oversampling_is_two(self):
-        rng = np.random.default_rng(53)
-        f = rng.standard_normal((8, 8))
-        assert spectral_tv(f) == spectral_tv(f, 2)
-
-    def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_tv(np.zeros((4, 4)), 0)

@@ -17,7 +17,7 @@ from tvkit.restore import (
     tv_deconvolve,
     tv_denoise,
 )
-from tvkit.solvers import SolveReport, SolverConfig
+from tvkit.solvers import SolveReport, SolverConfig, SolverDivergenceError
 
 from conftest import materialize
 
@@ -300,13 +300,24 @@ class TestBlindDeconvolve:
             return project(weights)
 
         monkeypatch.setattr(restore, "_project_kernel", collapse_on_second_call)
+        params = BlindParams(solver=SolverConfig(max_outer=4, tol_outer=1e-12))
         with pytest.raises(DegenerateKernelError) as exc_info:
-            blind_deconvolve(self.g, BlindParams(solver=SolverConfig(max_outer=4,
-                                                                     tol_outer=1e-12)))
-        report = exc_info.value.report
+            blind_deconvolve(self.g, params)
+        err = exc_info.value
+        # one failure type: a collapsed kernel is a solver failure that
+        # names its outer iteration
+        assert isinstance(err, SolverDivergenceError)
+        assert "outer iteration 2" in str(err)
+        report = err.report
         assert isinstance(report, SolveReport)
         assert report.outer_iterations >= 1
         assert len(report.objective_history) == report.outer_iterations
+        # the pre-seeded total still counts the initial image solve
+        _, init_rep = tv_deconvolve(self.g, Kernel.delta(params.kernel_size), RestoreParams(
+            lam=params.lam_image, alpha=params.alpha, solver=params.solver))
+        assert init_rep.cg_iterations_total > 0
+        assert report.cg_iterations_total == (init_rep.cg_iterations_total
+                                              + sum(report.cg_iters_history))
 
 
 class TestLasso:

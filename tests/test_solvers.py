@@ -318,7 +318,8 @@ class TestFixedPointSolver:
     def test_mean_initialization(self):
         _, noisy = noisy_step(16, 16)
         f_obs, _ = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05)
-        f_mean, _ = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05, init="mean")
+        f_mean, _ = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05,
+                                           init=np.full_like(noisy, noisy.mean()))
         # same fixed point from either start
         assert np.linalg.norm(f_obs - f_mean) <= 2e-2 * np.linalg.norm(f_obs)
 
@@ -370,7 +371,8 @@ class TestFixedPointSolver:
         # flat start as an unconverged "solution"
         _, noisy = synth.make_step32()
         with pytest.raises(SolverDivergenceError) as exc_info:
-            tv_restore_fixed_point(noisy, Kernel.delta(), 1e300, alpha=1e-160, init="mean")
+            tv_restore_fixed_point(noisy, Kernel.delta(), 1e300, alpha=1e-160,
+                                   init=np.full_like(noisy, noisy.mean()))
         assert isinstance(exc_info.value.report, SolveReport)
 
 
@@ -389,6 +391,14 @@ def capped_flow(cfg):
 def capped_blind(cfg):
     _, noisy = synth.make_step32()
     return blind_deconvolve(noisy, BlindParams(solver=cfg))[2]
+
+
+def test_report_flags_follow_histories():
+    # a hand-built report: the count and flags follow its histories
+    report = SolveReport(objective_history=[1.0, 2.0], step_norm_history=[1.0, 3.0])
+    assert report.outer_iterations == 2
+    assert report.objective_monotone is False
+    assert report.step_norms_monotone is False
 
 
 @pytest.mark.parametrize("solve", [capped_denoise, capped_flow, capped_blind],
