@@ -56,13 +56,16 @@ class FlowParams:
     """Knobs for the flow estimators.
 
     ``eps`` keeps the diffusion tensor nonsingular (image-driven) and the
-    TV weights finite (flow-driven).
+    TV weights finite (flow-driven).  The default ``solver`` stops each
+    lagged TV step's CG at the forcing tolerance (`solvers.DEFAULT_FORCING`);
+    the image-driven solve is one cold solve and ignores it.
     """
 
     lam: float = 0.1
     eps: float = 0.01
     variant: FlowVariant = FlowVariant.TV
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: SolverConfig = field(
+        default_factory=lambda: SolverConfig(forcing=solvers.DEFAULT_FORCING))
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -181,26 +184,29 @@ def flow_smoothness_weights(w: VectorField, eps: float) -> np.ndarray:
     return functionals.diffusion_weights(np.stack(w), eps)[0]
 
 
-def _solve_linear_flow(fx, fy, ft, lam, apply_smooth, x0, cfg):
+def _solve_linear_flow(fx, fy, ft, lam, apply_smooth, x0, cfg, forcing):
     """One CG solve of the coupled system
 
         [fx^2 + lam*S, fx*fy      ] [u]   [-fx*ft]
         [fx*fy,        fy^2 + lam*S] [v] = [-fy*ft]
 
     with S the (positive semi-definite) smoothness operator, on the
-    stacked (2, H, W) unknown."""
+    stacked (2, H, W) unknown, stopped at `conjugate_gradient`'s
+    ``forcing`` tolerance.  An overflow in the operator is left to CG's
+    non-finite check, which raises `SolverDivergenceError`."""
     b = np.stack([-fx * ft, -fy * ft])
 
     def apply_A(wvec):
         u, v = wvec[0], wvec[1]
-        return np.stack(
-            [
-                fx * fx * u + fx * fy * v + lam * apply_smooth(u),
-                fx * fy * u + fy * fy * v + lam * apply_smooth(v),
-            ]
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
+            return np.stack(
+                [
+                    fx * fx * u + fx * fy * v + lam * apply_smooth(u),
+                    fx * fy * u + fy * fy * v + lam * apply_smooth(v),
+                ]
+            )
 
-    return solvers.conjugate_gradient(apply_A, b, x0=x0, cfg=cfg)
+    return solvers.conjugate_gradient(apply_A, b, x0=x0, cfg=cfg, forcing=forcing)
 
 
 def flow_image_driven(
@@ -218,8 +224,9 @@ def flow_image_driven(
         return -apply_tensor_diffusion(tensor, z)
 
     x0 = np.zeros((2,) + pair.shape)
+    # one cold solve from zero flow (r0 = b): no forcing term
     wvec, cg_iters, cg_ok = _solve_linear_flow(
-        fx, fy, ft, params.lam, apply_smooth, x0, params.solver
+        fx, fy, ft, params.lam, apply_smooth, x0, params.solver, forcing=0.0
     )
     w = VectorField(wvec[0], wvec[1])
     r = ofc_residual(fx, fy, ft, w)
@@ -252,7 +259,8 @@ def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveRepo
         def apply_smooth(z):
             return functionals.apply_weighted_laplacian(weights, weights, z)
 
-        return _solve_linear_flow(fx, fy, ft, params.lam, apply_smooth, wvec, params.solver)
+        return _solve_linear_flow(fx, fy, ft, params.lam, apply_smooth, wvec, params.solver,
+                                  forcing=params.solver.forcing)
 
     def objective(wvec):
         r = ofc_residual(fx, fy, ft, VectorField(wvec[0], wvec[1]))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tvkit import cli, fileio, grid, restore, synth
+from tvkit import cli, fileio, grid, restore, solvers, synth
 from tvkit.cli import main, parse_kernel, read_kernel_text, write_kernel_text
 from tvkit.fileio import (
     FloFormatError,
@@ -273,6 +273,15 @@ class TestParserDefaults:
     def test_defaults(self, argv, expected):
         args = cli.build_parser().parse_args(argv)
         assert {key: getattr(args, key) for key in expected} == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["denoise", "in.pgm", "out.pgm"],
+        ["blind", "in.pgm", "out.pgm"],
+        ["flow", "f1.pgm", "f2.pgm", "out.flo"],
+    ], ids=["denoise", "blind", "flow"])
+    def test_solver_config_uses_library_forcing(self, argv):
+        cfg = cli._solver_config(cli.build_parser().parse_args(argv))
+        assert cfg.forcing == solvers.DEFAULT_FORCING > 0
 
 
 class TestCliRuns:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,19 @@ class TestImageDrivenFlow:
         assert np.abs(ws.u - w.u).max() <= 1e-8
         assert np.abs(ws.v - w.v).max() <= 1e-8
 
+    def test_ignores_forcing(self):
+        # one cold solve from zero flow (r0 = b): the default forcing term
+        # would only loosen tol_cg, so the solve ignores it
+        pair, _ = synth.make_split_motion()
+        params = FlowParams(lam=0.003, eps=0.05, variant=FlowVariant.IMAGE_DRIVEN)
+        assert params.solver.forcing > 0
+        w, report = flow_image_driven(pair, params)
+        w_exact, report_exact = flow_image_driven(pair, replace(params, solver=SolverConfig()))
+        np.testing.assert_array_equal(w.u, w_exact.u)
+        np.testing.assert_array_equal(w.v, w_exact.v)
+        assert report == report_exact
+        assert report.forcing == 0.0
+
 
 class TestTVFlow:
     def test_static_pair_gives_zero_flow(self):
@@ -269,6 +284,15 @@ class TestTVFlow:
             return int(np.count_nonzero(np.abs(w.u - np.round(w.u)) > 0.25))
 
         assert transition_width(wtv) < transition_width(wan)
+
+    def test_overflow_raises_divergence_not_warning(self):
+        # the same blow-up without np.errstate: under the suite's
+        # error::RuntimeWarning filter the overflow in the operator must
+        # reach CG's non-finite check, not escape as a numpy warning
+        pair, _ = synth.make_ramp_shift()
+        with pytest.raises(SolverDivergenceError) as exc_info:
+            flow_tv(pair, FlowParams(lam=1e300, eps=1e-160))
+        assert isinstance(exc_info.value.report, SolveReport)
 
     def test_divergence_reports_outer_index(self):
         # overflow-scale parameters blow up the first linearized solve

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvkit import grid, restore
+from tvkit import grid, restore, synth
 from tvkit.functionals import tv_isotropic
 from tvkit.grid import Kernel
 from tvkit.restore import (
@@ -186,6 +186,30 @@ class TestTVDeconvolve:
             tvs.append(tv_isotropic(f))
         assert fids == sorted(fids)
         assert tvs == sorted(tvs, reverse=True)
+
+
+class TestForcingQuality:
+    """The default forcing term stops each lagged step's CG early; its output
+    must be as close to the minimizer as the exact-CG output, at no higher
+    objective."""
+
+    @pytest.mark.parametrize("kernel, sigma, lam", [
+        (Kernel.delta(), 0.05, 0.05),
+        (Kernel.gaussian(5, 1.0), 0.01, 0.01),
+    ], ids=["denoise", "deconv-gaussian5"])
+    def test_no_farther_from_minimizer_than_exact_cg(self, kernel, sigma, lam):
+        clean, _ = synth.make_piecewise64()
+        g = grid.convolve(clean, kernel) + sigma * synth.gaussian_field(clean.shape, 0)
+        # a tighter tol_outer = 1e-7 moves either distance by under 0.2%
+        tight, tight_rep = tv_deconvolve(g, kernel, RestoreParams(
+            lam=lam, solver=SolverConfig(tol_outer=1e-5, tol_cg=1e-10, max_outer=500)))
+        assert tight_rep.converged
+        exact, exact_rep = tv_deconvolve(g, kernel, RestoreParams(lam=lam, solver=SolverConfig()))
+        inexact, rep = tv_deconvolve(g, kernel, RestoreParams(lam=lam))
+        assert rep.forcing == 0.1 and rep.converged
+        assert rep.cg_iterations_total < exact_rep.cg_iterations_total
+        assert np.linalg.norm(inexact - tight) <= 1.05 * np.linalg.norm(exact - tight)
+        assert rep.objective_history[-1] <= exact_rep.objective_history[-1]
 
 
 class TestBlindDeconvolve:

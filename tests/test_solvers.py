@@ -8,7 +8,7 @@ from tvkit import functionals, grid, solvers, synth
 from tvkit.flow import FlowParams, flow_tv
 from tvkit.functionals import TVVariant, tv_objective
 from tvkit.grid import Kernel
-from tvkit.restore import BlindParams, blind_deconvolve
+from tvkit.restore import BlindParams, RestoreParams, blind_deconvolve, tv_denoise
 from tvkit.solvers import (
     SolveReport,
     SolverConfig,
@@ -35,6 +35,18 @@ def lagged_step(f_k, g, kernel, lam, cfg=SolverConfig(), **kwargs):
     return f
 
 
+def dense_system(seed):
+    """A dense SPD ``a`` on 6x6 fields, its operator and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((36, 36))
+    a = m.T @ m + 0.5 * np.eye(36)
+
+    def apply_A(v):
+        return (a @ v.ravel()).reshape(6, 6)
+
+    return a, apply_A, rng.standard_normal((6, 6))
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig()
@@ -50,6 +62,26 @@ class TestConfig:
                     dict(tol_outer=-1e-3)):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
+
+    def test_forcing_defaults(self):
+        # an explicit SolverConfig solves every step exactly; the problem
+        # defaults stop each lagged step at the forcing tolerance
+        assert SolverConfig().forcing == 0.0
+        assert solvers.DEFAULT_FORCING == 0.1
+        for params in (RestoreParams(), BlindParams(), FlowParams()):
+            assert params.solver.forcing == 0.1
+        # other defaults are those of SolverConfig()
+        assert RestoreParams().solver == replace(SolverConfig(), forcing=0.1)
+
+    @pytest.mark.parametrize("forcing", [-0.1, 1.0])
+    def test_forcing_validated(self, forcing):
+        with pytest.raises(ValueError):
+            SolverConfig(forcing=forcing)
+
+    def test_report_records_forcing(self):
+        _, noisy = noisy_step(12, 12)
+        assert tv_denoise(noisy, RestoreParams())[1].forcing == 0.1
+        assert tv_denoise(noisy, RestoreParams(solver=SolverConfig()))[1].forcing == 0.0
 
 
 class TestConjugateGradient:
@@ -206,6 +238,44 @@ class TestConjugateGradient:
                                                  precond=lambda r: r / d)
         assert converged and iters == 1
         np.testing.assert_allclose(x, b / d, rtol=1e-14)
+
+    def test_forcing_stops_at_first_iterate_below_eta_r0(self):
+        # forcing=0.1 returns the first CG iterate whose residual is at most
+        # 0.1 ||r0||, r0 = b - A x0 the residual of the warm start; each
+        # iterate k is the same solve truncated at max_cg=k
+        a, apply_A, b = dense_system(29)
+        x0 = np.linalg.solve(a, b.ravel()).reshape(6, 6) + 0.1 * b
+        r0 = np.linalg.norm(b - apply_A(x0))
+        x, iters, converged = conjugate_gradient(apply_A, b, x0=x0, forcing=0.1)
+        assert converged and iters >= 2
+        for k in range(1, iters + 1):
+            xk, _, _ = conjugate_gradient(apply_A, b, x0=x0, cfg=SolverConfig(max_cg=k))
+            below = np.linalg.norm(b - apply_A(xk)) <= 0.1 * r0
+            assert below == (k == iters)
+        np.testing.assert_array_equal(x, xk)
+
+    def test_forcing_never_stops_before_looser_tol_cg(self):
+        # close to the solution 0.1 ||r0|| is tighter than tol_cg ||b||:
+        # the tol_cg test decides, exactly as without a forcing term
+        a, apply_A, b = dense_system(37)
+        x0 = np.linalg.solve(a, b.ravel()).reshape(6, 6) + 1e-3 * b
+        cfg = SolverConfig(tol_cg=1e-2)
+        assert 0.1 * np.linalg.norm(b - apply_A(x0)) < cfg.tol_cg * np.linalg.norm(b)
+        want = conjugate_gradient(apply_A, b, x0=x0, cfg=cfg)
+        x, iters, converged = conjugate_gradient(apply_A, b, x0=x0, cfg=cfg, forcing=0.1)
+        np.testing.assert_array_equal(x, want[0])
+        assert (iters, converged) == want[1:] and iters >= 1
+
+    def test_zero_forcing_is_no_forcing(self):
+        a, apply_A, b = dense_system(41)
+        x0 = np.random.default_rng(43).standard_normal((6, 6))
+        diag = np.diag(a).reshape(6, 6)
+        for cfg in (SolverConfig(tol_cg=1e-10), SolverConfig(max_cg=4)):
+            want = conjugate_gradient(apply_A, b, x0=x0, cfg=cfg, precond=lambda r: r / diag)
+            got = conjugate_gradient(apply_A, b, x0=x0, cfg=cfg, precond=lambda r: r / diag,
+                                     forcing=0.0)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
 
     def test_nonfinite_diverges(self):
         def bad(v):
