@@ -22,7 +22,7 @@ from .flow import FlowParams, FlowVariant, FramePair, endpoint_error, estimate_f
 from .functionals import TVVariant
 from .grid import Kernel
 from .restore import BlindParams, RestoreParams
-from .solvers import DEFAULT_FORCING, SolverConfig, SolverDivergenceError
+from .solvers import SolverConfig, SolverDivergenceError
 
 SYNTH_MAXVAL = 65535
 
@@ -74,10 +74,7 @@ def write_kernel_text(path, kernel: Kernel) -> None:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    """The library's default solver (with its forcing term) under the
-    ``--tol`` and ``--max-iter`` flags."""
-    return SolverConfig(tol_outer=args.tol, max_outer=args.max_iter,
-                        forcing=DEFAULT_FORCING)
+    return SolverConfig(tol_outer=args.tol, max_outer=args.max_iter)
 
 
 def _print_metrics(pairs) -> None:

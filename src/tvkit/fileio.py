@@ -231,9 +231,9 @@ def read_report(path) -> SolveReport:
     with ``cg_iterations_total`` their CG sum.  ``outer_iterations`` and the
     monotone flags derive from the histories as for any report.
 
-    The file stores neither the converged flag nor the per-iteration CG
-    converged history, so ``converged`` reads back False and
-    ``cg_converged_history`` empty.
+    The file stores neither the converged flag, nor the per-iteration CG
+    converged history, nor the forcing term, so ``converged`` reads back
+    False, ``cg_converged_history`` empty and ``forcing`` None (unknown).
     """
     report = SolveReport()
     with open(path, newline="") as fh:

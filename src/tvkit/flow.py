@@ -56,16 +56,14 @@ class FlowParams:
     """Knobs for the flow estimators.
 
     ``eps`` keeps the diffusion tensor nonsingular (image-driven) and the
-    TV weights finite (flow-driven).  The default ``solver`` stops each
-    lagged TV step's CG at the forcing tolerance (`solvers.DEFAULT_FORCING`);
-    the image-driven solve is one cold solve and ignores it.
+    TV weights finite (flow-driven).  The image-driven solve is one cold
+    solve and ignores ``solver.forcing``.
     """
 
     lam: float = 0.1
     eps: float = 0.01
     variant: FlowVariant = FlowVariant.TV
-    solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig(forcing=solvers.DEFAULT_FORCING))
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -240,6 +238,7 @@ def flow_image_driven(
         cg_iterations_total=cg_iters,
         cg_iters_history=[cg_iters],
         cg_converged_history=[cg_ok],
+        forcing=0.0,
     )
     return w, report
 

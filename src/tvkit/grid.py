@@ -191,16 +191,13 @@ def convolve_adjoint(f: np.ndarray, kernel: Kernel) -> np.ndarray:
     Applies the flipped kernel to the zero-extended field, which spreads
     each tap's contribution over the padded grid, then folds the pad back
     onto the border, so ``inner(convolve(x, k), y) == inner(x,
-    convolve_adjoint(y, k))`` holds to rounding for all x, y.  The result
-    is a C-contiguous array of its own, not a view of the padded
-    accumulator.
+    convolve_adjoint(y, k))`` holds to rounding for all x, y.
     """
     f = np.asarray(f, dtype=np.float64)
     w = kernel.weights
     kh, kw = w.shape
     fz = np.pad(f, ((kh - 1, kh - 1), (kw - 1, kw - 1)))
-    # a 1x1 kernel folds nothing: its interior is the whole, contiguous buffer
-    return np.ascontiguousarray(_fold_edge(_taps(fz, w[::-1, ::-1]), kh // 2, kw // 2))
+    return _fold_edge(_taps(fz, w[::-1, ::-1]), kh // 2, kw // 2)
 
 
 def inner(f: np.ndarray, g: np.ndarray) -> float:

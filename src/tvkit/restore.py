@@ -25,15 +25,12 @@ class DegenerateKernelError(solvers.SolverDivergenceError):
 
 @dataclass
 class RestoreParams:
-    """Knobs for the TV restoration problems.  The default ``solver`` stops
-    each lagged step's CG at the forcing tolerance (`solvers.DEFAULT_FORCING`);
-    pass ``SolverConfig()`` for exact steps."""
+    """Knobs for the TV restoration problems."""
 
     lam: float = 0.05
     alpha: float = functionals.DEFAULT_ALPHA
     variant: TVVariant = TVVariant.ISOTROPIC
-    solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig(forcing=solvers.DEFAULT_FORCING))
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.lam < 0:
@@ -47,16 +44,14 @@ class BlindParams:
     """Knobs for alternating-minimization blind deconvolution.
 
     ``lam_image`` regularizes the image step, ``lam_kernel`` the kernel
-    step; ``kernel_size`` is the odd support of the estimated kernel.  The
-    default ``solver`` uses the forcing term, as in `RestoreParams`.
+    step; ``kernel_size`` is the odd support of the estimated kernel.
     """
 
     lam_image: float = 1e-3
     lam_kernel: float = 1e-3
     kernel_size: int = 3
     alpha: float = functionals.DEFAULT_ALPHA
-    solver: SolverConfig = field(
-        default_factory=lambda: SolverConfig(forcing=solvers.DEFAULT_FORCING))
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.lam_image < 0 or self.lam_kernel < 0:

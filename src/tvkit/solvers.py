@@ -18,8 +18,8 @@ lagged step need not be solved exactly: with the forcing term
 ``eta`` times the warm-start residual (Eisenstat & Walker, SISC 1996;
 Vogel & Oman, SISC 1996), or to ``tol_cg * ||b||`` if that is looser.
 Near the fixed point the warm-start residual shrinks and the ``tol_cg``
-test takes over.  ``SolverConfig()`` has ``eta = 0`` (every solve exact);
-the ``*Params`` defaults of `restore` and `flow` use `DEFAULT_FORCING`.
+test takes over.  ``SolverConfig().forcing`` is 0.1; ``forcing=0`` solves
+every step to ``tol_cg``.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from .grid import Kernel, VectorField, convolve, convolve_adjoint, divergence, g
 from .functionals import TVVariant
 
 DESCENT_SLACK = 1e-9
-# forcing term of the RestoreParams, BlindParams and FlowParams defaults;
-# 0.3 halved CG work again but cost up to 0.17 dB
-DEFAULT_FORCING = 0.1
 
 
 class SolverDivergenceError(RuntimeError):
@@ -57,14 +54,15 @@ class SolverConfig:
     loop; ``None`` resolves to ``1e-4 * sqrt(#unknowns)`` at solve time.
     ``forcing`` (``0 <= forcing < 1``) lets each warm-started lagged step
     stop its CG at ``forcing`` times its starting residual; 0 solves every
-    step to ``tol_cg``.
+    step to ``tol_cg``.  0.3 halved the CG work of 0.1 again but cost up to
+    0.17 dB.
     """
 
     tol_outer: Optional[float] = None
     max_outer: int = 50
     tol_cg: float = 1e-8
     max_cg: int = 500
-    forcing: float = 0.0
+    forcing: float = 0.1
 
     def __post_init__(self):
         if self.tol_outer is not None and not self.tol_outer > 0:
@@ -102,8 +100,9 @@ class SolveReport:
     # whether each outer iteration's CG solves all converged; with forcing > 0
     # a lagged step converges when it reaches max(tol_cg ||b||, forcing ||r0||)
     cg_converged_history: list[bool] = field(default_factory=list)
-    # the forcing term the lagged steps ran with (0: every CG solve to tol_cg)
-    forcing: float = 0.0
+    # the forcing term the CG solves ran with (0: every one to tol_cg); None
+    # when not known, as for a report read back from a CSV file
+    forcing: Optional[float] = None
 
     @property
     def outer_iterations(self) -> int:

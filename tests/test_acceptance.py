@@ -34,7 +34,7 @@ from tvkit.solvers import SolverConfig, tv_restore_fixed_point
 
 from conftest import materialize
 
-TIGHT = SolverConfig(tol_cg=1e-14, max_cg=5000)
+TIGHT = SolverConfig(tol_cg=1e-14, max_cg=5000, forcing=0.0)
 
 
 def dense_kernel_matrix(kernel, h, w):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tvkit import cli, fileio, grid, restore, solvers, synth
+from tvkit import cli, fileio, grid, restore, synth
 from tvkit.cli import main, parse_kernel, read_kernel_text, write_kernel_text
 from tvkit.fileio import (
     FloFormatError,
@@ -168,6 +168,17 @@ class TestReportCsv:
         assert back.cg_iters_history == report.cg_iters_history
         assert back.outer_iterations == report.outer_iterations
 
+    def test_forcing_reads_back_unknown(self, tmp_path):
+        # the file does not store the forcing term: reading it back must
+        # not claim 0, which would mean every CG solve ran to tol_cg
+        g = np.random.default_rng(5).uniform(0.0, 1.0, (12, 12))
+        _, report = tv_restore_fixed_point(g, Kernel.delta(), 0.08)
+        assert report.forcing == SolverConfig().forcing > 0
+        p = tmp_path / "report.csv"
+        write_report(p, report)
+        assert read_report(p).forcing is None
+        assert SolveReport().forcing is None
+
     def test_inconsistent_histories_rejected(self, tmp_path):
         report = SolveReport(objective_history=[1.0], cg_iters_history=[3])
         p = tmp_path / "bad.csv"
@@ -281,7 +292,7 @@ class TestParserDefaults:
     ], ids=["denoise", "blind", "flow"])
     def test_solver_config_uses_library_forcing(self, argv):
         cfg = cli._solver_config(cli.build_parser().parse_args(argv))
-        assert cfg.forcing == solvers.DEFAULT_FORCING > 0
+        assert cfg.forcing == SolverConfig().forcing > 0
 
 
 class TestCliRuns:

@@ -202,9 +202,11 @@ class TestForcingQuality:
         g = grid.convolve(clean, kernel) + sigma * synth.gaussian_field(clean.shape, 0)
         # a tighter tol_outer = 1e-7 moves either distance by under 0.2%
         tight, tight_rep = tv_deconvolve(g, kernel, RestoreParams(
-            lam=lam, solver=SolverConfig(tol_outer=1e-5, tol_cg=1e-10, max_outer=500)))
+            lam=lam, solver=SolverConfig(tol_outer=1e-5, tol_cg=1e-10, max_outer=500,
+                                         forcing=0.0)))
         assert tight_rep.converged
-        exact, exact_rep = tv_deconvolve(g, kernel, RestoreParams(lam=lam, solver=SolverConfig()))
+        exact, exact_rep = tv_deconvolve(g, kernel, RestoreParams(
+            lam=lam, solver=SolverConfig(forcing=0.0)))
         inexact, rep = tv_deconvolve(g, kernel, RestoreParams(lam=lam))
         assert rep.forcing == 0.1 and rep.converged
         assert rep.cg_iterations_total < exact_rep.cg_iterations_total
@@ -300,7 +302,7 @@ class TestBlindDeconvolve:
         rng = np.random.default_rng(47)
         f = rng.uniform(0.0, 1.0, (8, 8))
         g = grid.convolve(f, self.ktrue) + 0.01 * rng.standard_normal((8, 8))
-        params = BlindParams(lam_kernel=0.0, solver=SolverConfig(tol_cg=1e-12))
+        params = BlindParams(lam_kernel=0.0, solver=SolverConfig(tol_cg=1e-12, forcing=0.0))
         h, _, converged = restore._kernel_step(g, f, Kernel.delta(3).weights, params)
         A = materialize(lambda x: restore._image_times_kernel(f, x), (3, 3))
         h_ls = np.linalg.lstsq(A, g.ravel(), rcond=None)[0].reshape(3, 3)

@@ -64,14 +64,11 @@ class TestConfig:
                 SolverConfig(**bad)
 
     def test_forcing_defaults(self):
-        # an explicit SolverConfig solves every step exactly; the problem
-        # defaults stop each lagged step at the forcing tolerance
-        assert SolverConfig().forcing == 0.0
-        assert solvers.DEFAULT_FORCING == 0.1
+        # one default: every problem's solver is SolverConfig()'s
+        assert SolverConfig().forcing == 0.1
+        assert SolverConfig(max_outer=60).forcing == 0.1
         for params in (RestoreParams(), BlindParams(), FlowParams()):
-            assert params.solver.forcing == 0.1
-        # other defaults are those of SolverConfig()
-        assert RestoreParams().solver == replace(SolverConfig(), forcing=0.1)
+            assert params.solver == SolverConfig()
 
     @pytest.mark.parametrize("forcing", [-0.1, 1.0])
     def test_forcing_validated(self, forcing):
@@ -81,7 +78,8 @@ class TestConfig:
     def test_report_records_forcing(self):
         _, noisy = noisy_step(12, 12)
         assert tv_denoise(noisy, RestoreParams())[1].forcing == 0.1
-        assert tv_denoise(noisy, RestoreParams(solver=SolverConfig()))[1].forcing == 0.0
+        exact = RestoreParams(solver=SolverConfig(forcing=0.0))
+        assert tv_denoise(noisy, exact)[1].forcing == 0.0
 
 
 class TestConjugateGradient:
@@ -298,7 +296,7 @@ class TestLaggedStep:
         rng = np.random.default_rng(5)
         g = rng.uniform(0.0, 1.0, (6, 6))
         k = Kernel.binomial3()
-        cfg = SolverConfig(tol_cg=1e-12)
+        cfg = SolverConfig(tol_cg=1e-12, forcing=0.0)
         a = lagged_step(rng.standard_normal((6, 6)), g, k, 0.0, alpha=1e-3, cfg=cfg)
         b = lagged_step(rng.standard_normal((6, 6)), g, k, 0.0, alpha=1e-1, cfg=cfg)
         np.testing.assert_allclose(a, b, atol=1e-8)
@@ -313,7 +311,8 @@ class TestLaggedStep:
         k = Kernel.box(3)
         g = grid.convolve(clean, k) + 1e-3 * np.random.default_rng(8).standard_normal((16, 16))
         lam, f_k = 0.05, g.copy()
-        f, report = tv_restore_fixed_point(g, k, lam, cfg=SolverConfig(max_outer=1), init=f_k)
+        f, report = tv_restore_fixed_point(g, k, lam, cfg=SolverConfig(max_outer=1, forcing=0.0),
+                                           init=f_k)
         wx, wy = functionals.diffusion_weights(f_k, functionals.DEFAULT_ALPHA)
 
         def apply_A(x):
