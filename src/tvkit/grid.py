@@ -19,9 +19,15 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
+
+
+# largest entrywise misfit of outer(col, row), relative to the largest tap,
+# that still counts as rank 1: a few rounding errors per tap
+_RANK1_RTOL = 64 * np.finfo(np.float64).eps
 
 
 class VectorField(NamedTuple):
@@ -37,12 +43,22 @@ class Kernel:
 
     Applied correlation-style: ``out[j, i] = sum_ab w[b, a] * f[j+b-cy, i+a-cx]``
     with indices clamped to the image (replicate boundary).
+
+    `factors` is the rank-1 factorization ``(col, row)`` with
+    ``weights == outer(col, row)`` to rounding, found on first use and
+    cached.  It is ``None`` when the weights have rank above 1 (or are all
+    zero), or when a column pass and a row pass would not take fewer
+    nonzero taps than one pass over the weights: ``delta``, ``1xN`` and
+    ``Nx1`` kernels and the motion kernels, whose one nonzero line is
+    already a single pass.
     """
 
     weights: np.ndarray = field()
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        # a private read-only copy, so the cached `factors` cannot go stale
+        w = np.array(self.weights, dtype=np.float64)
+        w.flags.writeable = False
         if w.ndim != 2:
             raise ValueError("kernel weights must be a 2D array")
         kh, kw = w.shape
@@ -55,6 +71,21 @@ class Kernel:
     @property
     def shape(self) -> tuple[int, int]:
         return self.weights.shape
+
+    @cached_property
+    def factors(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        w = self.weights
+        p, q = np.unravel_index(np.argmax(np.abs(w)), w.shape)
+        pivot = w[p, q]
+        if pivot == 0.0:
+            return None
+        # if w has rank 1, its column and row through the pivot span it
+        col, row = w[:, q], w[p, :] / pivot
+        if np.count_nonzero(col) + np.count_nonzero(row) >= np.count_nonzero(w):
+            return None
+        if np.abs(np.outer(col, row) - w).max() > _RANK1_RTOL * abs(pivot):
+            return None
+        return col, row
 
     @classmethod
     def delta(cls, size: int = 1) -> "Kernel":
@@ -145,7 +176,22 @@ def divergence(p: VectorField) -> np.ndarray:
 def pad_edge(f: np.ndarray, cy: int, cx: int) -> np.ndarray:
     """Extend ``f`` by ``cy`` rows and ``cx`` columns on each side, copying
     the nearest edge sample (the replicate boundary)."""
-    return np.pad(f, ((cy, cy), (cx, cx)), mode="edge")
+    h, w = f.shape
+    fp = np.empty((h + 2 * cy, w + 2 * cx), dtype=f.dtype)
+    fp[cy : cy + h, cx : cx + w] = f
+    fp[cy : cy + h, :cx] = f[:, :1]
+    fp[cy : cy + h, cx + w :] = f[:, -1:]
+    fp[:cy] = fp[cy]
+    fp[cy + h :] = fp[cy + h - 1]
+    return fp
+
+
+def _pad_zero(f: np.ndarray, py: int, px: int) -> np.ndarray:
+    """Extend ``f`` by ``py`` rows and ``px`` columns of zeros on each side."""
+    h, w = f.shape
+    fz = np.zeros((h + 2 * py, w + 2 * px))
+    fz[py : py + h, px : px + w] = f
+    return fz
 
 
 def _fold_edge(fp: np.ndarray, cy: int, cx: int) -> np.ndarray:
@@ -176,13 +222,21 @@ def _taps(fp: np.ndarray, w: np.ndarray) -> np.ndarray:
 def convolve(f: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Apply the kernel to the field (correlation-style, replicate boundary).
 
-    Direct spatial-domain evaluation, linear in ``f``; the delta kernel is
-    the exact identity.
+    Spatial-domain tap loop, linear in ``f``; the delta kernel is the exact
+    identity.  A kernel with `Kernel.factors` runs as a row pass and then a
+    column pass (``kh + kw`` taps, not ``kh*kw``): the replicate pad
+    factors over the two axes, so the result matches the tap loop to
+    rounding.
     """
     f = np.asarray(f, dtype=np.float64)
     w = kernel.weights
     cy, cx = w.shape[0] // 2, w.shape[1] // 2
-    return _taps(pad_edge(f, cy, cx), w)
+    factors = kernel.factors
+    if factors is None:
+        return _taps(pad_edge(f, cy, cx), w)
+    col, row = factors
+    t = _taps(pad_edge(f, 0, cx), row[None, :])
+    return _taps(pad_edge(t, cy, 0), col[:, None])
 
 
 def convolve_adjoint(f: np.ndarray, kernel: Kernel) -> np.ndarray:
@@ -191,13 +245,22 @@ def convolve_adjoint(f: np.ndarray, kernel: Kernel) -> np.ndarray:
     Applies the flipped kernel to the zero-extended field, which spreads
     each tap's contribution over the padded grid, then folds the pad back
     onto the border, so ``inner(convolve(x, k), y) == inner(x,
-    convolve_adjoint(y, k))`` holds to rounding for all x, y.
+    convolve_adjoint(y, k))`` holds to rounding for all x, y.  A factored
+    kernel runs the two passes of `convolve` in reverse, each one spread
+    and folded on its own axis.  The result is a new C-contiguous array.
     """
     f = np.asarray(f, dtype=np.float64)
     w = kernel.weights
     kh, kw = w.shape
-    fz = np.pad(f, ((kh - 1, kh - 1), (kw - 1, kw - 1)))
-    return _fold_edge(_taps(fz, w[::-1, ::-1]), kh // 2, kw // 2)
+    factors = kernel.factors
+    if factors is None:
+        fz = _pad_zero(f, kh - 1, kw - 1)
+        return _fold_edge(_taps(fz, w[::-1, ::-1]), kh // 2, kw // 2).copy()
+    col, row = factors
+    tz = _pad_zero(f, kh - 1, 0)
+    t = _fold_edge(_taps(tz, col[::-1, None]), kh // 2, 0)
+    tz = _pad_zero(t, 0, kw - 1)
+    return _fold_edge(_taps(tz, row[None, ::-1]), 0, kw // 2).copy()
 
 
 def inner(f: np.ndarray, g: np.ndarray) -> float:

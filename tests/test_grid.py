@@ -37,6 +37,39 @@ class TestKernel:
         assert k.weights[2, 2] == 1.0
         assert k.weights.sum() == 1.0
 
+    @pytest.mark.parametrize("k", [Kernel.box(3), Kernel.box(5), Kernel.binomial3(),
+                                   Kernel.gaussian(5, 1.0)],
+                             ids=["box3", "box5", "binomial3", "gaussian5"])
+    def test_factors_reproduce_weights(self, k):
+        col, row = k.factors
+        assert col.shape == (k.shape[0],) and row.shape == (k.shape[1],)
+        err = np.abs(np.outer(col, row) - k.weights).max()
+        assert err <= 1e-15 * np.abs(k.weights).max()
+
+    # delta, 1xN and the motion kernels are rank 1, but their nonzero taps
+    # lie on one line, so a row pass plus a column pass (1 + N taps) would
+    # not take fewer taps than the one pass (N taps)
+    @pytest.mark.parametrize("k", [
+        Kernel.delta(), Kernel.delta(3), Kernel(np.full((1, 5), 0.2)),
+        Kernel.motion_horizontal(5), Kernel.motion_vertical(5),
+        Kernel(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])),
+        Kernel(np.zeros((3, 3))),
+    ], ids=["delta1", "delta3", "row1x5", "motion-h5", "motion-v5", "plus-rank2", "zero"])
+    def test_no_factors(self, k):
+        assert k.factors is None
+
+    def test_weights_are_a_read_only_copy(self):
+        w = np.full((3, 3), 1.0 / 9.0)
+        k = Kernel(w)
+        w[1, 1] = 5.0
+        assert k.weights[1, 1] == 1.0 / 9.0
+        with pytest.raises(ValueError):
+            k.weights[1, 1] = 5.0
+
+    def test_factors_cached(self):
+        k = Kernel.gaussian(5, 1.0)
+        assert k.factors is k.factors
+
 
 class TestGradient:
     def test_constant_is_zero(self):
@@ -116,6 +149,18 @@ class TestDivergence:
         assert div.shape == u.shape
         for c in range(3):
             assert np.array_equal(div[c], grid.divergence(VectorField(u[c], v[c])))
+
+
+class TestPad:
+    # pads wider than the field repeat the edge sample throughout
+    @pytest.mark.parametrize("shape,cy,cx", [((5, 4), 2, 2), ((2, 3), 4, 0),
+                                             ((2, 3), 0, 4), ((1, 1), 3, 2)])
+    def test_pad_edge_matches_numpy_edge_mode(self, shape, cy, cx):
+        f = random_field(np.random.default_rng(14), *shape)
+        expect = np.pad(f, ((cy, cy), (cx, cx)), mode="edge")
+        assert np.array_equal(grid.pad_edge(f, cy, cx), expect)
+        expect = np.pad(f, ((cy, cy), (cx, cx)))
+        assert np.array_equal(grid._pad_zero(f, cy, cx), expect)
 
 
 class TestConvolve:
@@ -205,6 +250,76 @@ class TestConvolveAdjoint:
         H = materialize(lambda x: grid.convolve(x, k), shape)
         Ht = materialize(lambda x: grid.convolve_adjoint(x, k), shape)
         assert np.abs(H.T - Ht).max() < 1e-14
+
+
+NAMED_KERNELS = {
+    "delta1": Kernel.delta(), "delta3": Kernel.delta(3), "box3": Kernel.box(3),
+    "box5": Kernel.box(5), "binomial3": Kernel.binomial3(),
+    "gaussian3": Kernel.gaussian(3, 0.8), "gaussian5": Kernel.gaussian(5, 1.0),
+    "motion-h5": Kernel.motion_horizontal(5), "motion-v5": Kernel.motion_vertical(5),
+}
+
+_rng = np.random.default_rng(12)
+RANK1_KERNELS = {
+    f"outer{kh}x{kw}": Kernel(np.outer(_rng.standard_normal(kh), _rng.standard_normal(kw)))
+    for kh, kw in [(3, 3), (5, 5), (3, 5), (5, 3)]
+}
+RANK1_KERNELS["gaussian5"] = Kernel.gaussian(5, 1.0)
+
+
+def clamp_matrix(w, shape):
+    """Dense matrix of the replicate-boundary correlation, index by index."""
+    h, wd = shape
+    kh, kw = w.shape
+    m = np.zeros((h * wd, h * wd))
+    for j in range(h):
+        for i in range(wd):
+            for b in range(kh):
+                for a in range(kw):
+                    jj = min(max(j + b - kh // 2, 0), h - 1)
+                    ii = min(max(i + a - kw // 2, 0), wd - 1)
+                    m[j * wd + i, jj * wd + ii] += w[b, a]
+    return m
+
+
+class TestFactoredConvolve:
+    """Kernels with `Kernel.factors` run as a row pass and a column pass."""
+
+    @pytest.mark.parametrize("name", sorted(NAMED_KERNELS))
+    def test_matches_tap_loop(self, name):
+        k = NAMED_KERNELS[name]
+        w = k.weights
+        kh, kw = w.shape
+        rng = np.random.default_rng(11)
+        f = random_field(rng, 64, 64)
+        tap = grid._taps(grid.pad_edge(f, kh // 2, kw // 2), w)
+        out = grid.convolve(f, k)
+        assert np.abs(out - tap).max() <= 1e-14 * np.abs(tap).max()
+        tap_adj = grid._fold_edge(
+            grid._taps(grid._pad_zero(f, kh - 1, kw - 1), w[::-1, ::-1]), kh // 2, kw // 2)
+        adj = grid.convolve_adjoint(f, k)
+        assert np.abs(adj - tap_adj).max() <= 1e-14 * np.abs(tap_adj).max()
+
+    # on the 2x3 field a 5-tap axis reaches past both opposite edges
+    @pytest.mark.parametrize("kname", sorted(RANK1_KERNELS))
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3)], ids=["5x4", "2x3"])
+    def test_dense_oracle(self, shape, kname):
+        k = RANK1_KERNELS[kname]
+        assert k.factors is not None
+        H = materialize(lambda x: grid.convolve(x, k), shape)
+        Ht = materialize(lambda x: grid.convolve_adjoint(x, k), shape)
+        assert np.abs(H - clamp_matrix(k.weights, shape)).max() < 1e-14
+        assert np.abs(H.T - Ht).max() < 1e-14
+
+    @pytest.mark.parametrize("k", [Kernel.gaussian(5, 1.0), Kernel(np.arange(9.0).reshape(3, 3))],
+                             ids=["factored", "tap-loop"])
+    def test_results_own_contiguous_memory(self, k):
+        f = random_field(np.random.default_rng(13), 64, 64)
+        for op in (grid.convolve, grid.convolve_adjoint):
+            out = op(f, k)
+            assert out.shape == f.shape
+            assert out.flags["C_CONTIGUOUS"]
+            assert out.base is None
 
 
 class TestNorms:
