@@ -22,6 +22,7 @@ share one edge set and one diffusivity weight per pixel.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,16 +101,25 @@ def diffusion_weights(
     return 1.0 / np.sqrt(dx * dx + a2), 1.0 / np.sqrt(dy * dy + a2)
 
 
-def apply_weighted_laplacian(wx: np.ndarray, wy: np.ndarray, v: np.ndarray) -> np.ndarray:
+def apply_weighted_laplacian(
+    wx: np.ndarray,
+    wy: np.ndarray,
+    v: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    work: Optional[Sequence[np.ndarray]] = None,
+) -> np.ndarray:
     """Apply ``Dx^T diag(wx) Dx + Dy^T diag(wy) Dy`` to ``v`` (matrix-free).
 
     Linear, symmetric, positive semi-definite for nonnegative weights;
-    annihilates constant fields.
+    annihilates constant fields.  The weights broadcast over the leading
+    axes of a stacked ``v``.  ``out`` (shaped like ``v``) receives the
+    result and is returned; ``work``, two more arrays shaped like ``v``,
+    holds the weighted gradient.  Without them the call allocates both.
     """
-    gx, gy = gradient(v)
+    gx, gy = gradient(v, out=work)
     gx *= wx
     gy *= wy
-    out = divergence(VectorField(gx, gy))
+    out = divergence(VectorField(gx, gy), out=out)
     return np.negative(out, out=out)
 
 

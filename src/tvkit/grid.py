@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -138,39 +138,66 @@ def ensure_field(f: np.ndarray) -> np.ndarray:
     return a
 
 
-def gradient(f: np.ndarray) -> VectorField:
+def gradient(f: np.ndarray, out: Optional[Sequence[np.ndarray]] = None) -> VectorField:
     """Forward-difference gradient with zero differences at the last column/row.
 
     Returns ``(u, v)`` with ``u[j, i] = f[j, i+1] - f[j, i]`` (x direction)
     and ``v[j, i] = f[j+1, i] - f[j, i]`` (y direction).  Differences run
     over the last two axes, so a stacked ``(C, H, W)`` field gives the C
-    channel gradients.
+    channel gradients.  ``out``, a pair of C-contiguous float64 arrays
+    shaped like ``f``, receives ``(u, v)`` and is returned; every entry is
+    written.
     """
-    f = np.asarray(f, dtype=np.float64)
-    u = np.zeros_like(f)
-    v = np.zeros_like(f)
-    u[..., :-1] = f[..., 1:] - f[..., :-1]
-    v[..., :-1, :] = f[..., 1:, :] - f[..., :-1, :]
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    u, v = (np.empty_like(f), np.empty_like(f)) if out is None else out
+    # differences of the flat arrays, one pass each; the ones that straddle
+    # a row (channel) end fall on the last column (row) and are zeroed
+    ff, n = f.reshape(-1), f.shape[-1]
+    np.subtract(ff[1:], ff[:-1], out=_flat(u)[:-1])
+    u[..., -1] = 0.0
+    np.subtract(ff[n:], ff[:-n], out=_flat(v)[:-n])
+    v[..., -1, :] = 0.0
     return VectorField(u, v)
 
 
-def divergence(p: VectorField) -> np.ndarray:
+def divergence(p: VectorField, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Backward-difference divergence, the exact negative adjoint of `gradient`.
 
     Satisfies ``inner(gradient(f).u, p.u) + inner(gradient(f).v, p.v)
     == -inner(f, divergence(p))`` for all fields.  Like `gradient` it acts
     on the last two axes, so a stacked field gives its channel divergences.
+    ``out``, a C-contiguous float64 array shaped like ``p.u`` and distinct
+    from both components, receives the result and is returned; every entry
+    is written.
     """
-    u = np.asarray(p.u, dtype=np.float64)
+    u = np.ascontiguousarray(p.u, dtype=np.float64)
     v = np.asarray(p.v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"vector field components differ: {u.shape} vs {v.shape}")
-    out = np.zeros_like(u)
-    out[..., :-1] += u[..., :-1]
-    out[..., 1:] -= u[..., :-1]
+    if out is None:
+        out = np.empty_like(u)
+    # x part u[i] - u[i-1], reading u as zero left of column 0 and in the
+    # last column: one flat pass, then both edge columns rewritten
+    if u.shape[-1] > 1:
+        uf = u.reshape(-1)
+        np.subtract(uf[1:], uf[:-1], out=_flat(out)[1:])
+        out[..., 0] = u[..., 0]
+        # not np.negative: with a strided input and a strided out, numpy
+        # 2.4.6 reads the input as if contiguous and returns wrong values
+        np.subtract(0.0, u[..., -2], out=out[..., -1])
+    else:
+        out[...] = 0.0
     out[..., :-1, :] += v[..., :-1, :]
     out[..., 1:, :] -= v[..., :-1, :]
     return out
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """One-dimensional view of an ``out=`` buffer.  Anything but a
+    C-contiguous array would give a copy, and the writes would be lost."""
+    if not a.flags.c_contiguous:
+        raise ValueError("out= buffers must be C-contiguous arrays")
+    return a.reshape(-1)
 
 
 def pad_edge(f: np.ndarray, cy: int, cx: int) -> np.ndarray:

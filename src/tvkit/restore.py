@@ -12,7 +12,7 @@ import numpy as np
 
 from . import functionals, solvers
 from .functionals import TVVariant
-from .grid import Kernel, convolve, convolve_adjoint, pad_edge
+from .grid import Kernel, _taps, convolve, convolve_adjoint, pad_edge
 from .solvers import SolverConfig, SolveReport
 
 PSNR_CAP_DB = 300.0
@@ -131,20 +131,21 @@ def tv_deconvolve(
     )
 
 
-def _image_times_kernel(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Apply the blur with kernel ``weights`` to image ``f`` (the blur as a
-    linear map of the kernel, image fixed)."""
-    return convolve(f, Kernel(weights))
+def _image_times_kernel(fp: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The blur of an image by the kernel ``weights``, as a linear map of the
+    kernel with the image fixed.  ``fp`` is the image edge-padded by half
+    the kernel size on each side (`grid.pad_edge`); the map is
+    `grid.convolve`'s tap loop over it, whatever the kernel's rank."""
+    return _taps(fp, weights)
 
 
-def _image_times_kernel_adjoint(f: np.ndarray, r: np.ndarray, ksize: int) -> np.ndarray:
+def _image_times_kernel_adjoint(fp: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Adjoint of `_image_times_kernel` in its kernel argument: correlate the
-    residual against the (replicate-extended) image at each tap offset."""
-    h, w = f.shape
-    fp = pad_edge(f, ksize // 2, ksize // 2)
-    out = np.empty((ksize, ksize))
-    for b in range(ksize):
-        for a in range(ksize):
+    residual against the padded image ``fp`` at each tap offset."""
+    h, w = r.shape
+    out = np.empty((fp.shape[0] - h + 1, fp.shape[1] - w + 1))
+    for b in range(out.shape[0]):
+        for a in range(out.shape[1]):
             out[b, a] = float(np.sum(fp[b : b + h, a : a + w] * r))
     return out
 
@@ -166,12 +167,13 @@ def _kernel_step(
     """TV-regularized LS solve for the kernel with the image fixed, followed
     by the nonnegativity/unit-sum projection.  Returns the projected kernel
     and the CG iteration count and converged flag."""
-    ks = params.kernel_size
-    # diag(F^T F): column (b, a) of F is the edge-padded image shifted by
-    # that tap, so its squared norm correlates f * f with ones
-    ftf_diag = _image_times_kernel_adjoint(f * f, np.ones_like(f), ks)
+    # the image is fixed for the step: both maps read one padded copy
+    fp = pad_edge(f, params.kernel_size // 2, params.kernel_size // 2)
+    # diag(F^T F): column (b, a) of F is the padded image shifted by that
+    # tap, so its squared norm correlates fp * fp with ones
+    ftf_diag = _image_times_kernel_adjoint(fp * fp, np.ones_like(f))
     h_new, iters, converged = solvers.lagged_tv_step(
-        lambda x: _image_times_kernel(f, x), lambda r: _image_times_kernel_adjoint(f, r, ks),
+        lambda x: _image_times_kernel(fp, x), lambda r: _image_times_kernel_adjoint(fp, r),
         g, h_k, ftf_diag, params.lam_kernel, params.alpha, TVVariant.ISOTROPIC, params.solver)
     return _project_kernel(h_new), iters, converged
 

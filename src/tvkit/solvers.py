@@ -132,9 +132,11 @@ def conjugate_gradient(
     b - A x0`` the starting residual, or after ``max_cg`` iterations.
     ``precond``, if given, applies an SPD approximation of ``A^-1`` to a
     residual (preconditioned CG); the stopping test stays on the
-    unpreconditioned residual.  Returns ``(x, iterations, converged)``.
-    Raises `SolverDivergenceError` if the residual turns non-finite
-    (indefinite or ill-posed operator).
+    unpreconditioned residual.  ``apply_A``'s result is read only until
+    the next call, so ``apply_A`` may write every result into one buffer
+    of its own.  Returns ``(x, iterations, converged)``.  Raises
+    `SolverDivergenceError` if the residual turns non-finite (indefinite or
+    ill-posed operator).
     """
     cfg = cfg or SolverConfig()
     b = np.asarray(b, dtype=np.float64)

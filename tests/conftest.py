@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 
@@ -15,3 +17,16 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.linalg.norm(b.ravel()), 1e-300)
     return np.linalg.norm((a - b).ravel()) / denom
+
+
+def peak_allocation(call):
+    """Peak bytes allocated while ``call()`` runs, as tracemalloc sees them
+    (numpy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tvkit import flow, synth
+from tvkit import flow, functionals, solvers, synth
 from tvkit.flow import (
     FlowParams,
     FlowVariant,
@@ -22,7 +22,7 @@ from tvkit.flow import (
 from tvkit.grid import VectorField, gradient, inner
 from tvkit.solvers import SolveReport, SolverConfig, SolverDivergenceError
 
-from conftest import materialize
+from conftest import materialize, peak_allocation
 
 
 def ramp_pair(h=8, w=8):
@@ -168,6 +168,117 @@ class TestTensorDiffusion:
         np.testing.assert_allclose(dense, dense.T, atol=1e-12)
         eigs = np.linalg.eigvalsh(dense)
         assert eigs.max() <= 1e-12
+
+    def test_out_and_work_buffers(self):
+        # pre-filled with NaN, so any entry left unwritten shows
+        rng = np.random.default_rng(101)
+        g = VectorField(rng.standard_normal((9, 11)), rng.standard_normal((9, 11)))
+        t = diffusion_tensor(g, eps=0.05)
+        z = rng.standard_normal((2, 9, 11))
+        out = np.full(z.shape, np.nan)
+        work = np.full((3,) + z.shape, np.nan)
+        assert apply_tensor_diffusion(t, z, out=out, work=work) is out
+        assert np.array_equal(out, apply_tensor_diffusion(t, z))
+
+    def test_stacked_equals_per_channel(self):
+        # the tensor broadcasts over the channels: bit for bit two calls
+        rng = np.random.default_rng(103)
+        g = VectorField(rng.standard_normal((9, 11)), rng.standard_normal((9, 11)))
+        t = diffusion_tensor(g, eps=0.05)
+        z = rng.standard_normal((2, 9, 11))
+        out = apply_tensor_diffusion(t, z)
+        for c in range(2):
+            assert np.array_equal(out[c], apply_tensor_diffusion(t, z[c]))
+
+    def test_buffered_call_allocates_no_field(self):
+        rng = np.random.default_rng(107)
+        g = VectorField(rng.standard_normal((128, 128)), rng.standard_normal((128, 128)))
+        t = diffusion_tensor(g, eps=0.05)
+        z = rng.standard_normal((2, 128, 128))
+        out, work = np.empty_like(z), np.empty((3,) + z.shape)
+        peak = peak_allocation(lambda: apply_tensor_diffusion(t, z, out=out, work=work))
+        assert peak < g.u.nbytes
+        assert peak_allocation(lambda: apply_tensor_diffusion(t, z)) >= 4 * z.nbytes
+
+
+def _per_channel_linear_flow(fx, fy, ft, lam, apply_smooth, x0, cfg, forcing):
+    """The coupled flow system with S applied to u and to v in turn and a
+    fresh array for every term: the reference for the stacked solve."""
+    b = np.stack([-fx * ft, -fy * ft])
+
+    def apply_A(wvec):
+        u, v = wvec[0], wvec[1]
+        return np.stack([fx * fx * u + fx * fy * v + lam * apply_smooth(u),
+                         fx * fy * u + fy * fy * v + lam * apply_smooth(v)])
+
+    return solvers.conjugate_gradient(apply_A, b, x0=x0, cfg=cfg, forcing=forcing)
+
+
+def per_channel_flow_tv(pair, params):
+    fx, fy, ft = image_derivatives(pair)
+
+    def step(wvec):
+        weights = flow_smoothness_weights(VectorField(wvec[0], wvec[1]), params.eps)
+        return _per_channel_linear_flow(
+            fx, fy, ft, params.lam,
+            lambda z: functionals.apply_weighted_laplacian(weights, weights, z),
+            wvec, params.solver, params.solver.forcing)
+
+    def objective(wvec):
+        r = ofc_residual(fx, fy, ft, VectorField(wvec[0], wvec[1]))
+        return float(np.sum(r * r)) + 2.0 * params.lam * functionals.tv_isotropic(
+            wvec, params.eps)
+
+    return solvers.lagged_loop(step, objective, np.zeros((2,) + pair.shape), params.solver)
+
+
+def per_channel_flow_image_driven(pair, params):
+    fx, fy, ft = image_derivatives(pair)
+    t = diffusion_tensor(flow.centered_gradient(pair.f1), params.eps)
+
+    def apply_smooth(z):
+        return -apply_tensor_diffusion(t, z)
+
+    wvec, iters, ok = _per_channel_linear_flow(
+        fx, fy, ft, params.lam, apply_smooth, np.zeros((2,) + pair.shape), params.solver, 0.0)
+    r = ofc_residual(fx, fy, ft, VectorField(wvec[0], wvec[1]))
+    energy = float(np.sum(r * r)) + params.lam * (
+        inner(wvec[0], apply_smooth(wvec[0])) + inner(wvec[1], apply_smooth(wvec[1])))
+    return wvec, iters, ok, energy
+
+
+def assert_same_report(got, want):
+    for name in ("objective_history", "step_norm_history", "cg_iters_history",
+                 "cg_converged_history", "cg_iterations_total", "converged", "forcing"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestStackedSolves:
+    """The stacked, buffered solves against the per-channel reference: the
+    same flow and the same report, bit for bit, on the 32 x 32 fixtures."""
+
+    SCENES = {"ramp": synth.make_ramp_shift, "split": synth.make_split_motion}
+
+    @pytest.mark.parametrize("scene", sorted(SCENES))
+    def test_tv(self, scene):
+        pair, _ = self.SCENES[scene]()
+        params = FlowParams(lam=0.003, eps=0.05)
+        w, report = flow_tv(pair, params)
+        wvec, want = per_channel_flow_tv(pair, params)
+        assert np.array_equal(w.u, wvec[0]) and np.array_equal(w.v, wvec[1])
+        assert_same_report(report, want)
+        assert report.outer_iterations > 1
+
+    @pytest.mark.parametrize("scene", sorted(SCENES))
+    def test_image_driven(self, scene):
+        pair, _ = self.SCENES[scene]()
+        params = FlowParams(lam=0.01, eps=0.05, variant=FlowVariant.IMAGE_DRIVEN)
+        w, report = flow_image_driven(pair, params)
+        wvec, iters, ok, energy = per_channel_flow_image_driven(pair, params)
+        assert np.array_equal(w.u, wvec[0]) and np.array_equal(w.v, wvec[1])
+        assert report.objective_history == [energy]
+        assert report.cg_iters_history == [iters] and report.converged == ok
+        assert report.step_norm_history == [float(np.linalg.norm(wvec))]
 
 
 class TestSmoothnessWeights:

@@ -7,7 +7,7 @@ from scipy import ndimage
 from tvkit import grid
 from tvkit.grid import Kernel, VectorField
 
-from conftest import materialize
+from conftest import materialize, peak_allocation
 
 
 def random_field(rng, h, w):
@@ -149,6 +149,68 @@ class TestDivergence:
         assert div.shape == u.shape
         for c in range(3):
             assert np.array_equal(div[c], grid.divergence(VectorField(u[c], v[c])))
+
+
+class TestOutBuffers:
+    """``out=`` buffers pre-filled with NaN: every entry must be written."""
+
+    SHAPES = [(1, 1), (1, 5), (5, 1), (2, 2), (6, 7), (2, 6, 7)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gradient_fills_given_buffers(self, shape):
+        f = np.random.default_rng(61).standard_normal(shape)
+        out = (np.full(shape, np.nan), np.full(shape, np.nan))
+        g = grid.gradient(f, out=out)
+        assert g.u is out[0] and g.v is out[1]
+        want = grid.gradient(f)
+        assert np.array_equal(g.u, want.u) and np.array_equal(g.v, want.v)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_divergence_fills_given_buffer(self, shape):
+        rng = np.random.default_rng(67)
+        p = VectorField(rng.standard_normal(shape), rng.standard_normal(shape))
+        out = np.full(shape, np.nan)
+        assert grid.divergence(p, out=out) is out
+        assert np.array_equal(out, grid.divergence(p))
+
+    @pytest.mark.parametrize("shape", SHAPES + [(3, 1, 4), (3, 4, 1)])
+    def test_divergence_matches_zero_init_accumulation(self, shape):
+        # the pre-buffer definition: four slice updates on a zeroed array
+        rng = np.random.default_rng(71)
+        u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        want = np.zeros(shape)
+        want[..., :-1] += u[..., :-1]
+        want[..., 1:] -= u[..., :-1]
+        want[..., :-1, :] += v[..., :-1, :]
+        want[..., 1:, :] -= v[..., :-1, :]
+        assert np.array_equal(grid.divergence(VectorField(u, v)), want)
+
+    def test_non_contiguous_buffer_rejected(self):
+        # a flat view of it would be a copy, and the result would be lost
+        f = np.ones((4, 6))
+        out = np.empty((6, 4)).T
+        with pytest.raises(ValueError):
+            grid.gradient(f, out=(out, np.empty_like(f)))
+        with pytest.raises(ValueError):
+            grid.divergence(VectorField(f, f), out=out)
+
+    def test_non_contiguous_input(self):
+        f = np.random.default_rng(79).standard_normal((7, 6)).T
+        g = grid.gradient(f)
+        assert np.array_equal(g.u, grid.gradient(f.copy()).u)
+        assert np.array_equal(grid.divergence(VectorField(f, f)),
+                              grid.divergence(VectorField(f.copy(), f.copy())))
+
+    def test_buffered_calls_allocate_no_field(self):
+        rng = np.random.default_rng(73)
+        f = rng.standard_normal((2, 128, 128))
+        p = VectorField(rng.standard_normal(f.shape), rng.standard_normal(f.shape))
+        g_out = (np.empty_like(f), np.empty_like(f))
+        d_out = np.empty_like(f)
+        assert peak_allocation(lambda: grid.gradient(f, out=g_out)) < f[0].nbytes
+        assert peak_allocation(lambda: grid.divergence(p, out=d_out)) < f[0].nbytes
+        # the allocating calls are measured the same way
+        assert peak_allocation(lambda: grid.gradient(f)) >= 2 * f.nbytes
 
 
 class TestPad:

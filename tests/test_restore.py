@@ -267,21 +267,32 @@ class TestBlindDeconvolve:
         f = rng.standard_normal(shape)
         h = rng.standard_normal((ks, ks))
         r = rng.standard_normal(shape)
-        lhs = grid.inner(restore._image_times_kernel(f, h), r)
-        rhs = grid.inner(h, restore._image_times_kernel_adjoint(f, r, ks))
+        fp = grid.pad_edge(f, ks // 2, ks // 2)
+        lhs = grid.inner(restore._image_times_kernel(fp, h), r)
+        rhs = grid.inner(h, restore._image_times_kernel_adjoint(fp, r))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("ks", [3, 5])
+    def test_kernel_map_is_the_convolve_tap_loop(self, ks):
+        # over one padded image, bit for bit convolve for a kernel of rank > 1
+        rng = np.random.default_rng(59)
+        f = rng.standard_normal((9, 7))
+        h = rng.uniform(0.0, 1.0, (ks, ks))
+        assert Kernel(h).factors is None
+        got = restore._image_times_kernel(grid.pad_edge(f, ks // 2, ks // 2), h)
+        assert np.array_equal(got, grid.convolve(f, Kernel(h)))
 
     @pytest.mark.parametrize("ks", [3, 5])
     def test_kernel_adjoint_dense_transpose(self, ks):
         # columns probe unit kernels (forward) and unit residuals (adjoint)
         rng = np.random.default_rng(43)
-        f = rng.standard_normal((4, 5))
+        fp = grid.pad_edge(rng.standard_normal((4, 5)), ks // 2, ks // 2)
         A = np.column_stack([
-            restore._image_times_kernel(f, e.reshape(ks, ks)).ravel()
+            restore._image_times_kernel(fp, e.reshape(ks, ks)).ravel()
             for e in np.eye(ks * ks)
         ])
         At = np.column_stack([
-            restore._image_times_kernel_adjoint(f, e.reshape(4, 5), ks).ravel()
+            restore._image_times_kernel_adjoint(fp, e.reshape(4, 5)).ravel()
             for e in np.eye(20)
         ])
         assert np.abs(A.T - At).max() < 1e-14
@@ -292,8 +303,9 @@ class TestBlindDeconvolve:
         # the kernel step's preconditioner: diag(F^T F) of the dense F
         rng = np.random.default_rng(53)
         f = rng.standard_normal(shape)
-        A = materialize(lambda x: restore._image_times_kernel(f, x), (ks, ks))
-        got = restore._image_times_kernel_adjoint(f * f, np.ones_like(f), ks)
+        fp = grid.pad_edge(f, ks // 2, ks // 2)
+        A = materialize(lambda x: restore._image_times_kernel(fp, x), (ks, ks))
+        got = restore._image_times_kernel_adjoint(fp * fp, np.ones_like(f))
         np.testing.assert_allclose(got.ravel(), np.diag(A.T @ A), rtol=1e-13, atol=0)
 
     def test_unregularized_kernel_step_is_projected_least_squares(self):
@@ -304,7 +316,7 @@ class TestBlindDeconvolve:
         g = grid.convolve(f, self.ktrue) + 0.01 * rng.standard_normal((8, 8))
         params = BlindParams(lam_kernel=0.0, solver=SolverConfig(tol_cg=1e-12, forcing=0.0))
         h, _, converged = restore._kernel_step(g, f, Kernel.delta(3).weights, params)
-        A = materialize(lambda x: restore._image_times_kernel(f, x), (3, 3))
+        A = materialize(lambda x: restore._image_times_kernel(grid.pad_edge(f, 1, 1), x), (3, 3))
         h_ls = np.linalg.lstsq(A, g.ravel(), rcond=None)[0].reshape(3, 3)
         assert converged
         np.testing.assert_allclose(h, restore._project_kernel(h_ls), rtol=1e-9, atol=1e-12)
