@@ -102,30 +102,6 @@ def image_derivatives(pair: FramePair) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return fx, fy, pair.f2 - pair.f1
 
 
-def displaced_frame_difference(pair: FramePair, w: VectorField) -> np.ndarray:
-    """f2 sampled at (x+u, y+v) minus f1, the nonlinear brightness-constancy
-    residual. Bilinear interpolation; out-of-range samples clamp to the
-    border (replicate extension)."""
-    h, wd = pair.shape
-    u = np.asarray(w.u, dtype=np.float64)
-    v = np.asarray(w.v, dtype=np.float64)
-    if u.shape != (h, wd) or v.shape != (h, wd):
-        raise ValueError("flow components must match the frame shape")
-    jj, ii = np.meshgrid(np.arange(h), np.arange(wd), indexing="ij")
-    x = np.clip(ii + u, 0.0, wd - 1.0)
-    y = np.clip(jj + v, 0.0, h - 1.0)
-    x0 = np.floor(x).astype(np.intp)
-    y0 = np.floor(y).astype(np.intp)
-    x1 = np.minimum(x0 + 1, wd - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    ax = x - x0
-    ay = y - y0
-    f2 = pair.f2
-    top = (1.0 - ax) * f2[y0, x0] + ax * f2[y0, x1]
-    bottom = (1.0 - ax) * f2[y1, x0] + ax * f2[y1, x1]
-    return (1.0 - ay) * top + ay * bottom - pair.f1
-
-
 def ofc_residual(
     fx: np.ndarray, fy: np.ndarray, ft: np.ndarray, w: VectorField
 ) -> np.ndarray:

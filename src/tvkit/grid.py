@@ -246,6 +246,15 @@ def _taps(fp: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stages(kernel: Kernel) -> list[np.ndarray]:
+    """The tap arrays `convolve` runs in turn: the weights, or for a kernel
+    with `Kernel.factors` a row pass and then a column pass."""
+    if kernel.factors is None:
+        return [kernel.weights]
+    col, row = kernel.factors
+    return [row[None, :], col[:, None]]
+
+
 def convolve(f: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Apply the kernel to the field (correlation-style, replicate boundary).
 
@@ -255,39 +264,30 @@ def convolve(f: np.ndarray, kernel: Kernel) -> np.ndarray:
     factors over the two axes, so the result matches the tap loop to
     rounding.
     """
-    f = np.asarray(f, dtype=np.float64)
-    w = kernel.weights
-    cy, cx = w.shape[0] // 2, w.shape[1] // 2
-    factors = kernel.factors
-    if factors is None:
-        return _taps(pad_edge(f, cy, cx), w)
-    col, row = factors
-    t = _taps(pad_edge(f, 0, cx), row[None, :])
-    return _taps(pad_edge(t, cy, 0), col[:, None])
+    out = np.asarray(f, dtype=np.float64)
+    for w in _stages(kernel):
+        out = _taps(pad_edge(out, w.shape[0] // 2, w.shape[1] // 2), w)
+    return out
 
 
 def convolve_adjoint(f: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Exact adjoint of `convolve` under the same boundary rule.
 
-    Applies the flipped kernel to the zero-extended field, which spreads
-    each tap's contribution over the padded grid, then folds the pad back
-    onto the border, so ``inner(convolve(x, k), y) == inner(x,
-    convolve_adjoint(y, k))`` holds to rounding for all x, y.  A factored
-    kernel runs the two passes of `convolve` in reverse, each one spread
-    and folded on its own axis.  The result is a new C-contiguous array.
+    Runs the passes of `convolve` in reverse.  Each applies its flipped
+    taps to the zero-extended field, which spreads each tap's contribution
+    over the padded grid, then folds the pad back onto the border, so
+    ``inner(convolve(x, k), y) == inner(x, convolve_adjoint(y, k))`` holds
+    to rounding for all x, y.  The result is a new C-contiguous array.
     """
-    f = np.asarray(f, dtype=np.float64)
-    w = kernel.weights
-    kh, kw = w.shape
-    factors = kernel.factors
-    if factors is None:
-        fz = _pad_zero(f, kh - 1, kw - 1)
-        return _fold_edge(_taps(fz, w[::-1, ::-1]), kh // 2, kw // 2).copy()
-    col, row = factors
-    tz = _pad_zero(f, kh - 1, 0)
-    t = _fold_edge(_taps(tz, col[::-1, None]), kh // 2, 0)
-    tz = _pad_zero(t, 0, kw - 1)
-    return _fold_edge(_taps(tz, row[None, ::-1]), 0, kw // 2).copy()
+    out = np.asarray(f, dtype=np.float64)
+    for w in reversed(_stages(kernel)):
+        kh, kw = w.shape
+        # fz stays bound through the final copy: freed before it, glibc
+        # unmaps the block and the copy faults in fresh pages, which made
+        # the minor page faults of a 256x256 denoise 4x as many
+        fz = _pad_zero(out, kh - 1, kw - 1)
+        out = _fold_edge(_taps(fz, w[::-1, ::-1]), kh // 2, kw // 2)
+    return out.copy()
 
 
 def inner(f: np.ndarray, g: np.ndarray) -> float:

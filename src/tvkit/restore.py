@@ -5,7 +5,7 @@ LASSO via iterative soft thresholding, and image-quality metrics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -178,27 +178,23 @@ def _kernel_step(
     return _project_kernel(h_new), iters, converged
 
 
-def _blind_objective(g, f, h_weights, params: BlindParams) -> float:
-    r = convolve(f, Kernel(h_weights)) - g
-    return (
-        0.5 * float(np.sum(r * r))
-        + params.lam_kernel * functionals.tv_isotropic(h_weights, params.alpha)
-        + params.lam_image * functionals.tv_isotropic(f, params.alpha)
-    )
-
-
 def blind_deconvolve(
     g: np.ndarray,
     params: BlindParams,
     kernel0: Optional[Kernel] = None,
 ) -> tuple[np.ndarray, Kernel, SolveReport]:
-    """Alternating-minimization blind deconvolution.
+    """Alternating-minimization blind deconvolution (Chan & Wong, IEEE TIP
+    1998).
 
     Starting from ``kernel0`` (a centered delta by default), first solves
-    the image problem for that kernel, then alternates kernel step and
-    image step until the image stops moving or the iteration cap is hit.
-    The kernel is projected to be nonnegative with unit sum after every
-    kernel step, removing the intensity-scale ambiguity of the pair.
+    the image problem for that kernel (`tv_deconvolve`).  Each alternation
+    after that makes one lagged kernel step and then one lagged image step
+    (`solvers.lagged_restore_step`) with the new kernel, until the image
+    stops moving or the iteration cap is hit.  The kernel is projected to
+    be nonnegative with unit sum after every kernel step, removing the
+    intensity-scale ambiguity of the pair.  The objective is
+    `functionals.tv_objective` of the image with the kernel, plus
+    ``lam_kernel`` times the kernel's isotropic TV.
 
     The report's histories are per alternation; ``cg_iterations_total``
     additionally counts the initial image solve, so it can exceed the sum
@@ -208,44 +204,37 @@ def blind_deconvolve(
     g = np.asarray(g, dtype=np.float64)
     ks = params.kernel_size
     if kernel0 is None:
-        h = Kernel.delta(ks).weights
+        kernel = Kernel.delta(ks)
     else:
         if kernel0.shape != (ks, ks):
             raise ValueError(
                 f"kernel0 shape {kernel0.shape} does not match kernel_size {ks}"
             )
-        h = _project_kernel(kernel0.weights)
+        kernel = Kernel(_project_kernel(kernel0.weights))
 
     f, init_rep = tv_deconvolve(
         g,
-        Kernel(h),
+        kernel,
         RestoreParams(lam=params.lam_image, alpha=params.alpha, solver=params.solver),
     )
     cfg = params.solver
-    # per AM step the image solve is warm-started and capped; the outer loop
-    # supplies the remaining iterations
-    inner_cfg = replace(cfg, max_outer=min(cfg.max_outer, 8))
 
     def step(f):
-        nonlocal h
-        h, kernel_cg, kernel_ok = _kernel_step(g, f, h, params)
-        f_next, inner_rep = solvers.tv_restore_fixed_point(
-            g,
-            Kernel(h),
-            params.lam_image,
-            alpha=params.alpha,
-            cfg=inner_cfg,
-            init=f,
-        )
-        cg_ok = kernel_ok and all(inner_rep.cg_converged_history)
-        return f_next, kernel_cg + inner_rep.cg_iterations_total, cg_ok
+        nonlocal kernel
+        h, kernel_cg, kernel_ok = _kernel_step(g, f, kernel.weights, params)
+        kernel = Kernel(h)
+        f_next, image_cg, image_ok = solvers.lagged_restore_step(
+            g, f, kernel, params.lam_image, params.alpha, TVVariant.ISOTROPIC, cfg)
+        return f_next, kernel_cg + image_cg, kernel_ok and image_ok
+
+    def objective(f_next):
+        return (functionals.tv_objective(f_next, g, kernel, params.lam_image, params.alpha)
+                + params.lam_kernel * functionals.tv_isotropic(kernel.weights, params.alpha))
 
     report = SolveReport(cg_iterations_total=init_rep.cg_iterations_total)
-    f, report = solvers.lagged_loop(
-        step, lambda f_next: _blind_objective(g, f_next, h, params), f, cfg, report
-    )
+    f, report = solvers.lagged_loop(step, objective, f, cfg, report)
     report.converged = report.converged and all(init_rep.cg_converged_history)
-    return f, Kernel(h), report
+    return f, kernel, report
 
 
 def lasso_estimate(

@@ -265,6 +265,20 @@ def lagged_tv_step(
                               forcing=cfg.forcing)
 
 
+def lagged_restore_step(
+    g: np.ndarray, f_k: np.ndarray, kernel: Kernel, lam: float, alpha: float,
+    variant: TVVariant, cfg: SolverConfig,
+) -> tuple[np.ndarray, int, bool]:
+    """One lagged step of ``[H^T H + lam L(f_k)] f = H^T g`` from ``f_k`` with
+    the known kernel ``H``: `lagged_tv_step` with ``K = H``.  Returns its
+    triple."""
+    # diagonal of H^T H: exact away from the border, where the replicate
+    # boundary folds taps onto the edge pixels
+    hth_diag = float(np.sum(kernel.weights * kernel.weights))
+    return lagged_tv_step(lambda x: convolve(x, kernel), lambda y: convolve_adjoint(y, kernel),
+                          g, f_k, hth_diag, lam, alpha, variant, cfg)
+
+
 def tv_restore_fixed_point(
     g: np.ndarray,
     kernel: Kernel,
@@ -274,14 +288,12 @@ def tv_restore_fixed_point(
     variant: TVVariant = TVVariant.ISOTROPIC,
     init: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Solve ``[H^T H + lam L(f_k)] f_{k+1} = H^T g`` by `lagged_loop`, each
-    step warm-started at ``f_k``, until the step norm drops below the outer
-    tolerance or the iteration cap is reached.
+    """Solve ``[H^T H + lam L(f_k)] f_{k+1} = H^T g`` by `lagged_loop` of
+    `lagged_restore_step`, each step warm-started at ``f_k``, until the step
+    norm drops below the outer tolerance or the iteration cap is reached.
 
     ``init`` is the starting image: ``None`` starts from the observation,
-    an array shaped like ``g`` is a warm start.  With
-    ``cfg=replace(cfg, max_outer=1)`` and ``init=f_k`` this is one lagged
-    step from ``f_k``.
+    an array shaped like ``g`` is a warm start.
     """
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
@@ -294,13 +306,8 @@ def tv_restore_fixed_point(
     else:
         raise ValueError("init must be None or an array shaped like the observation")
 
-    # diagonal of H^T H: exact away from the border, where the replicate
-    # boundary folds taps onto the edge pixels
-    hth_diag = float(np.sum(kernel.weights * kernel.weights))
-
     def step(f_k):
-        return lagged_tv_step(lambda x: convolve(x, kernel), lambda y: convolve_adjoint(y, kernel),
-                              g, f_k, hth_diag, lam, alpha, variant, cfg)
+        return lagged_restore_step(g, f_k, kernel, lam, alpha, variant, cfg)
 
     def objective(f_next):
         return functionals.tv_objective(f_next, g, kernel, lam, alpha, variant)

@@ -94,8 +94,7 @@ def make_ramp_shift(seed: int = 0, size: int = 32) -> tuple[FramePair, VectorFie
     """Smoothly textured frame pair translated by exactly (1, 0).
 
     Frame 2 is the analytic profile evaluated at x-1, so the true flow is
-    u=1, v=0 everywhere and the displaced-frame difference vanishes away
-    from the right border (where sampling clamps).
+    u=1, v=0 everywhere and ``f2[:, 1:] == f1[:, :-1]`` exactly.
     """
     profile = _ramp_texture(seed)
     jj, ii = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")

@@ -10,7 +10,6 @@ from tvkit.flow import (
     FramePair,
     apply_tensor_diffusion,
     diffusion_tensor,
-    displaced_frame_difference,
     endpoint_error,
     estimate_flow,
     flow_image_driven,
@@ -68,30 +67,6 @@ class TestImageDerivatives:
                 assert fx[j, i] == 0.5 * (pad[j + 1, i + 2] - pad[j + 1, i])
                 assert fy[j, i] == 0.5 * (pad[j + 2, i + 1] - pad[j, i + 1])
         np.testing.assert_array_equal(ft, f2 - f1)
-
-
-class TestDisplacedFrameDifference:
-    def test_zero_flow_static(self):
-        rng = np.random.default_rng(5)
-        f = rng.uniform(0.0, 1.0, (7, 7))
-        pair = FramePair(f, f)
-        zero = VectorField(np.zeros((7, 7)), np.zeros((7, 7)))
-        np.testing.assert_allclose(displaced_frame_difference(pair, zero), 0.0, atol=1e-14)
-
-    def test_integer_translation(self):
-        f1 = np.tile(np.arange(8.0), (6, 1))
-        f2 = f1 - 1.0  # scene moved one pixel to the right
-        w = VectorField(np.ones((6, 8)), np.zeros((6, 8)))
-        d = displaced_frame_difference(FramePair(f1, f2), w)
-        np.testing.assert_allclose(d[:, :-1], 0.0, atol=1e-12)
-
-    def test_fractional_shift_on_linear_ramp(self):
-        # bilinear interpolation reproduces linear images exactly
-        f1 = np.tile(np.arange(8.0), (6, 1))
-        f2 = f1 - 0.5
-        w = VectorField(np.full((6, 8), 0.5), np.zeros((6, 8)))
-        d = displaced_frame_difference(FramePair(f1, f2), w)
-        np.testing.assert_allclose(d[:, :-1], 0.0, atol=1e-12)
 
 
 class TestOFCResidual:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tvkit import grid, restore, synth
+from tvkit import functionals, grid, restore, solvers, synth
 from tvkit.functionals import tv_isotropic
 from tvkit.grid import Kernel
 from tvkit.restore import (
@@ -251,6 +251,46 @@ class TestBlindDeconvolve:
         assert len(report.step_norm_history) == n
         # the total also counts the initial image solve before alternation
         assert report.cg_iterations_total >= sum(report.cg_iters_history)
+
+    def test_one_kernel_step_and_one_image_step_per_alternation(self, monkeypatch):
+        # the initial image solve is the only full restore; every alternation
+        # after it makes one lagged kernel step and one lagged image step
+        steps, solves = [], []
+        lagged_tv_step, fixed_point = solvers.lagged_tv_step, solvers.tv_restore_fixed_point
+
+        def counting_step(*args, **kwargs):
+            steps.append(1)
+            return lagged_tv_step(*args, **kwargs)
+
+        def counting_solve(*args, **kwargs):
+            solves.append(fixed_point(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(solvers, "lagged_tv_step", counting_step)
+        monkeypatch.setattr(solvers, "tv_restore_fixed_point", counting_solve)
+        params = BlindParams(lam_image=3e-3, lam_kernel=0.5, solver=SolverConfig(max_outer=4))
+        _, _, report = blind_deconvolve(self.g, params)
+        assert len(solves) == 1
+        init_outer = solves[0][1].outer_iterations
+        assert report.outer_iterations == 4
+        assert len(steps) == init_outer + 2 * report.outer_iterations
+
+    def test_objective_is_the_restoration_objective_plus_kernel_tv(self):
+        params = BlindParams(lam_image=3e-3, lam_kernel=0.5, solver=SolverConfig(max_outer=4))
+        f, khat, report = blind_deconvolve(self.g, params)
+        expected = (functionals.tv_objective(f, self.g, khat, params.lam_image, params.alpha)
+                    + params.lam_kernel * tv_isotropic(khat.weights, params.alpha))
+        assert report.objective_history[-1] == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_piecewise_fixture_descends_and_converges(self):
+        # the fixture of acceptance test 08
+        clean, _ = synth.make_piecewise64()
+        g = grid.convolve(clean, self.ktrue)
+        params = BlindParams(lam_image=3e-3, lam_kernel=0.5, kernel_size=3,
+                             solver=SolverConfig(max_outer=60))
+        _, _, report = blind_deconvolve(g, params)
+        assert report.objective_monotone
+        assert report.converged
 
     def test_kernel0_shape_validated(self):
         with pytest.raises(ValueError):
