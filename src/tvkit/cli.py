@@ -204,7 +204,8 @@ def _flush_partial(args: argparse.Namespace, err: SolverDivergenceError) -> None
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iter", type=int, default=50, help="outer iteration cap")
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_outer,
+                   help="outer iteration cap")
     p.add_argument(
         "--tol",
         type=float,
@@ -237,25 +238,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     tv_variants = [v.value for v in TVVariant]
 
-    p = _add_image_command(sub, "denoise", "TV denoising", lam=0.05)
-    p.add_argument("--variant", choices=tv_variants, default="iso")
+    p = _add_image_command(sub, "denoise", "TV denoising", lam=RestoreParams.lam)
+    p.add_argument("--variant", choices=tv_variants, default=RestoreParams.variant.value)
     p.set_defaults(run=_run_restore, psf="delta")
 
     p = _add_image_command(sub, "deconv", "TV deconvolution with a known kernel", lam=0.01)
     p.add_argument("--psf", required=True, help="blur kernel (see parse_kernel)")
-    p.add_argument("--variant", choices=tv_variants, default="iso")
+    p.add_argument("--variant", choices=tv_variants, default=RestoreParams.variant.value)
     p.set_defaults(run=_run_restore)
 
     p = _add_image_command(
         sub,
         "blind",
         "alternating-minimization blind deconvolution",
-        lam=1e-3,
+        lam=BlindParams.lam_image,
         lam_help="image TV weight",
     )
     p.add_argument("--kernel-out", type=Path, default=None, help="write the estimated kernel here")
-    p.add_argument("--lambda-kernel", dest="lam_kernel", type=float, default=1e-3)
-    p.add_argument("--kernel-size", dest="kernel_size", type=int, default=3)
+    p.add_argument("--lambda-kernel", dest="lam_kernel", type=float,
+                   default=BlindParams.lam_kernel)
+    p.add_argument("--kernel-size", dest="kernel_size", type=int, default=BlindParams.kernel_size)
     p.add_argument("--init-psf", dest="init_psf", default=None, help="initial kernel guess")
     p.set_defaults(run=_run_blind)
 
@@ -263,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", type=Path, help="frame 1 (PGM)")
     p.add_argument("input2", type=Path, help="frame 2 (PGM)")
     p.add_argument("output", type=Path, help="output .flo")
-    p.add_argument("--variant", choices=[v.value for v in FlowVariant], default="tv")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--variant", choices=[v.value for v in FlowVariant],
+                   default=FlowParams.variant.value)
+    p.add_argument("--lambda", dest="lam", type=float, default=FlowParams.lam)
+    p.add_argument("--eps", type=float, default=FlowParams.eps)
     p.add_argument("--gt", type=Path, default=None, help="ground-truth .flo for EPE")
     _add_solver_flags(p)
     p.set_defaults(run=_run_flow)

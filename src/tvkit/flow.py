@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -103,12 +104,14 @@ def image_derivatives(pair: FramePair) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def ofc_residual(
-    fx: np.ndarray, fy: np.ndarray, ft: np.ndarray, w: VectorField
+    fx: np.ndarray, fy: np.ndarray, ft: np.ndarray, w: VectorField | np.ndarray
 ) -> np.ndarray:
-    """Linearized brightness-constancy residual fx*u + fy*v + ft."""
-    if not (fx.shape == fy.shape == ft.shape == w.u.shape == w.v.shape):
+    """Linearized brightness-constancy residual fx*u + fy*v + ft, for a
+    `VectorField` ``w`` or the stacked (2, H, W) array of (u, v)."""
+    u, v = w
+    if not (fx.shape == fy.shape == ft.shape == u.shape == v.shape):
         raise ValueError("derivative and flow shapes must match")
-    return fx * w.u + fy * w.v + ft
+    return fx * u + fy * v + ft
 
 
 def diffusion_tensor(fgrad: VectorField, eps: float) -> DiffusionTensor:
@@ -160,8 +163,9 @@ def apply_tensor_diffusion(
     return divergence(VectorField(gx, py), out=out)
 
 
-def flow_smoothness_weights(w: VectorField, eps: float) -> np.ndarray:
-    """Shared per-pixel TV weight 1/sqrt(|grad u|^2 + |grad v|^2 + eps^2).
+def flow_smoothness_weights(w: VectorField | np.ndarray, eps: float) -> np.ndarray:
+    """Shared per-pixel TV weight 1/sqrt(|grad u|^2 + |grad v|^2 + eps^2),
+    for a `VectorField` ``w`` or the stacked (2, H, W) array of (u, v).
 
     This is the isotropic diffusivity weight of `functionals.diffusion_weights`
     for the stacked (u, v) field, with ``eps`` as the smoothing ``alpha``.
@@ -169,10 +173,10 @@ def flow_smoothness_weights(w: VectorField, eps: float) -> np.ndarray:
     `functionals.apply_weighted_laplacian` gives the lagged TV operator
     coupling u and v through a common edge set.
     """
-    return functionals.diffusion_weights(np.stack(w), eps)[0]
+    return functionals.diffusion_weights(np.asarray(w), eps)[0]
 
 
-def _solve_linear_flow(fx, fy, ft, smooth, work, x0, cfg, forcing):
+def _solve_linear_flow(fx, fy, ft, smooth, scale, work, x0, cfg, forcing):
     """One CG solve of the coupled system
 
         [fx^2 + lam*S, fx*fy      ] [u]   [-fx*ft]
@@ -180,9 +184,11 @@ def _solve_linear_flow(fx, fy, ft, smooth, work, x0, cfg, forcing):
 
     with S the (positive semi-definite) smoothness operator, on the
     stacked (2, H, W) unknown, stopped at `conjugate_gradient`'s
-    ``forcing`` tolerance.  ``smooth(w, out, work)`` writes ``lam * S w``
-    for the whole stacked ``w`` into ``out``; ``work`` holds the (2, H, W)
-    arrays it needs, at least two, which the data rows reuse after it.
+    ``forcing`` tolerance.  ``smooth(w, out=, work=)`` writes a smoothing
+    of the whole stacked ``w`` into ``out``, and ``scale`` times it is
+    ``lam * S w``: ``lam`` for the weighted Laplacian (TV), ``-lam`` for
+    the tensor diffusion (image-driven).  ``work`` holds the (2, H, W)
+    arrays ``smooth`` needs, at least two, which the data rows reuse after it.
     Every CG iteration writes ``A w`` into one buffer of this solve, so no
     iteration allocates a field.  An overflow in the operator is left to
     CG's non-finite check, which raises `SolverDivergenceError`."""
@@ -193,7 +199,8 @@ def _solve_linear_flow(fx, fy, ft, smooth, work, x0, cfg, forcing):
     def apply_A(wvec):
         u, v = wvec[0], wvec[1]
         with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
-            smooth(wvec, Aw, work)
+            smooth(wvec, out=Aw, work=work)
+            np.multiply(Aw, scale, out=Aw)
             np.multiply(fxx, u, out=tu[0])
             np.multiply(fxy, u, out=tu[1])
             np.multiply(fxy, v, out=tv[0])
@@ -226,19 +233,15 @@ def flow_image_driven(
     fx, fy, ft = image_derivatives(pair)
     tensor = diffusion_tensor(centered_gradient(pair.f1), params.eps)
 
-    def smooth(wvec, out, work):
-        # lam * (-div) as one scaling by -lam
-        apply_tensor_diffusion(tensor, wvec, out=out, work=work)
-        return np.multiply(out, -params.lam, out=out)
-
-    # one cold solve from zero flow (x0=None, so r0 = b): no forcing term
+    # one cold solve from zero flow (x0=None, so r0 = b): no forcing term;
+    # S = -div(D grad), so lam * S is the tensor diffusion scaled by -lam
     wvec, cg_iters, cg_ok = _solve_linear_flow(
-        fx, fy, ft, smooth, _buffers(3, (2,) + pair.shape), None, params.solver, forcing=0.0
+        fx, fy, ft, partial(apply_tensor_diffusion, tensor), -params.lam,
+        _buffers(3, (2,) + pair.shape), None, params.solver, forcing=0.0
     )
-    w = VectorField(wvec[0], wvec[1])
-    r = ofc_residual(fx, fy, ft, w)
+    r = ofc_residual(fx, fy, ft, wvec)
     s = -apply_tensor_diffusion(tensor, wvec)  # S u and S v
-    energy = float(np.sum(r * r)) + params.lam * (inner(w.u, s[0]) + inner(w.v, s[1]))
+    energy = float(np.sum(r * r)) + params.lam * (inner(wvec[0], s[0]) + inner(wvec[1], s[1]))
     report = SolveReport(
         converged=cg_ok,
         objective_history=[energy],
@@ -248,7 +251,7 @@ def flow_image_driven(
         cg_converged_history=[cg_ok],
         forcing=0.0,
     )
-    return w, report
+    return VectorField(*wvec), report
 
 
 def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveReport]:
@@ -263,17 +266,13 @@ def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveRepo
     work = _buffers(2, (2,) + pair.shape)
 
     def step(wvec):
-        weights = flow_smoothness_weights(VectorField(wvec[0], wvec[1]), params.eps)
-
-        def smooth(z, out, work):
-            functionals.apply_weighted_laplacian(weights, weights, z, out=out, work=work)
-            return np.multiply(out, params.lam, out=out)
-
-        return _solve_linear_flow(fx, fy, ft, smooth, work, wvec, params.solver,
-                                  forcing=params.solver.forcing)
+        weights = flow_smoothness_weights(wvec, params.eps)
+        return _solve_linear_flow(
+            fx, fy, ft, partial(functionals.apply_weighted_laplacian, weights, weights),
+            params.lam, work, wvec, params.solver, forcing=params.solver.forcing)
 
     def objective(wvec):
-        r = ofc_residual(fx, fy, ft, VectorField(wvec[0], wvec[1]))
+        r = ofc_residual(fx, fy, ft, wvec)
         return float(np.sum(r * r)) + 2.0 * params.lam * functionals.tv_isotropic(
             wvec, params.eps
         )
@@ -281,7 +280,7 @@ def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveRepo
     wvec, report = solvers.lagged_loop(
         step, objective, np.zeros((2,) + pair.shape), params.solver
     )
-    return VectorField(wvec[0], wvec[1]), report
+    return VectorField(*wvec), report
 
 
 def estimate_flow(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveReport]:

@@ -131,17 +131,11 @@ def tv_deconvolve(
     )
 
 
-def _image_times_kernel(fp: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The blur of an image by the kernel ``weights``, as a linear map of the
-    kernel with the image fixed.  ``fp`` is the image edge-padded by half
-    the kernel size on each side (`grid.pad_edge`); the map is
-    `grid.convolve`'s tap loop over it, whatever the kernel's rank."""
-    return _taps(fp, weights)
-
-
 def _image_times_kernel_adjoint(fp: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Adjoint of `_image_times_kernel` in its kernel argument: correlate the
-    residual against the padded image ``fp`` at each tap offset."""
+    """Adjoint of the kernel map ``h -> grid._taps(fp, h)``, the blur of the
+    image by the kernel ``h`` with the image fixed (``fp`` is the image
+    edge-padded by half the kernel size on each side, `grid.pad_edge`):
+    correlate the residual against ``fp`` at each tap offset."""
     h, w = r.shape
     out = np.empty((fp.shape[0] - h + 1, fp.shape[1] - w + 1))
     for b in range(out.shape[0]):
@@ -164,17 +158,17 @@ def _project_kernel(weights: np.ndarray) -> np.ndarray:
 def _kernel_step(
     g: np.ndarray, f: np.ndarray, h_k: np.ndarray, params: BlindParams
 ) -> tuple[np.ndarray, int, bool]:
-    """TV-regularized LS solve for the kernel with the image fixed, followed
-    by the nonnegativity/unit-sum projection.  Returns the projected kernel
-    and the CG iteration count and converged flag."""
+    """One lagged TV step for the kernel with the image fixed, ``F h =
+    grid._taps(fp, h)`` over the edge-padded image, followed by the
+    nonnegativity/unit-sum projection.  The Jacobi scalar is ``sum(f^2)``,
+    the centre entry of ``diag(F^T F)``.  Returns the projected kernel and
+    the CG iteration count and converged flag."""
     # the image is fixed for the step: both maps read one padded copy
     fp = pad_edge(f, params.kernel_size // 2, params.kernel_size // 2)
-    # diag(F^T F): column (b, a) of F is the padded image shifted by that
-    # tap, so its squared norm correlates fp * fp with ones
-    ftf_diag = _image_times_kernel_adjoint(fp * fp, np.ones_like(f))
     h_new, iters, converged = solvers.lagged_tv_step(
-        lambda x: _image_times_kernel(fp, x), lambda r: _image_times_kernel_adjoint(fp, r),
-        g, h_k, ftf_diag, params.lam_kernel, params.alpha, TVVariant.ISOTROPIC, params.solver)
+        lambda x: _taps(fp, x), lambda r: _image_times_kernel_adjoint(fp, r),
+        g, h_k, float(np.sum(f * f)), params.lam_kernel, params.alpha, TVVariant.ISOTROPIC,
+        params.solver)
     return _project_kernel(h_new), iters, converged
 
 

@@ -240,14 +240,16 @@ def lagged_loop(
 
 def lagged_tv_step(
     K: Callable[[np.ndarray], np.ndarray], Kt: Callable[[np.ndarray], np.ndarray],
-    g: np.ndarray, x_k: np.ndarray, ktk_diag, lam: float, alpha: float,
+    g: np.ndarray, x_k: np.ndarray, ktk_diag: float, lam: float, alpha: float,
     variant: TVVariant, cfg: SolverConfig,
 ) -> tuple[np.ndarray, int, bool]:
     """Freeze the TV weights ``w`` at ``x_k`` and solve ``[K^T K + lam L(w)]
     x = K^T g`` by CG from ``x_k``, preconditioned by the inverse Jacobi
-    diagonal ``ktk_diag + lam diag(L(w))`` (``ktk_diag``, the diagonal of
-    ``K^T K``, is a scalar or shaped like ``x_k``).  CG stops at the forcing
-    tolerance ``cfg.forcing * ||r0||`` if that is looser than ``tol_cg``.
+    diagonal ``ktk_diag + lam diag(L(w))``.  ``ktk_diag`` is one scalar, the
+    interior diagonal entry of ``K^T K``: ``sum(h^2)`` for a blur ``h``,
+    ``sum(f^2)`` for the kernel map of an image ``f``.  CG stops at the
+    forcing tolerance ``cfg.forcing * ||r0||`` if that is looser than
+    ``tol_cg``.
     Returns `conjugate_gradient`'s triple; a non-finite diagonal raises
     `SolverDivergenceError`."""
     wx, wy = functionals.diffusion_weights(x_k, alpha, variant)

@@ -5,6 +5,7 @@ import pytest
 
 from tvkit import cli, fileio, grid, restore, synth
 from tvkit.cli import main, parse_kernel, read_kernel_text, write_kernel_text
+from tvkit.flow import FlowParams
 from tvkit.fileio import (
     FloFormatError,
     PgmParseError,
@@ -16,6 +17,7 @@ from tvkit.fileio import (
     write_report,
 )
 from tvkit.grid import Kernel, VectorField
+from tvkit.restore import BlindParams, RestoreParams
 from tvkit.solvers import SolveReport, SolverConfig, tv_restore_fixed_point
 
 
@@ -292,6 +294,34 @@ class TestParserDefaults:
     def test_solver_config_uses_library_forcing(self, argv):
         cfg = cli._solver_config(cli.build_parser().parse_args(argv))
         assert cfg.forcing == SolverConfig().forcing > 0
+
+    @pytest.mark.parametrize("command, solver, expected", [
+        ("denoise", (restore, "tv_deconvolve"), RestoreParams()),
+        ("deconv", (restore, "tv_deconvolve"), RestoreParams(lam=0.01)),
+        ("blind", (restore, "blind_deconvolve"), BlindParams()),
+        ("flow", (cli, "estimate_flow"), FlowParams()),
+    ], ids=["denoise", "deconv", "blind", "flow"])
+    def test_bare_command_builds_library_params(self, tmp_path, monkeypatch, command, solver,
+                                                 expected):
+        # each parser default is read from the library, so no flag builds
+        # the library's own params (deconv keeps its own --lambda)
+        class Built(Exception):
+            pass
+
+        def capture(*args, **kwargs):
+            raise Built(args[-1])
+
+        monkeypatch.setattr(*solver, capture)
+        src = tmp_path / "in.pgm"
+        write_pgm(src, np.random.default_rng(5).uniform(0.0, 1.0, (8, 8)))
+        argv = [command, str(src), str(tmp_path / "out.pgm")]
+        if command == "flow":
+            argv.insert(2, str(src))
+        if command == "deconv":
+            argv += ["--psf", "box3"]
+        with pytest.raises(Built) as built:
+            main(argv)
+        assert built.value.args[0] == expected
 
 
 class TestCliRuns:

@@ -85,6 +85,12 @@ class TestOFCResidual:
         np.testing.assert_array_equal(ofc_residual(fx, fy, ft, w),
                                       fx * w.u + fy * w.v + ft)
 
+    def test_stacked_field_matches_vector_field(self):
+        rng = np.random.default_rng(8)
+        fx, fy, ft = (rng.standard_normal((4, 5)) for _ in range(3))
+        w = VectorField(rng.standard_normal((4, 5)), rng.standard_normal((4, 5)))
+        assert np.array_equal(ofc_residual(fx, fy, ft, np.stack(w)), ofc_residual(fx, fy, ft, w))
+
 
 class TestDiffusionTensor:
     def test_flat_region_is_half_identity(self):
@@ -277,6 +283,12 @@ class TestSmoothnessWeights:
         w = flow_smoothness_weights(wf, 0.1)
         assert w.min() > 0.0
         assert w.max() <= 10.0 + 1e-12
+
+    def test_stacked_field_matches_vector_field(self):
+        rng = np.random.default_rng(23)
+        wf = VectorField(rng.standard_normal((6, 7)), rng.standard_normal((6, 7)))
+        assert np.array_equal(flow_smoothness_weights(np.stack(wf), 0.05),
+                              flow_smoothness_weights(wf, 0.05))
 
 
 class TestImageDrivenFlow:

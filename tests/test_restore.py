@@ -308,7 +308,7 @@ class TestBlindDeconvolve:
         h = rng.standard_normal((ks, ks))
         r = rng.standard_normal(shape)
         fp = grid.pad_edge(f, ks // 2, ks // 2)
-        lhs = grid.inner(restore._image_times_kernel(fp, h), r)
+        lhs = grid.inner(grid._taps(fp, h), r)
         rhs = grid.inner(h, restore._image_times_kernel_adjoint(fp, r))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -319,7 +319,7 @@ class TestBlindDeconvolve:
         f = rng.standard_normal((9, 7))
         h = rng.uniform(0.0, 1.0, (ks, ks))
         assert Kernel(h).factors is None
-        got = restore._image_times_kernel(grid.pad_edge(f, ks // 2, ks // 2), h)
+        got = grid._taps(grid.pad_edge(f, ks // 2, ks // 2), h)
         assert np.array_equal(got, grid.convolve(f, Kernel(h)))
 
     @pytest.mark.parametrize("ks", [3, 5])
@@ -328,7 +328,7 @@ class TestBlindDeconvolve:
         rng = np.random.default_rng(43)
         fp = grid.pad_edge(rng.standard_normal((4, 5)), ks // 2, ks // 2)
         A = np.column_stack([
-            restore._image_times_kernel(fp, e.reshape(ks, ks)).ravel()
+            grid._taps(fp, e.reshape(ks, ks)).ravel()
             for e in np.eye(ks * ks)
         ])
         At = np.column_stack([
@@ -344,9 +344,35 @@ class TestBlindDeconvolve:
         rng = np.random.default_rng(53)
         f = rng.standard_normal(shape)
         fp = grid.pad_edge(f, ks // 2, ks // 2)
-        A = materialize(lambda x: restore._image_times_kernel(fp, x), (ks, ks))
+        A = materialize(lambda x: grid._taps(fp, x), (ks, ks))
         got = restore._image_times_kernel_adjoint(fp * fp, np.ones_like(f))
         np.testing.assert_allclose(got.ravel(), np.diag(A.T @ A), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("ks", [3, 5])
+    @pytest.mark.parametrize("shape", [(2, 3), (7, 9)])
+    def test_kernel_step_jacobi_scalar_is_centre_entry(self, shape, ks):
+        # the kernel step's Jacobi scalar sum(f^2): the centre tap's column
+        # of F is the unshifted image
+        rng = np.random.default_rng(61)
+        f = rng.standard_normal(shape)
+        A = materialize(lambda x: grid._taps(grid.pad_edge(f, ks // 2, ks // 2), x), (ks, ks))
+        centre = (ks * ks) // 2
+        assert np.sum(f * f) == pytest.approx((A.T @ A)[centre, centre], rel=1e-13)
+
+    def test_kernel_step_applies_the_adjoint_once_per_cg_iteration(self, monkeypatch):
+        # K^T g, the warm-start residual and one per CG iteration: the
+        # Jacobi scalar needs no adjoint call of its own
+        adjoint, calls = restore._image_times_kernel_adjoint, []
+
+        def counting_adjoint(fp, r):
+            calls.append(1)
+            return adjoint(fp, r)
+
+        monkeypatch.setattr(restore, "_image_times_kernel_adjoint", counting_adjoint)
+        _, iters, _ = restore._kernel_step(self.g, self.clean, Kernel.delta(3).weights,
+                                           BlindParams())
+        assert iters > 0
+        assert len(calls) == iters + 2
 
     def test_unregularized_kernel_step_is_projected_least_squares(self):
         # lam_kernel = 0 leaves only the data term: the step is the projected
@@ -356,7 +382,7 @@ class TestBlindDeconvolve:
         g = grid.convolve(f, self.ktrue) + 0.01 * rng.standard_normal((8, 8))
         params = BlindParams(lam_kernel=0.0, solver=SolverConfig(tol_cg=1e-12, forcing=0.0))
         h, _, converged = restore._kernel_step(g, f, Kernel.delta(3).weights, params)
-        A = materialize(lambda x: restore._image_times_kernel(grid.pad_edge(f, 1, 1), x), (3, 3))
+        A = materialize(lambda x: grid._taps(grid.pad_edge(f, 1, 1), x), (3, 3))
         h_ls = np.linalg.lstsq(A, g.ravel(), rcond=None)[0].reshape(3, 3)
         assert converged
         np.testing.assert_allclose(h, restore._project_kernel(h_ls), rtol=1e-9, atol=1e-12)
