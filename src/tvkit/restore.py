@@ -9,13 +9,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import functionals, solvers
 from .functionals import TVVariant
-from .grid import Kernel, _taps, convolve, convolve_adjoint, pad_edge
+from .grid import Kernel, convolve, convolve_adjoint, pad_edge
 from .solvers import SolverConfig, SolveReport
 
 PSNR_CAP_DB = 300.0
+# floats of the patch matrix that `_kernel_gram` holds at once (2 MB): one
+# strip on a 64x64 image, while a 512x512 image with a 7x7 kernel would
+# otherwise copy a 100 MB patch matrix
+_GRAM_STRIP_FLOATS = 1 << 18
 
 
 class DegenerateKernelError(solvers.SolverDivergenceError):
@@ -155,21 +160,50 @@ def _project_kernel(weights: np.ndarray) -> np.ndarray:
     return clipped / total
 
 
+def _kernel_gram(fp: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``F^T F`` of the kernel map ``F h = grid._taps(fp, h)`` for an image of
+    ``shape``: the Gram matrix ``P P^T`` of the patch matrix ``P``, whose row
+    for tap ``(b, a)`` is ``fp[b:b+H, a:a+W]`` flattened, accumulated over
+    row strips of at most about ``_GRAM_STRIP_FLOATS`` floats of ``P``."""
+    h, w = shape
+    ky, kx = fp.shape[0] - h + 1, fp.shape[1] - w + 1
+    rows = max(1, _GRAM_STRIP_FLOATS // (ky * kx * w))
+    gram = np.zeros((ky * kx, ky * kx))
+    for top in range(0, h, rows):
+        n = min(rows, h - top)
+        strip = sliding_window_view(fp[top : top + n + ky - 1], (n, w)).reshape(ky * kx, n * w)
+        gram += strip @ strip.T
+        del strip  # freed before the next strip is copied: one strip held at a time
+    return gram
+
+
 def _kernel_step(
     g: np.ndarray, f: np.ndarray, h_k: np.ndarray, params: BlindParams
 ) -> tuple[np.ndarray, int, bool]:
-    """One lagged TV step for the kernel with the image fixed, ``F h =
+    """One exact lagged TV step for the kernel with the image fixed, ``F h =
     grid._taps(fp, h)`` over the edge-padded image, followed by the
-    nonnegativity/unit-sum projection.  The Jacobi scalar is ``sum(f^2)``,
-    the centre entry of ``diag(F^T F)``.  Returns the projected kernel and
-    the CG iteration count and converged flag."""
-    # the image is fixed for the step: both maps read one padded copy
-    fp = pad_edge(f, params.kernel_size // 2, params.kernel_size // 2)
-    h_new, iters, converged = solvers.lagged_tv_step(
-        lambda x: _taps(fp, x), lambda r: _image_times_kernel_adjoint(fp, r),
-        g, h_k, float(np.sum(f * f)), params.lam_kernel, params.alpha, TVVariant.ISOTROPIC,
-        params.solver)
-    return _project_kernel(h_new), iters, converged
+    nonnegativity/unit-sum projection.  The kernel has only ``k^2``
+    unknowns, so the frozen system ``[F^T F + lam_kernel L(w(h_k))] h =
+    F^T g`` is built as a dense ``k^2 x k^2`` matrix (`_kernel_gram`, and
+    the weighted Laplacian of the ``k^2`` unit kernels) and solved for the
+    correction to ``h_k``.  A singular system (``lam_kernel = 0`` on a flat
+    image) takes the minimum-norm correction.  Returns the projected kernel,
+    0 CG iterations and ``True``: the step runs no CG."""
+    ks = params.kernel_size
+    fp = pad_edge(f, ks // 2, ks // 2)
+    wx, wy = functionals.diffusion_weights(h_k, params.alpha)
+    units = np.eye(ks * ks).reshape(ks * ks, ks, ks)
+    # row i is L applied to unit kernel i; L is symmetric, so this is L itself
+    lap = functionals.apply_weighted_laplacian(wx, wy, units).reshape(ks * ks, ks * ks)
+    A = _kernel_gram(fp, f.shape) + params.lam_kernel * lap
+    r0 = _image_times_kernel_adjoint(fp, g).ravel() - A @ h_k.ravel()
+    try:
+        delta = np.linalg.solve(A, r0)
+    except np.linalg.LinAlgError:
+        delta = np.linalg.lstsq(A, r0, rcond=None)[0]
+    if not np.all(np.isfinite(delta)):
+        raise solvers.SolverDivergenceError("non-finite kernel step")
+    return _project_kernel(h_k + delta.reshape(ks, ks)), 0, True
 
 
 def blind_deconvolve(
@@ -182,7 +216,8 @@ def blind_deconvolve(
 
     Starting from ``kernel0`` (a centered delta by default), first solves
     the image problem for that kernel (`tv_deconvolve`).  Each alternation
-    after that makes one lagged kernel step and then one lagged image step
+    after that makes one exact lagged kernel step (`_kernel_step`, a dense
+    solve with no CG) and then one lagged image step
     (`solvers.lagged_restore_step`) with the new kernel, until the image
     stops moving or the iteration cap is hit.  The kernel is projected to
     be nonnegative with unit sum after every kernel step, removing the
@@ -190,10 +225,11 @@ def blind_deconvolve(
     `functionals.tv_objective` of the image with the kernel, plus
     ``lam_kernel`` times the kernel's isotropic TV.
 
-    The report's histories are per alternation; ``cg_iterations_total``
-    additionally counts the initial image solve, so it can exceed the sum
-    of ``cg_iters_history``.  ``converged`` also requires every CG solve of
-    the initial image solve to have converged.
+    The report's histories are per alternation, and its CG counts are the
+    image steps'; ``cg_iterations_total`` additionally counts the initial
+    image solve, so it can exceed the sum of ``cg_iters_history``.
+    ``converged`` also requires every CG solve of the initial image solve
+    to have converged.
     """
     g = np.asarray(g, dtype=np.float64)
     ks = params.kernel_size

@@ -7,7 +7,7 @@ The restoration fixed point solves
 where ``L(f_k)`` is the TV operator with diffusivity weights frozen at the
 previous iterate.  Freezing the weights makes each outer step a linear SPD
 solve, done by `lagged_tv_step` (Jacobi-preconditioned CG) for restore and
-both halves of blind deconvolution; flow runs plain CG on its own system.
+blind deconvolution's image step; flow runs plain CG on its own system.
 Because the TV potential is concave in the squared gradient the step
 minimizes a majorizer of the true objective, so the objective decreases
 monotonically up to solver tolerance.
@@ -246,10 +246,9 @@ def lagged_tv_step(
     """Freeze the TV weights ``w`` at ``x_k`` and solve ``[K^T K + lam L(w)]
     x = K^T g`` by CG from ``x_k``, preconditioned by the inverse Jacobi
     diagonal ``ktk_diag + lam diag(L(w))``.  ``ktk_diag`` is one scalar, the
-    interior diagonal entry of ``K^T K``: ``sum(h^2)`` for a blur ``h``,
-    ``sum(f^2)`` for the kernel map of an image ``f``.  CG stops at the
-    forcing tolerance ``cfg.forcing * ||r0||`` if that is looser than
-    ``tol_cg``.
+    interior diagonal entry of ``K^T K``: ``sum(h^2)`` for a blur ``h``.  CG
+    stops at the forcing tolerance ``cfg.forcing * ||r0||`` if that is
+    looser than ``tol_cg``.
     Returns `conjugate_gradient`'s triple; a non-finite diagonal raises
     `SolverDivergenceError`."""
     wx, wy = functionals.diffusion_weights(x_k, alpha, variant)

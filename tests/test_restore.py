@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,26 +256,34 @@ class TestBlindDeconvolve:
 
     def test_one_kernel_step_and_one_image_step_per_alternation(self, monkeypatch):
         # the initial image solve is the only full restore; every alternation
-        # after it makes one lagged kernel step and one lagged image step
-        steps, solves = [], []
+        # after it makes one kernel step and one lagged image step, and only
+        # the image steps go through lagged_tv_step
+        steps, kernel_steps, solves = [], [], []
         lagged_tv_step, fixed_point = solvers.lagged_tv_step, solvers.tv_restore_fixed_point
+        kernel_step = restore._kernel_step
 
         def counting_step(*args, **kwargs):
             steps.append(1)
             return lagged_tv_step(*args, **kwargs)
+
+        def counting_kernel_step(*args, **kwargs):
+            kernel_steps.append(1)
+            return kernel_step(*args, **kwargs)
 
         def counting_solve(*args, **kwargs):
             solves.append(fixed_point(*args, **kwargs))
             return solves[-1]
 
         monkeypatch.setattr(solvers, "lagged_tv_step", counting_step)
+        monkeypatch.setattr(restore, "_kernel_step", counting_kernel_step)
         monkeypatch.setattr(solvers, "tv_restore_fixed_point", counting_solve)
         params = BlindParams(lam_image=3e-3, lam_kernel=0.5, solver=SolverConfig(max_outer=4))
         _, _, report = blind_deconvolve(self.g, params)
         assert len(solves) == 1
         init_outer = solves[0][1].outer_iterations
         assert report.outer_iterations == 4
-        assert len(steps) == init_outer + 2 * report.outer_iterations
+        assert len(kernel_steps) == report.outer_iterations
+        assert len(steps) == init_outer + report.outer_iterations
 
     def test_objective_is_the_restoration_objective_plus_kernel_tv(self):
         params = BlindParams(lam_image=3e-3, lam_kernel=0.5, solver=SolverConfig(max_outer=4))
@@ -340,7 +350,8 @@ class TestBlindDeconvolve:
     @pytest.mark.parametrize("ks", [3, 5])
     @pytest.mark.parametrize("shape", [(2, 3), (7, 9)])
     def test_kernel_step_jacobi_diagonal(self, shape, ks):
-        # the kernel step's preconditioner: diag(F^T F) of the dense F
+        # diag(F^T F) of the dense F is the adjoint of the squared image
+        # applied to a field of ones
         rng = np.random.default_rng(53)
         f = rng.standard_normal(shape)
         fp = grid.pad_edge(f, ks // 2, ks // 2)
@@ -351,17 +362,17 @@ class TestBlindDeconvolve:
     @pytest.mark.parametrize("ks", [3, 5])
     @pytest.mark.parametrize("shape", [(2, 3), (7, 9)])
     def test_kernel_step_jacobi_scalar_is_centre_entry(self, shape, ks):
-        # the kernel step's Jacobi scalar sum(f^2): the centre tap's column
-        # of F is the unshifted image
+        # the centre entry of F^T F is sum(f^2): the centre tap's column of
+        # F is the unshifted image
         rng = np.random.default_rng(61)
         f = rng.standard_normal(shape)
         A = materialize(lambda x: grid._taps(grid.pad_edge(f, ks // 2, ks // 2), x), (ks, ks))
         centre = (ks * ks) // 2
         assert np.sum(f * f) == pytest.approx((A.T @ A)[centre, centre], rel=1e-13)
 
-    def test_kernel_step_applies_the_adjoint_once_per_cg_iteration(self, monkeypatch):
-        # K^T g, the warm-start residual and one per CG iteration: the
-        # Jacobi scalar needs no adjoint call of its own
+    def test_kernel_step_applies_the_adjoint_once_per_kernel_step(self, monkeypatch):
+        # F^T g is the step's one adjoint call; F^T F comes from the patch
+        # Gram, and no CG runs
         adjoint, calls = restore._image_times_kernel_adjoint, []
 
         def counting_adjoint(fp, r):
@@ -369,10 +380,63 @@ class TestBlindDeconvolve:
             return adjoint(fp, r)
 
         monkeypatch.setattr(restore, "_image_times_kernel_adjoint", counting_adjoint)
-        _, iters, _ = restore._kernel_step(self.g, self.clean, Kernel.delta(3).weights,
-                                           BlindParams())
-        assert iters > 0
-        assert len(calls) == iters + 2
+        _, iters, converged = restore._kernel_step(self.g, self.clean, Kernel.delta(3).weights,
+                                                   BlindParams())
+        assert iters == 0 and converged
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("ks", [3, 5])
+    def test_kernel_step_is_the_projected_dense_lagged_solve(self, ks):
+        # [F^T F + lam_h L(w(h_k))] h = F^T g with F and L materialized
+        rng = np.random.default_rng(67)
+        f = rng.uniform(0.0, 1.0, (11, 8))
+        h_k = restore._project_kernel(rng.uniform(0.0, 1.0, (ks, ks)))
+        g = grid.convolve(f, Kernel(h_k)) + 0.01 * rng.standard_normal(f.shape)
+        params = BlindParams(lam_kernel=0.05, kernel_size=ks)
+        fp = grid.pad_edge(f, ks // 2, ks // 2)
+        F = materialize(lambda x: grid._taps(fp, x), (ks, ks))
+        wx, wy = functionals.diffusion_weights(h_k, params.alpha)
+        L = materialize(lambda x: functionals.apply_weighted_laplacian(wx, wy, x), (ks, ks))
+        h_dense = np.linalg.solve(F.T @ F + params.lam_kernel * L, F.T @ g.ravel())
+        h, iters, converged = restore._kernel_step(g, f, h_k, params)
+        assert iters == 0 and converged
+        np.testing.assert_allclose(h, restore._project_kernel(h_dense.reshape(ks, ks)),
+                                   rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("ks", [3, 5])
+    def test_kernel_gram_strips_sum_to_one_strip(self, ks, monkeypatch):
+        rng = np.random.default_rng(71)
+        f = rng.standard_normal((13, 10))
+        fp = grid.pad_edge(f, ks // 2, ks // 2)
+        one_strip = restore._kernel_gram(fp, f.shape)
+        F = materialize(lambda x: grid._taps(fp, x), (ks, ks))
+        np.testing.assert_allclose(one_strip, F.T @ F, rtol=1e-13, atol=0)
+        # a strip of 3 image rows: 5 strips, the last one short
+        monkeypatch.setattr(restore, "_GRAM_STRIP_FLOATS", 3 * ks * ks * 10)
+        strips = restore._kernel_gram(fp, f.shape)
+        assert np.abs(strips - one_strip).max() <= 1e-13 * np.abs(one_strip).max()
+
+    def test_singular_kernel_system_keeps_the_projected_kernel(self):
+        # lam_kernel = 0 on a flat image: F^T F has rank 1 and the system is
+        # singular; the minimum-norm correction of a consistent system is zero
+        f = np.full((8, 8), 0.5)
+        h_k = restore._project_kernel(np.arange(1.0, 10.0).reshape(3, 3))
+        h, iters, converged = restore._kernel_step(f, f, h_k, BlindParams(lam_kernel=0.0))
+        assert iters == 0 and converged
+        np.testing.assert_allclose(h, restore._project_kernel(h_k), rtol=1e-12, atol=1e-15)
+
+    def test_kernel_step_memory_is_bounded_by_the_strip(self):
+        # one 2 MB strip of the patch matrix, the padded image and the
+        # adjoint's temporaries; the whole 49 x 256^2 patch matrix is 25.7 MB
+        rng = np.random.default_rng(73)
+        f = rng.uniform(0.0, 1.0, (256, 256))
+        tracemalloc.start()
+        try:
+            restore._kernel_step(f, f, Kernel.delta(7).weights, BlindParams(kernel_size=7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_unregularized_kernel_step_is_projected_least_squares(self):
         # lam_kernel = 0 leaves only the data term: the step is the projected
