@@ -233,16 +233,26 @@ def _fold_edge(fp: np.ndarray, cy: int, cx: int) -> np.ndarray:
     return fp[cy : cy + h, cx : cx + w]
 
 
-def _taps(fp: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _taps(fp: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``out = sum_ba w[b, a] * fp[b:b+H, a:a+W]`` over the nonzero taps,
-    where ``(H, W)`` is the shape of ``fp`` less the kernel's extent."""
+    where ``(H, W)`` is the shape of ``fp`` less the kernel's extent.  The
+    first tap is written, not added to zeros (``0 + x == x``), so ``out``
+    may hold anything beforehand; with no nonzero tap it is zeroed."""
     kh, kw = w.shape
     h, wd = fp.shape[0] - kh + 1, fp.shape[1] - kw + 1
-    out = np.zeros((h, wd))
+    if out is None:
+        out = np.empty((h, wd))
+    first = True
     for b in range(kh):
         for a in range(kw):
             if w[b, a] != 0.0:
-                out += w[b, a] * fp[b : b + h, a : a + wd]
+                if first:
+                    np.multiply(w[b, a], fp[b : b + h, a : a + wd], out=out)
+                    first = False
+                else:
+                    out += w[b, a] * fp[b : b + h, a : a + wd]
+    if first:
+        out.fill(0.0)
     return out
 
 
@@ -255,39 +265,66 @@ def _stages(kernel: Kernel) -> list[np.ndarray]:
     return [row[None, :], col[:, None]]
 
 
-def convolve(f: np.ndarray, kernel: Kernel) -> np.ndarray:
+def _check_out(out: Optional[np.ndarray], shape: tuple[int, ...]) -> None:
+    """Reject an ``out=`` buffer that is not a C-contiguous float64 array of
+    ``shape``: numpy would broadcast into a larger one, or cast into
+    another dtype, without a word."""
+    if out is not None and not (out.shape == shape and out.dtype == np.float64
+                                and out.flags.c_contiguous):
+        raise ValueError(f"out= must be a C-contiguous float64 array of shape {shape}")
+
+
+def convolve(f: np.ndarray, kernel: Kernel, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the kernel to the field (correlation-style, replicate boundary).
 
     Spatial-domain tap loop, linear in ``f``; the delta kernel is the exact
     identity.  A kernel with `Kernel.factors` runs as a row pass and then a
     column pass (``kh + kw`` taps, not ``kh*kw``): the replicate pad
     factors over the two axes, so the result matches the tap loop to
-    rounding.
+    rounding.  ``out``, a C-contiguous float64 array shaped like ``f`` and
+    distinct from it, receives the result and is returned; every entry is
+    written.
     """
-    out = np.asarray(f, dtype=np.float64)
-    for w in _stages(kernel):
-        out = _taps(pad_edge(out, w.shape[0] // 2, w.shape[1] // 2), w)
-    return out
+    x = np.asarray(f, dtype=np.float64)
+    _check_out(out, x.shape)
+    stages = _stages(kernel)
+    for n, w in enumerate(stages, 1):
+        cy, cx = w.shape[0] // 2, w.shape[1] // 2
+        # a 1x1 stage reads no neighbour: no pad copy
+        fp = x if cy == cx == 0 else pad_edge(x, cy, cx)
+        x = _taps(fp, w, out if n == len(stages) else None)
+    return x
 
 
-def convolve_adjoint(f: np.ndarray, kernel: Kernel) -> np.ndarray:
+def convolve_adjoint(f: np.ndarray, kernel: Kernel,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact adjoint of `convolve` under the same boundary rule.
 
     Runs the passes of `convolve` in reverse.  Each applies its flipped
     taps to the zero-extended field, which spreads each tap's contribution
     over the padded grid, then folds the pad back onto the border, so
     ``inner(convolve(x, k), y) == inner(x, convolve_adjoint(y, k))`` holds
-    to rounding for all x, y.  The result is a new C-contiguous array.
+    to rounding for all x, y.  The result is a new C-contiguous array, or
+    ``out``: a C-contiguous float64 array shaped like ``f`` and distinct
+    from it, which receives the result and is returned; every entry is
+    written.
     """
-    out = np.asarray(f, dtype=np.float64)
+    x = np.asarray(f, dtype=np.float64)
+    _check_out(out, x.shape)
+    if kernel.shape == (1, 1):
+        # nothing to spread or fold back
+        return _taps(x, kernel.weights, out)
     for w in reversed(_stages(kernel)):
         kh, kw = w.shape
         # fz stays bound through the final copy: freed before it, glibc
         # unmaps the block and the copy faults in fresh pages, which made
         # the minor page faults of a 256x256 denoise 4x as many
-        fz = _pad_zero(out, kh - 1, kw - 1)
-        out = _fold_edge(_taps(fz, w[::-1, ::-1]), kh // 2, kw // 2)
-    return out.copy()
+        fz = _pad_zero(x, kh - 1, kw - 1)
+        x = _fold_edge(_taps(fz, w[::-1, ::-1]), kh // 2, kw // 2)
+    if out is None:
+        return x.copy()
+    np.copyto(out, x)
+    return out
 
 
 def inner(f: np.ndarray, g: np.ndarray) -> float:

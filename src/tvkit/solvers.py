@@ -239,7 +239,7 @@ def lagged_loop(
 
 
 def lagged_tv_step(
-    K: Callable[[np.ndarray], np.ndarray], Kt: Callable[[np.ndarray], np.ndarray],
+    K: Callable[..., np.ndarray], Kt: Callable[..., np.ndarray],
     g: np.ndarray, x_k: np.ndarray, ktk_diag: float, lam: float, alpha: float,
     variant: TVVariant, cfg: SolverConfig,
 ) -> tuple[np.ndarray, int, bool]:
@@ -248,7 +248,13 @@ def lagged_tv_step(
     diagonal ``ktk_diag + lam diag(L(w))``.  ``ktk_diag`` is one scalar, the
     interior diagonal entry of ``K^T K``: ``sum(h^2)`` for a blur ``h``.  CG
     stops at the forcing tolerance ``cfg.forcing * ||r0||`` if that is
-    looser than ``tol_cg``.
+    looser than ``tol_cg``.  ``K`` and ``Kt`` take an ``out=`` array, as
+    `grid.convolve` and `grid.convolve_adjoint` do.  The step allocates the
+    operator's buffers once, four fields shaped like ``x_k``: the result
+    ``A x``, one that holds ``K x`` and then ``lam L(w) x``, and the two
+    weighted-gradient work arrays of `functionals.apply_weighted_laplacian`.
+    Its CG iterations then allocate only the pads of ``K`` and ``Kt`` (none
+    for the 1x1 delta kernel) and CG's own vector arithmetic.
     Returns `conjugate_gradient`'s triple; a non-finite diagonal raises
     `SolverDivergenceError`."""
     wx, wy = functionals.diffusion_weights(x_k, alpha, variant)
@@ -259,8 +265,15 @@ def lagged_tv_step(
     # a zero diagonal (zero kernel, no penalty) leaves its residual entries unscaled
     inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
 
+    Ax, lap, *work = (np.empty(x_k.shape) for _ in range(4))
+
     def apply_A(x):
-        return Kt(K(x)) + lam * functionals.apply_weighted_laplacian(wx, wy, x)
+        # Kt(K(x)) + lam * L(x) with the same operands in the same order;
+        # lap holds K(x) until Kt has read it
+        Kt(K(x, out=lap), out=Ax)
+        functionals.apply_weighted_laplacian(wx, wy, x, out=lap, work=work)
+        np.multiply(lap, lam, out=lap)
+        return np.add(Ax, lap, out=Ax)
 
     return conjugate_gradient(apply_A, Kt(g), x0=x_k, cfg=cfg, precond=lambda r: inv_diag * r,
                               forcing=cfg.forcing)
@@ -276,7 +289,8 @@ def lagged_restore_step(
     # diagonal of H^T H: exact away from the border, where the replicate
     # boundary folds taps onto the edge pixels
     hth_diag = float(np.sum(kernel.weights * kernel.weights))
-    return lagged_tv_step(lambda x: convolve(x, kernel), lambda y: convolve_adjoint(y, kernel),
+    return lagged_tv_step(lambda x, out=None: convolve(x, kernel, out=out),
+                          lambda y, out=None: convolve_adjoint(y, kernel, out=out),
                           g, f_k, hth_diag, lam, alpha, variant, cfg)
 
 

@@ -212,6 +212,61 @@ class TestOutBuffers:
         # the allocating calls are measured the same way
         assert peak_allocation(lambda: grid.gradient(f)) >= 2 * f.nbytes
 
+    # delta runs its one tap on f with no pad; box3, binomial3 and gaussian5
+    # are factored; the rank-2 kernel (third row = first + second) and the
+    # motion kernel run the full tap loop; the zero kernel has no tap
+    CONVOLVE_KERNELS = {
+        "delta": Kernel.delta(),
+        "box3": Kernel.box(3),
+        "binomial3": Kernel.binomial3(),
+        "gaussian5": Kernel.gaussian(5, 1.0),
+        "motion3": Kernel.motion_horizontal(3),
+        "rank2": Kernel(np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [1.5, 1.0, 3.0]])),
+        "zero": Kernel(np.zeros((3, 3))),
+    }
+    CONVOLVE_SHAPES = [(1, 1), (1, 5), (5, 1), (6, 7)]
+
+    @pytest.mark.parametrize("op", [grid.convolve, grid.convolve_adjoint],
+                             ids=["convolve", "adjoint"])
+    @pytest.mark.parametrize("name", CONVOLVE_KERNELS)
+    @pytest.mark.parametrize("shape", CONVOLVE_SHAPES)
+    def test_convolution_fills_given_buffer(self, op, name, shape):
+        k = self.CONVOLVE_KERNELS[name]
+        f = np.random.default_rng(83).standard_normal(shape)
+        out = np.full(shape, np.nan)
+        assert op(f, k, out=out) is out
+        assert np.array_equal(out, op(f, k))
+
+    @pytest.mark.parametrize("name", CONVOLVE_KERNELS)
+    @pytest.mark.parametrize("shape", CONVOLVE_SHAPES)
+    def test_adjoint_identity_with_buffers(self, name, shape):
+        k = self.CONVOLVE_KERNELS[name]
+        rng = np.random.default_rng(89)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        hx = grid.convolve(x, k, out=np.full(shape, np.nan))
+        hty = grid.convolve_adjoint(y, k, out=np.full(shape, np.nan))
+        assert grid.inner(hx, y) == pytest.approx(grid.inner(x, hty), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("op", [grid.convolve, grid.convolve_adjoint],
+                             ids=["convolve", "adjoint"])
+    @pytest.mark.parametrize("k", [Kernel.delta(), Kernel.gaussian(5, 1.0)],
+                             ids=["delta", "gaussian5"])
+    def test_convolution_rejects_bad_buffer(self, op, k):
+        f = np.ones((4, 6))
+        for out in (np.empty((6, 4)).T, np.empty((4, 5)), np.empty((2, 4, 6)),
+                    np.empty((4, 6), dtype=np.float32)):
+            with pytest.raises(ValueError):
+                op(f, k, out=out)
+
+    def test_buffered_convolution_allocates_no_field(self):
+        f = np.random.default_rng(97).standard_normal((128, 128))
+        out = np.empty_like(f)
+        k = Kernel.delta()
+        for op in (grid.convolve, grid.convolve_adjoint):
+            assert peak_allocation(lambda: op(f, k, out=out)) < f.nbytes
+            # the allocating call is measured the same way
+            assert peak_allocation(lambda: op(f, k)) >= f.nbytes
+
 
 class TestPad:
     # pads wider than the field repeat the edge sample throughout

@@ -338,6 +338,35 @@ class TestLaggedStep:
         assert report.converged
         assert report.outer_iterations == 2
 
+    @pytest.mark.parametrize("variant", list(TVVariant))
+    @pytest.mark.parametrize("kernel", [Kernel.delta(), Kernel.box(3), Kernel.gaussian(5, 1.0)],
+                             ids=["delta", "box3", "gaussian5"])
+    def test_buffered_operator_matches_allocating_closure(self, kernel, variant):
+        # the step's operator writes into its own buffers; it must keep the
+        # operands of K^T K x + lam L x, so CG runs the same iterates
+        clean, _ = noisy_step(16, 16)
+        g = grid.convolve(clean, kernel) + 0.01 * np.random.default_rng(12).standard_normal((16, 16))
+        f_k = grid.convolve(g, Kernel.box(3))
+        lam, alpha = 0.05, functionals.DEFAULT_ALPHA
+        cfg = SolverConfig(forcing=0.0)
+        f, iters, ok = solvers.lagged_restore_step(g, f_k, kernel, lam, alpha, variant, cfg)
+
+        wx, wy = functionals.diffusion_weights(f_k, alpha, variant)
+        diag = (float(np.sum(kernel.weights * kernel.weights))
+                + lam * functionals.weighted_laplacian_diagonal(wx, wy))
+        inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
+
+        def apply_A(x):
+            return (grid.convolve_adjoint(grid.convolve(x, kernel), kernel)
+                    + lam * functionals.apply_weighted_laplacian(wx, wy, x))
+
+        want, want_iters, want_ok = conjugate_gradient(
+            apply_A, grid.convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
+            precond=lambda r: inv_diag * r)
+        assert iters > 1 and ok and want_ok
+        assert iters == want_iters
+        assert np.array_equal(f, want)
+
     def test_fixed_point_property(self):
         # solve once, then feed the solution back in: the step keeps it
         g, noisy = noisy_step(16, 16)
