@@ -150,12 +150,14 @@ def gradient(f: np.ndarray, out: Optional[Sequence[np.ndarray]] = None) -> Vecto
     """
     f = np.ascontiguousarray(f, dtype=np.float64)
     u, v = (np.empty_like(f), np.empty_like(f)) if out is None else out
+    _check_out(u, f.shape)
+    _check_out(v, f.shape)
     # differences of the flat arrays, one pass each; the ones that straddle
     # a row (channel) end fall on the last column (row) and are zeroed
     ff, n = f.reshape(-1), f.shape[-1]
-    np.subtract(ff[1:], ff[:-1], out=_flat(u)[:-1])
+    np.subtract(ff[1:], ff[:-1], out=u.reshape(-1)[:-1])
     u[..., -1] = 0.0
-    np.subtract(ff[n:], ff[:-n], out=_flat(v)[:-n])
+    np.subtract(ff[n:], ff[:-n], out=v.reshape(-1)[:-n])
     v[..., -1, :] = 0.0
     return VectorField(u, v)
 
@@ -176,11 +178,12 @@ def divergence(p: VectorField, out: Optional[np.ndarray] = None) -> np.ndarray:
         raise ValueError(f"vector field components differ: {u.shape} vs {v.shape}")
     if out is None:
         out = np.empty_like(u)
+    _check_out(out, u.shape)
     # x part u[i] - u[i-1], reading u as zero left of column 0 and in the
     # last column: one flat pass, then both edge columns rewritten
     if u.shape[-1] > 1:
         uf = u.reshape(-1)
-        np.subtract(uf[1:], uf[:-1], out=_flat(out)[1:])
+        np.subtract(uf[1:], uf[:-1], out=out.reshape(-1)[1:])
         out[..., 0] = u[..., 0]
         # not np.negative: with a strided input and a strided out, numpy
         # 2.4.6 reads the input as if contiguous and returns wrong values
@@ -192,12 +195,14 @@ def divergence(p: VectorField, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """One-dimensional view of an ``out=`` buffer.  Anything but a
-    C-contiguous array would give a copy, and the writes would be lost."""
-    if not a.flags.c_contiguous:
-        raise ValueError("out= buffers must be C-contiguous arrays")
-    return a.reshape(-1)
+def _check_out(out: Optional[np.ndarray], shape: tuple[int, ...]) -> None:
+    """Reject an ``out=`` buffer that is not a C-contiguous float64 array of
+    ``shape``, the one rule of every ``out=`` in this module: numpy would
+    broadcast into a larger one or cast into another dtype without a word,
+    and a flat view of a strided one would be a copy whose writes are lost."""
+    if out is not None and not (out.shape == shape and out.dtype == np.float64
+                                and out.flags.c_contiguous):
+        raise ValueError(f"out= must be a C-contiguous float64 array of shape {shape}")
 
 
 def pad_edge(f: np.ndarray, cy: int, cx: int) -> np.ndarray:
@@ -265,15 +270,6 @@ def _stages(kernel: Kernel) -> list[np.ndarray]:
     return [row[None, :], col[:, None]]
 
 
-def _check_out(out: Optional[np.ndarray], shape: tuple[int, ...]) -> None:
-    """Reject an ``out=`` buffer that is not a C-contiguous float64 array of
-    ``shape``: numpy would broadcast into a larger one, or cast into
-    another dtype, without a word."""
-    if out is not None and not (out.shape == shape and out.dtype == np.float64
-                                and out.flags.c_contiguous):
-        raise ValueError(f"out= must be a C-contiguous float64 array of shape {shape}")
-
-
 def convolve(f: np.ndarray, kernel: Kernel, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the kernel to the field (correlation-style, replicate boundary).
 
@@ -287,12 +283,13 @@ def convolve(f: np.ndarray, kernel: Kernel, out: Optional[np.ndarray] = None) ->
     """
     x = np.asarray(f, dtype=np.float64)
     _check_out(out, x.shape)
+    if kernel.shape == (1, 1):
+        # reads no neighbour: no pad copy
+        return _taps(x, kernel.weights, out)
     stages = _stages(kernel)
     for n, w in enumerate(stages, 1):
-        cy, cx = w.shape[0] // 2, w.shape[1] // 2
-        # a 1x1 stage reads no neighbour: no pad copy
-        fp = x if cy == cx == 0 else pad_edge(x, cy, cx)
-        x = _taps(fp, w, out if n == len(stages) else None)
+        x = _taps(pad_edge(x, w.shape[0] // 2, w.shape[1] // 2), w,
+                  out if n == len(stages) else None)
     return x
 
 

@@ -108,14 +108,9 @@ def gtr_estimate(
     if q_lambda < 0:
         raise ValueError(f"q_lambda must be nonnegative, got {q_lambda}")
     mu = q_lambda * q_lambda
-    kx, Ax = np.empty(g.shape), np.empty(g.shape)
 
     def apply_A(x):
-        # convolve_adjoint(p * convolve(x)) + mu * x, into the two buffers
-        convolve(x, kernel, out=kx)
-        np.multiply(kx, p, out=kx)
-        convolve_adjoint(kx, kernel, out=Ax)
-        return np.add(Ax, mu * x, out=Ax)
+        return convolve_adjoint(p * convolve(x, kernel), kernel) + mu * x
 
     b = convolve_adjoint(p * (g - convolve(f0, kernel)), kernel)
     delta, _, _ = solvers.conjugate_gradient(apply_A, b, cfg=cfg)

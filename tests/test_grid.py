@@ -194,6 +194,15 @@ class TestOutBuffers:
         with pytest.raises(ValueError):
             grid.divergence(VectorField(f, f), out=out)
 
+    def test_wrong_shape_or_dtype_buffer_rejected(self):
+        # numpy would cast into a float32 buffer without a word
+        f = np.ones((4, 6))
+        for out in (np.empty((4, 6), dtype=np.float32), np.empty((2, 4, 6))):
+            with pytest.raises(ValueError):
+                grid.gradient(f, out=(out, np.empty_like(f)))
+            with pytest.raises(ValueError):
+                grid.divergence(VectorField(f, f), out=out)
+
     def test_non_contiguous_input(self):
         f = np.random.default_rng(79).standard_normal((7, 6)).T
         g = grid.gradient(f)
