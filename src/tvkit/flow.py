@@ -67,10 +67,10 @@ class FlowParams:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps}")
 
 
 class DiffusionTensor(NamedTuple):

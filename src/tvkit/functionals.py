@@ -39,8 +39,8 @@ class TVVariant(Enum):
 
 
 def _check_alpha(alpha: float) -> float:
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     return float(alpha)
 
 

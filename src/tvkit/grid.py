@@ -90,6 +90,7 @@ class Kernel:
     @classmethod
     def delta(cls, size: int = 1) -> "Kernel":
         """Identity kernel: 1 at the anchor, 0 elsewhere."""
+        _check_size(size)
         w = np.zeros((size, size))
         w[size // 2, size // 2] = 1.0
         return cls(w)
@@ -97,6 +98,7 @@ class Kernel:
     @classmethod
     def box(cls, size: int = 3) -> "Kernel":
         """Uniform averaging kernel of the given odd size."""
+        _check_size(size)
         return cls(np.full((size, size), 1.0 / (size * size)))
 
     @classmethod
@@ -107,7 +109,11 @@ class Kernel:
 
     @classmethod
     def gaussian(cls, size: int = 3, sigma: float = 0.8) -> "Kernel":
-        """Sampled, normalized Gaussian."""
+        """Sampled, normalized Gaussian of the given odd size; ``sigma`` must
+        be finite and positive."""
+        _check_size(size)
+        if not 0 < sigma < np.inf:
+            raise ValueError(f"gaussian sigma must be finite and positive, got {sigma}")
         half = size // 2
         x = np.arange(-half, half + 1, dtype=np.float64)
         r = np.exp(-0.5 * (x / sigma) ** 2)
@@ -117,15 +123,23 @@ class Kernel:
     @classmethod
     def motion_horizontal(cls, size: int = 3) -> "Kernel":
         """Horizontal motion blur: uniform weights along the center row."""
+        _check_size(size)
         w = np.zeros((size, size))
         w[size // 2, :] = 1.0 / size
         return cls(w)
 
     @classmethod
     def motion_vertical(cls, size: int = 3) -> "Kernel":
+        _check_size(size)
         w = np.zeros((size, size))
         w[:, size // 2] = 1.0 / size
         return cls(w)
+
+
+def _check_size(size: int) -> None:
+    """Reject a kernel factory size that is not odd and at least 1."""
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"kernel size must be odd and >= 1, got {size}")
 
 
 def ensure_field(f: np.ndarray) -> np.ndarray:

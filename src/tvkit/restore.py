@@ -38,10 +38,9 @@ class RestoreParams:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        functionals._check_alpha(self.alpha)
 
 
 @dataclass
@@ -59,12 +58,11 @@ class BlindParams:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if self.lam_image < 0 or self.lam_kernel < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        if not (0 <= self.lam_image < np.inf and 0 <= self.lam_kernel < np.inf):
+            raise ValueError("regularization weights must be finite and nonnegative")
         if self.kernel_size < 3 or self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        functionals._check_alpha(self.alpha)
 
 
 def ls_estimate(
@@ -179,7 +177,7 @@ def _kernel_gram(fp: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def _kernel_step(
     g: np.ndarray, f: np.ndarray, h_k: np.ndarray, params: BlindParams
-) -> tuple[np.ndarray, int, bool]:
+) -> np.ndarray:
     """One exact lagged TV step for the kernel with the image fixed, ``F h =
     grid._taps(fp, h)`` over the edge-padded image, followed by the
     nonnegativity/unit-sum projection.  The kernel has only ``k^2``
@@ -187,8 +185,7 @@ def _kernel_step(
     F^T g`` is built as a dense ``k^2 x k^2`` matrix (`_kernel_gram`, and
     the weighted Laplacian of the ``k^2`` unit kernels) and solved for the
     correction to ``h_k``.  A singular system (``lam_kernel = 0`` on a flat
-    image) takes the minimum-norm correction.  Returns the projected kernel,
-    0 CG iterations and ``True``: the step runs no CG."""
+    image) takes the minimum-norm correction.  Returns the projected kernel."""
     ks = params.kernel_size
     fp = pad_edge(f, ks // 2, ks // 2)
     wx, wy = functionals.diffusion_weights(h_k, params.alpha)
@@ -203,7 +200,7 @@ def _kernel_step(
         delta = np.linalg.lstsq(A, r0, rcond=None)[0]
     if not np.all(np.isfinite(delta)):
         raise solvers.SolverDivergenceError("non-finite kernel step")
-    return _project_kernel(h_k + delta.reshape(ks, ks)), 0, True
+    return _project_kernel(h_k + delta.reshape(ks, ks))
 
 
 def blind_deconvolve(
@@ -225,9 +222,9 @@ def blind_deconvolve(
     `functionals.tv_objective` of the image with the kernel, plus
     ``lam_kernel`` times the kernel's isotropic TV.
 
-    The report's histories are per alternation, and its CG counts are the
-    image steps'; ``cg_iterations_total`` additionally counts the initial
-    image solve, so it can exceed the sum of ``cg_iters_history``.
+    The report's histories are per alternation; its CG figures are the image
+    steps', as the kernel step runs no CG.  ``cg_iterations_total`` also
+    counts the initial solve, so it can exceed ``sum(cg_iters_history)``.
     ``converged`` also requires every CG solve of the initial image solve
     to have converged.
     """
@@ -251,11 +248,9 @@ def blind_deconvolve(
 
     def step(f):
         nonlocal kernel
-        h, kernel_cg, kernel_ok = _kernel_step(g, f, kernel.weights, params)
-        kernel = Kernel(h)
-        f_next, image_cg, image_ok = solvers.lagged_restore_step(
-            g, f, kernel, params.lam_image, params.alpha, TVVariant.ISOTROPIC, cfg)
-        return f_next, kernel_cg + image_cg, kernel_ok and image_ok
+        kernel = Kernel(_kernel_step(g, f, kernel.weights, params))
+        return solvers.lagged_restore_step(g, f, kernel, params.lam_image, params.alpha,
+                                           TVVariant.ISOTROPIC, cfg)
 
     def objective(f_next):
         return (functionals.tv_objective(f_next, g, kernel, params.lam_image, params.alpha)

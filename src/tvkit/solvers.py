@@ -6,8 +6,8 @@ The restoration fixed point solves
 
 where ``L(f_k)`` is the TV operator with diffusivity weights frozen at the
 previous iterate.  Freezing the weights makes each outer step a linear SPD
-solve, done by `lagged_tv_step` (Jacobi-preconditioned CG) for restore and
-blind deconvolution's image step; flow runs plain CG on its own system.
+solve, done by `lagged_restore_step` (Jacobi-preconditioned CG) for restore
+and blind deconvolution's image step; flow runs plain CG on its own system.
 Because the TV potential is concave in the squared gradient the step
 minimizes a majorizer of the true objective, so the objective decreases
 monotonically up to solver tolerance.
@@ -238,60 +238,43 @@ def lagged_loop(
     return x, report
 
 
-def lagged_tv_step(
-    K: Callable[..., np.ndarray], Kt: Callable[..., np.ndarray],
-    g: np.ndarray, x_k: np.ndarray, ktk_diag: float, lam: float, alpha: float,
+def lagged_restore_step(
+    g: np.ndarray, f_k: np.ndarray, kernel: Kernel, lam: float, alpha: float,
     variant: TVVariant, cfg: SolverConfig,
 ) -> tuple[np.ndarray, int, bool]:
-    """Freeze the TV weights ``w`` at ``x_k`` and solve ``[K^T K + lam L(w)]
-    x = K^T g`` by CG from ``x_k``, preconditioned by the inverse Jacobi
-    diagonal ``ktk_diag + lam diag(L(w))``.  ``ktk_diag`` is one scalar, the
-    interior diagonal entry of ``K^T K``: ``sum(h^2)`` for a blur ``h``.  CG
-    stops at the forcing tolerance ``cfg.forcing * ||r0||`` if that is
-    looser than ``tol_cg``.  ``K`` and ``Kt`` take an ``out=`` array, as
-    `grid.convolve` and `grid.convolve_adjoint` do.  The step allocates the
-    operator's buffers once, four fields shaped like ``x_k``: the result
-    ``A x``, one that holds ``K x`` and then ``lam L(w) x``, and the two
-    weighted-gradient work arrays of `functionals.apply_weighted_laplacian`.
-    Its CG iterations then allocate only the pads of ``K`` and ``Kt`` (none
-    for the 1x1 delta kernel) and CG's own vector arithmetic.
-    Returns `conjugate_gradient`'s triple; a non-finite diagonal raises
-    `SolverDivergenceError`."""
-    wx, wy = functionals.diffusion_weights(x_k, alpha, variant)
+    """Freeze the TV weights ``w`` at ``f_k`` and solve ``[H^T H + lam L(w)]
+    f = H^T g`` for the blur ``H`` of ``kernel`` by CG from ``f_k``,
+    preconditioned by the inverse Jacobi diagonal ``sum(h^2) + lam
+    diag(L(w))``; CG stops at ``cfg.forcing * ||r0||`` if that is looser
+    than ``tol_cg``.  The step allocates four fields shaped like ``f_k``
+    once: ``A x``, one that holds ``H x`` and then ``lam L(w) x``, and the
+    two work arrays of `functionals.apply_weighted_laplacian`.  Its CG
+    iterations then allocate only the convolution pads (none for the 1x1
+    delta kernel) and CG's own vectors.  Returns `conjugate_gradient`'s
+    triple; a non-finite diagonal raises `SolverDivergenceError`."""
+    wx, wy = functionals.diffusion_weights(f_k, alpha, variant)
+    # diagonal of H^T H: exact away from the border, where the replicate
+    # boundary folds taps onto the edge pixels
+    hth_diag = float(np.sum(kernel.weights * kernel.weights))
     with np.errstate(over="ignore"):  # an overflow is caught just below
-        diag = ktk_diag + lam * functionals.weighted_laplacian_diagonal(wx, wy)
+        diag = hth_diag + lam * functionals.weighted_laplacian_diagonal(wx, wy)
     if not np.all(np.isfinite(diag)):
         raise SolverDivergenceError("non-finite Jacobi diagonal")
     # a zero diagonal (zero kernel, no penalty) leaves its residual entries unscaled
     inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
 
-    Ax, lap, *work = (np.empty(x_k.shape) for _ in range(4))
+    Ax, lap, *work = (np.empty(f_k.shape) for _ in range(4))
 
     def apply_A(x):
-        # Kt(K(x)) + lam * L(x) with the same operands in the same order;
-        # lap holds K(x) until Kt has read it
-        Kt(K(x, out=lap), out=Ax)
+        # H^T H x + lam * L(x) with the same operands in the same order;
+        # lap holds H x until convolve_adjoint has read it
+        convolve_adjoint(convolve(x, kernel, out=lap), kernel, out=Ax)
         functionals.apply_weighted_laplacian(wx, wy, x, out=lap, work=work)
         np.multiply(lap, lam, out=lap)
         return np.add(Ax, lap, out=Ax)
 
-    return conjugate_gradient(apply_A, Kt(g), x0=x_k, cfg=cfg, precond=lambda r: inv_diag * r,
-                              forcing=cfg.forcing)
-
-
-def lagged_restore_step(
-    g: np.ndarray, f_k: np.ndarray, kernel: Kernel, lam: float, alpha: float,
-    variant: TVVariant, cfg: SolverConfig,
-) -> tuple[np.ndarray, int, bool]:
-    """One lagged step of ``[H^T H + lam L(f_k)] f = H^T g`` from ``f_k`` with
-    the known kernel ``H``: `lagged_tv_step` with ``K = H``.  Returns its
-    triple."""
-    # diagonal of H^T H: exact away from the border, where the replicate
-    # boundary folds taps onto the edge pixels
-    hth_diag = float(np.sum(kernel.weights * kernel.weights))
-    return lagged_tv_step(lambda x, out=None: convolve(x, kernel, out=out),
-                          lambda y, out=None: convolve_adjoint(y, kernel, out=out),
-                          g, f_k, hth_diag, lam, alpha, variant, cfg)
+    return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
+                              precond=lambda r: inv_diag * r, forcing=cfg.forcing)
 
 
 def tv_restore_fixed_point(
@@ -310,8 +293,8 @@ def tv_restore_fixed_point(
     ``init`` is the starting image: ``None`` starts from the observation,
     an array shaped like ``g`` is a warm start.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     g = np.asarray(g, dtype=np.float64)
     cfg = cfg or SolverConfig()
     if init is None:

@@ -452,6 +452,28 @@ class TestCliRuns:
         assert main(argv) == 1
         assert sorted(tmp_path.iterdir()) == [src]
 
+    @pytest.mark.parametrize("command, flags", [
+        ("deconv", ["--psf", "box:0"]),
+        ("deconv", ["--psf", "gaussian:4:1.0"]),
+        ("denoise", ["--lambda", "nan"]),
+        ("denoise", ["--lambda", "inf"]),
+        ("denoise", ["--alpha", "inf"]),
+        ("blind", ["--lambda-kernel", "nan"]),
+        ("blind", ["--lambda", "inf"]),
+        ("flow", ["--eps", "inf"]),
+    ], ids=["box0", "gaussian-even", "lambda-nan", "lambda-inf", "alpha-inf",
+            "lambda-kernel-nan", "blind-lambda-inf", "flow-eps-inf"])
+    def test_bad_parameter_exits_one_before_output(self, tmp_path, capsys, command, flags):
+        src = tmp_path / "in.pgm"
+        write_pgm(src, np.random.default_rng(5).uniform(0.0, 1.0, (8, 8)))
+        if command == "flow":
+            files = [str(src), str(src), str(tmp_path / "out.flo")]
+        else:
+            files = [str(src), str(tmp_path / "out.pgm")]
+        assert main([command, *files, *flags]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert sorted(tmp_path.iterdir()) == [src]
+
     def test_unknown_fixture_exits_one(self, tmp_path):
         assert main(["synth", "mystery", "--outdir", str(tmp_path)]) == 1
 

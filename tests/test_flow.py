@@ -39,6 +39,9 @@ class TestFramePair:
             FlowParams(lam=0.0)
         with pytest.raises(ValueError):
             FlowParams(eps=-0.1)
+        for bad in (dict(lam=np.nan), dict(lam=np.inf), dict(eps=np.nan), dict(eps=np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                FlowParams(**bad)
 
 
 class TestImageDerivatives:

@@ -137,6 +137,9 @@ class TestEnergies:
                 fn(f, 0.0)
             with pytest.raises(ValueError):
                 fn(f, -1e-3)
+            for alpha in (np.inf, np.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    fn(f, alpha)
 
 
 class TestTVGradient:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,22 @@ class TestKernel:
         w[1, 1] = np.nan
         with pytest.raises(ValueError):
             Kernel(w)
+
+    @pytest.mark.parametrize("factory", [Kernel.delta, Kernel.box, Kernel.gaussian,
+                                         Kernel.motion_horizontal, Kernel.motion_vertical],
+                             ids=["delta", "box", "gaussian", "motion-h", "motion-v"])
+    @pytest.mark.parametrize("size", [0, -1, 4])
+    def test_factories_reject_bad_sizes(self, factory, size):
+        # an even size would silently build the next odd one, 0 the identity
+        with pytest.raises(ValueError, match="odd"):
+            factory(size)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf])
+    def test_gaussian_rejects_bad_sigma_without_warning(self, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sigma"):
+                Kernel.gaussian(3, sigma)
 
     def test_factories_normalized(self):
         for k in (Kernel.box(3), Kernel.binomial3(), Kernel.gaussian(5, 0.8),

@@ -379,6 +379,11 @@ class TestLaggedStep:
 
 
 class TestFixedPointSolver:
+    @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+    def test_penalty_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError):
+            tv_restore_fixed_point(np.zeros((4, 4)), Kernel.delta(), lam)
+
     def test_no_penalty_returns_observation(self):
         rng = np.random.default_rng(9)
         g = rng.uniform(0.0, 1.0, (8, 8))
