@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import VectorField
+from .grid import VectorField, ensure_field
 from .solvers import SolveReport
 
 FLO_MAGIC = b"PIEH"
@@ -157,12 +157,10 @@ def read_pgm(path) -> np.ndarray:
 def write_pgm(path, f: np.ndarray, maxval: int = 255) -> None:
     """Write a P5 binary grayscale image.
 
-    Values are clamped to [0,1] and rounded half-up to integer levels;
-    maxval above 255 switches to 16-bit big-endian samples.
+    Values must be finite; they are clamped to [0,1] and rounded half-up to
+    integer levels.  maxval above 255 switches to 16-bit big-endian samples.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 2:
-        raise ValueError(f"expected a 2-d field, got shape {f.shape}")
+    f = ensure_field(f)
     if not 1 <= maxval <= 65535:
         raise ValueError(f"maxval must be in [1, 65535], got {maxval}")
     levels = np.floor(np.clip(f, 0.0, 1.0) * maxval + 0.5)

@@ -12,9 +12,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import functionals, solvers
-from .functionals import TVVariant
 from .grid import Kernel, convolve, convolve_adjoint, pad_edge
-from .solvers import SolverConfig, SolveReport
+from .solvers import RestoreParams, SolverConfig, SolveReport
 
 PSNR_CAP_DB = 300.0
 # floats of the patch matrix that `_kernel_gram` holds at once (2 MB): one
@@ -26,21 +25,6 @@ _GRAM_STRIP_FLOATS = 1 << 18
 class DegenerateKernelError(solvers.SolverDivergenceError):
     """Blind deconvolution kernel collapsed to zero after projection
     (kernel regularization too strong)."""
-
-
-@dataclass
-class RestoreParams:
-    """Knobs for the TV restoration problems."""
-
-    lam: float = 0.05
-    alpha: float = functionals.DEFAULT_ALPHA
-    variant: TVVariant = TVVariant.ISOTROPIC
-    solver: SolverConfig = field(default_factory=SolverConfig)
-
-    def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
-        functionals._check_alpha(self.alpha)
 
 
 @dataclass
@@ -115,23 +99,13 @@ def gtr_estimate(
     return f0 + delta
 
 
+# TV deconvolution with a known blur kernel is the lagged fixed point itself
+tv_deconvolve = solvers.tv_restore_fixed_point
+
+
 def tv_denoise(g: np.ndarray, params: RestoreParams) -> tuple[np.ndarray, SolveReport]:
     """TV denoising: TV deconvolution with the identity kernel."""
     return tv_deconvolve(g, Kernel.delta(), params)
-
-
-def tv_deconvolve(
-    g: np.ndarray, kernel: Kernel, params: RestoreParams
-) -> tuple[np.ndarray, SolveReport]:
-    """TV deconvolution with a known blur kernel."""
-    return solvers.tv_restore_fixed_point(
-        g,
-        kernel,
-        params.lam,
-        alpha=params.alpha,
-        cfg=params.solver,
-        variant=params.variant,
-    )
 
 
 def _image_times_kernel_adjoint(fp: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -212,17 +186,19 @@ def blind_deconvolve(
     1998).
 
     Starting from ``kernel0`` (a centered delta by default), first solves
-    the image problem for that kernel (`tv_deconvolve`).  Each alternation
-    after that makes one exact lagged kernel step (`_kernel_step`, a dense
-    solve with no CG) and then one lagged image step
-    (`solvers.lagged_restore_step`) with the new kernel, until the image
+    the image problem for that kernel (`solvers.tv_restore_fixed_point`).
+    Each alternation after that makes one exact lagged kernel step
+    (`_kernel_step`, a dense solve with no CG) and then one lagged image
+    step (`solvers.lagged_restore_step`) with the new kernel, until the image
     stops moving or the iteration cap is hit.  The kernel is projected to
     be nonnegative with unit sum after every kernel step, removing the
     intensity-scale ambiguity of the pair.  The objective is
     `functionals.tv_objective` of the image with the kernel, plus
     ``lam_kernel`` times the kernel's isotropic TV.
 
-    The report's histories are per alternation; its CG figures are the image
+    The initial solve and every image step read one image `RestoreParams`:
+    ``lam_image``, ``alpha``, the isotropic TV and ``params.solver``.  The
+    report's histories are per alternation; its CG figures are the image
     steps', as the kernel step runs no CG.  ``cg_iterations_total`` also
     counts the initial solve, so it can exceed ``sum(cg_iters_history)``.
     ``converged`` also requires every CG solve of the initial image solve
@@ -239,25 +215,20 @@ def blind_deconvolve(
             )
         kernel = Kernel(_project_kernel(kernel0.weights))
 
-    f, init_rep = tv_deconvolve(
-        g,
-        kernel,
-        RestoreParams(lam=params.lam_image, alpha=params.alpha, solver=params.solver),
-    )
-    cfg = params.solver
+    image = RestoreParams(lam=params.lam_image, alpha=params.alpha, solver=params.solver)
+    f, init_rep = solvers.tv_restore_fixed_point(g, kernel, image)
 
     def step(f):
         nonlocal kernel
         kernel = Kernel(_kernel_step(g, f, kernel.weights, params))
-        return solvers.lagged_restore_step(g, f, kernel, params.lam_image, params.alpha,
-                                           TVVariant.ISOTROPIC, cfg)
+        return solvers.lagged_restore_step(g, f, kernel, image)
 
     def objective(f_next):
         return (functionals.tv_objective(f_next, g, kernel, params.lam_image, params.alpha)
                 + params.lam_kernel * functionals.tv_isotropic(kernel.weights, params.alpha))
 
     report = SolveReport(cg_iterations_total=init_rep.cg_iterations_total)
-    f, report = solvers.lagged_loop(step, objective, f, cfg, report)
+    f, report = solvers.lagged_loop(step, objective, f, params.solver, report)
     report.converged = report.converged and all(init_rep.cg_converged_history)
     return f, kernel, report
 
@@ -271,8 +242,8 @@ def lasso_estimate(
     Step size is ``1 / (sum |h|)^2``, a bound on the Lipschitz constant of
     the data term's gradient, which makes the objective non-increasing.
     """
-    if t_penalty <= 0:
-        raise ValueError(f"t_penalty must be positive, got {t_penalty}")
+    if not 0 < t_penalty < np.inf:
+        raise ValueError(f"t_penalty must be finite and positive, got {t_penalty}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     g = np.asarray(g, dtype=np.float64)
@@ -295,8 +266,8 @@ def psnr(f: np.ndarray, reference: np.ndarray, peak: float = 1.0) -> float:
     reference = np.asarray(reference, dtype=np.float64)
     if f.shape != reference.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {reference.shape}")
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not 0 < peak < np.inf:
+        raise ValueError(f"peak must be finite and positive, got {peak}")
     err = float(np.sum((f - reference) ** 2))
     if err == 0.0:
         return PSNR_CAP_DB

@@ -8,6 +8,9 @@ where ``L(f_k)`` is the TV operator with diffusivity weights frozen at the
 previous iterate.  Freezing the weights makes each outer step a linear SPD
 solve, done by `lagged_restore_step` (Jacobi-preconditioned CG) for restore
 and blind deconvolution's image step; flow runs plain CG on its own system.
+`RestoreParams` (``lam``, ``alpha``, the TV variant and the `SolverConfig`)
+is the one record of a restore problem's settings: `tv_restore_fixed_point`
+and `lagged_restore_step` read it as it is.
 Because the TV potential is concave in the squared gradient the step
 minimizes a majorizer of the true objective, so the objective decreases
 monotonically up to solver tolerance.
@@ -65,12 +68,12 @@ class SolverConfig:
     forcing: float = 0.1
 
     def __post_init__(self):
-        if self.tol_outer is not None and not self.tol_outer > 0:
-            raise ValueError("tol_outer must be positive")
+        if self.tol_outer is not None and not 0 < self.tol_outer < math.inf:
+            raise ValueError(f"tol_outer must be finite and positive, got {self.tol_outer}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        if not self.tol_cg > 0 or self.max_cg < 1:
-            raise ValueError("tol_cg must be positive and max_cg >= 1")
+        if not 0 < self.tol_cg < math.inf or self.max_cg < 1:
+            raise ValueError("tol_cg must be finite and positive and max_cg >= 1")
         if not 0.0 <= self.forcing < 1.0:
             raise ValueError(f"forcing must be in [0, 1), got {self.forcing}")
 
@@ -78,6 +81,21 @@ class SolverConfig:
         if self.tol_outer is not None:
             return self.tol_outer
         return 1e-4 * math.sqrt(n_unknowns)
+
+
+@dataclass
+class RestoreParams:
+    """Knobs for the TV restoration problems."""
+
+    lam: float = 0.05
+    alpha: float = functionals.DEFAULT_ALPHA
+    variant: TVVariant = TVVariant.ISOTROPIC
+    solver: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self):
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        functionals._check_alpha(self.alpha)
 
 
 def _monotone(history: list[float]) -> bool:
@@ -239,20 +257,21 @@ def lagged_loop(
 
 
 def lagged_restore_step(
-    g: np.ndarray, f_k: np.ndarray, kernel: Kernel, lam: float, alpha: float,
-    variant: TVVariant, cfg: SolverConfig,
+    g: np.ndarray, f_k: np.ndarray, kernel: Kernel, params: RestoreParams
 ) -> tuple[np.ndarray, int, bool]:
-    """Freeze the TV weights ``w`` at ``f_k`` and solve ``[H^T H + lam L(w)]
-    f = H^T g`` for the blur ``H`` of ``kernel`` by CG from ``f_k``,
-    preconditioned by the inverse Jacobi diagonal ``sum(h^2) + lam
-    diag(L(w))``; CG stops at ``cfg.forcing * ||r0||`` if that is looser
-    than ``tol_cg``.  The step allocates four fields shaped like ``f_k``
-    once: ``A x``, one that holds ``H x`` and then ``lam L(w) x``, and the
-    two work arrays of `functionals.apply_weighted_laplacian`.  Its CG
-    iterations then allocate only the convolution pads (none for the 1x1
+    """Freeze the TV weights ``w`` of ``params.variant`` at ``f_k`` and solve
+    ``[H^T H + lam L(w)] f = H^T g`` for the blur ``H`` of ``kernel`` by CG
+    from ``f_k``, preconditioned by the inverse Jacobi diagonal ``sum(h^2) +
+    lam diag(L(w))``; ``lam``, ``alpha`` and the CG settings are
+    ``params``'s, and CG stops at ``params.solver.forcing * ||r0||`` if that
+    is looser than ``tol_cg``.  The step allocates four fields shaped like
+    ``f_k`` once: ``A x``, one that holds ``H x`` and then ``lam L(w) x``,
+    and the two work arrays of `functionals.apply_weighted_laplacian`.  Its
+    CG iterations then allocate only the convolution pads (none for the 1x1
     delta kernel) and CG's own vectors.  Returns `conjugate_gradient`'s
     triple; a non-finite diagonal raises `SolverDivergenceError`."""
-    wx, wy = functionals.diffusion_weights(f_k, alpha, variant)
+    lam, cfg = params.lam, params.solver
+    wx, wy = functionals.diffusion_weights(f_k, params.alpha, params.variant)
     # diagonal of H^T H: exact away from the border, where the replicate
     # boundary folds taps onto the edge pixels
     hth_diag = float(np.sum(kernel.weights * kernel.weights))
@@ -278,39 +297,23 @@ def lagged_restore_step(
 
 
 def tv_restore_fixed_point(
-    g: np.ndarray,
-    kernel: Kernel,
-    lam: float,
-    alpha: float = functionals.DEFAULT_ALPHA,
-    cfg: Optional[SolverConfig] = None,
-    variant: TVVariant = TVVariant.ISOTROPIC,
-    init: Optional[np.ndarray] = None,
+    g: np.ndarray, kernel: Kernel, params: RestoreParams
 ) -> tuple[np.ndarray, SolveReport]:
-    """Solve ``[H^T H + lam L(f_k)] f_{k+1} = H^T g`` by `lagged_loop` of
+    """TV restoration with a known blur kernel: solve ``[H^T H + lam
+    L(f_k)] f_{k+1} = H^T g`` from ``f_0 = g`` by `lagged_loop` of
     `lagged_restore_step`, each step warm-started at ``f_k``, until the step
-    norm drops below the outer tolerance or the iteration cap is reached.
-
-    ``init`` is the starting image: ``None`` starts from the observation,
-    an array shaped like ``g`` is a warm start.
-    """
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+    norm drops below ``params.solver``'s outer tolerance or its iteration
+    cap is reached."""
     g = np.asarray(g, dtype=np.float64)
-    cfg = cfg or SolverConfig()
-    if init is None:
-        f = g.copy()
-    elif isinstance(init, np.ndarray) and init.shape == g.shape:
-        f = init.astype(np.float64, copy=True)
-    else:
-        raise ValueError("init must be None or an array shaped like the observation")
 
     def step(f_k):
-        return lagged_restore_step(g, f_k, kernel, lam, alpha, variant, cfg)
+        return lagged_restore_step(g, f_k, kernel, params)
 
     def objective(f_next):
-        return functionals.tv_objective(f_next, g, kernel, lam, alpha, variant)
+        return functionals.tv_objective(f_next, g, kernel, params.lam, params.alpha,
+                                        params.variant)
 
-    return lagged_loop(step, objective, f, cfg)
+    return lagged_loop(step, objective, g.copy(), params.solver)
 
 
 def dual_projection_denoise(
@@ -326,8 +329,8 @@ def dual_projection_denoise(
     through its dual, iterating ``p <- (p + tau*grad(div p - g/lam)) /
     (1 + tau*|grad(div p - g/lam)|)`` and returning ``g - lam * div p``.
     """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not (0 < lam < np.inf and 0 < tau < np.inf):
+        raise ValueError(f"lam and tau must be finite and positive, got {lam}, {tau}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     g = np.asarray(g, dtype=np.float64)

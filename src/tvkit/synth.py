@@ -53,6 +53,14 @@ def gaussian_field(shape, seed: int) -> np.ndarray:
     return out[:count].reshape(shape)
 
 
+def _with_noise(clean: np.ndarray, seed: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(clean, noisy)``: ``clean`` plus seeded Gaussian noise of standard
+    deviation ``sigma``, which must be finite and nonnegative."""
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    return clean, clean + sigma * gaussian_field(clean.shape, seed)
+
+
 def make_step32(seed: int = 0, sigma: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
     """32x32 vertical step: left 16 columns 0.25, right 16 columns 0.75.
 
@@ -60,8 +68,7 @@ def make_step32(seed: int = 0, sigma: float = 0.05) -> tuple[np.ndarray, np.ndar
     """
     clean = np.full((32, 32), 0.25)
     clean[:, 16:] = 0.75
-    noisy = clean + sigma * gaussian_field(clean.shape, seed)
-    return clean, noisy
+    return _with_noise(clean, seed, sigma)
 
 
 def make_piecewise64(seed: int = 0, sigma: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
@@ -71,8 +78,7 @@ def make_piecewise64(seed: int = 0, sigma: float = 0.05) -> tuple[np.ndarray, np
     clean[8:36, 6:30] = 0.7
     clean[30:58, 34:58] = 0.45
     clean[12:26, 40:54] = 0.9
-    noisy = clean + sigma * gaussian_field(clean.shape, seed)
-    return clean, noisy
+    return _with_noise(clean, seed, sigma)
 
 
 def _ramp_texture(seed: int):

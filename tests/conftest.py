@@ -30,3 +30,25 @@ def peak_allocation(call):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def noisy_step(h=32, w=32, sigma=0.05, seed=0):
+    """``(clean, noisy)``: a vertical 0.25/0.75 step and a copy with
+    Gaussian noise of standard deviation ``sigma``."""
+    rng = np.random.default_rng(seed)
+    f = np.full((h, w), 0.25)
+    f[:, w // 2:] = 0.75
+    return f, f + sigma * rng.standard_normal((h, w))
+
+
+def local_energy(f, j, i, alpha):
+    """Sum of the smoothed-TV terms that involve pixel (j, i)."""
+    h, w = f.shape
+    total = 0.0
+    for (r, c) in ((j, i), (j, i - 1), (j - 1, i)):
+        if r < 0 or c < 0:
+            continue
+        dx = f[r, c + 1] - f[r, c] if c < w - 1 else 0.0
+        dy = f[r + 1, c] - f[r, c] if r < h - 1 else 0.0
+        total += np.sqrt(dx * dx + dy * dy + alpha * alpha)
+    return total

@@ -6,7 +6,6 @@ tolerances with margin, so any failure is a regression.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,9 +29,9 @@ from tvkit.functionals import (
 )
 from tvkit.grid import Kernel, VectorField, inner
 from tvkit.restore import BlindParams, RestoreParams, blind_deconvolve, psnr
-from tvkit.solvers import SolverConfig, tv_restore_fixed_point
+from tvkit.solvers import SolverConfig, lagged_restore_step, tv_restore_fixed_point
 
-from conftest import materialize
+from conftest import local_energy, materialize
 
 TIGHT = SolverConfig(tol_cg=1e-14, max_cg=5000, forcing=0.0)
 
@@ -45,18 +44,6 @@ def dense_kernel_matrix(kernel, h, w):
         e[c] = 1.0
         H[:, c] = grid.convolve(e.reshape(h, w), kernel).ravel()
     return H
-
-
-def local_energy(f, j, i, alpha):
-    h, w = f.shape
-    total = 0.0
-    for (r, c) in ((j, i), (j, i - 1), (j - 1, i)):
-        if r < 0 or c < 0:
-            continue
-        dx = f[r, c + 1] - f[r, c] if c < w - 1 else 0.0
-        dy = f[r + 1, c] - f[r, c] if r < h - 1 else 0.0
-        total += np.sqrt(dx * dx + dy * dy + alpha * alpha)
-    return total
 
 
 def test_01_adjoint_identities():
@@ -158,8 +145,8 @@ def test_04_dense_oracle_equivalence():
     f_k = rng.uniform(0.0, 1.0, (6, 6))
     for variant in (TVVariant.ISOTROPIC, TVVariant.ANISOTROPIC):
         L = materialize(lambda v: apply_tv_operator(f_k, v, variant=variant), (6, 6))
-        f_next, _ = tv_restore_fixed_point(g, k, lam, cfg=replace(TIGHT, max_outer=1),
-                                           variant=variant, init=f_k)
+        f_next, _, _ = lagged_restore_step(g, f_k, k,
+                                           RestoreParams(lam=lam, variant=variant, solver=TIGHT))
         want = np.linalg.solve(H.T @ H + lam * L, H.T @ g.ravel())
         assert np.abs(f_next.ravel() - want).max() <= 1e-6
     print("PASS 4: ls/rls/gtr and lagged step match dense oracles to 1e-6")
@@ -169,7 +156,7 @@ def test_05_descent_and_lambda_monotonicity():
     _, noisy = synth.make_step32()
     fids, tvs = [], []
     for lam in (0.01, 0.05, 0.1):
-        f, report = tv_restore_fixed_point(noisy, Kernel.delta(), lam)
+        f, report = tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(lam=lam))
         objs = report.objective_history
         assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:])), f"lam={lam}"
         fids.append(0.5 * float(np.sum((f - noisy) ** 2)))
@@ -196,8 +183,8 @@ def test_06_denoising_quality():
 def test_07_cross_solver_agreement():
     _, noisy = synth.make_step32()
     lam = 0.1
-    primal, _ = tv_restore_fixed_point(noisy, Kernel.delta(), lam,
-                                       cfg=SolverConfig(tol_cg=1e-10))
+    primal, _ = tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(
+        lam=lam, solver=SolverConfig(tol_cg=1e-10)))
     dual = solvers.dual_projection_denoise(noisy, lam, steps=300)
     rel = np.linalg.norm(primal - dual) / np.linalg.norm(primal)
     assert rel <= 0.02

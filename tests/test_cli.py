@@ -116,6 +116,13 @@ class TestPgm:
         write_pgm(p, np.array([[-0.5, 1.5]]))
         np.testing.assert_allclose(read_pgm(p), [[0.0, 1.0]])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_non_finite_samples(self, tmp_path, value):
+        p = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_pgm(p, np.array([[0.5, value]]))
+        assert not p.exists()
+
 
 class TestFlo:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -158,7 +165,7 @@ class TestReportCsv:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         g = rng.uniform(0.0, 1.0, (12, 12))
-        _, report = tv_restore_fixed_point(g, Kernel.delta(), 0.08)
+        _, report = tv_restore_fixed_point(g, Kernel.delta(), RestoreParams(lam=0.08))
         p = tmp_path / "report.csv"
         write_report(p, report)
         text = p.read_text()
@@ -174,7 +181,7 @@ class TestReportCsv:
         # the file does not store the forcing term: reading it back must
         # not claim 0, which would mean every CG solve ran to tol_cg
         g = np.random.default_rng(5).uniform(0.0, 1.0, (12, 12))
-        _, report = tv_restore_fixed_point(g, Kernel.delta(), 0.08)
+        _, report = tv_restore_fixed_point(g, Kernel.delta(), RestoreParams(lam=0.08))
         assert report.forcing == SolverConfig().forcing > 0
         p = tmp_path / "report.csv"
         write_report(p, report)
@@ -223,6 +230,14 @@ class TestSynthFixtures:
         assert (clean[:, 16:] == 0.75).all()
         assert noisy.shape == (32, 32)
         assert not np.array_equal(clean, noisy)
+
+    @pytest.mark.parametrize("make", [synth.make_step32, synth.make_piecewise64])
+    def test_noise_level_must_be_finite_and_nonnegative(self, make):
+        for sigma in (np.nan, np.inf, -0.1):
+            with pytest.raises(ValueError, match="sigma"):
+                make(sigma=sigma)
+        clean, noisy = make(sigma=0.0)
+        np.testing.assert_array_equal(noisy, clean)
 
     def test_determinism_and_seed_sensitivity(self):
         a = synth.make_step32(seed=4)[1]
@@ -461,8 +476,9 @@ class TestCliRuns:
         ("blind", ["--lambda-kernel", "nan"]),
         ("blind", ["--lambda", "inf"]),
         ("flow", ["--eps", "inf"]),
+        ("denoise", ["--tol", "inf"]),
     ], ids=["box0", "gaussian-even", "lambda-nan", "lambda-inf", "alpha-inf",
-            "lambda-kernel-nan", "blind-lambda-inf", "flow-eps-inf"])
+            "lambda-kernel-nan", "blind-lambda-inf", "flow-eps-inf", "tol-inf"])
     def test_bad_parameter_exits_one_before_output(self, tmp_path, capsys, command, flags):
         src = tmp_path / "in.pgm"
         write_pgm(src, np.random.default_rng(5).uniform(0.0, 1.0, (8, 8)))
@@ -473,6 +489,21 @@ class TestCliRuns:
         assert main([command, *files, *flags]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert sorted(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+    def test_bad_noise_level_exits_one_before_output(self, tmp_path, capsys, sigma):
+        out = tmp_path / "fx"
+        assert main(["synth", "step32", "--outdir", str(out), "--sigma", sigma]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("peak", ["nan", "inf", "0"])
+    def test_bad_peak_exits_one(self, tmp_path, capsys, peak):
+        a = tmp_path / "a.pgm"
+        write_pgm(a, np.full((4, 4), 0.5))
+        assert main(["metrics", str(a), "--ref", str(a), "--peak", peak]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
     def test_unknown_fixture_exits_one(self, tmp_path):
         assert main(["synth", "mystery", "--outdir", str(tmp_path)]) == 1

@@ -19,20 +19,7 @@ from tvkit.functionals import (
 )
 from tvkit.grid import Kernel, inner
 
-from conftest import materialize, peak_allocation
-
-
-def local_energy(f, j, i, alpha):
-    """Sum of the smoothed-TV terms that involve pixel (j, i)."""
-    h, w = f.shape
-    total = 0.0
-    for (r, c) in ((j, i), (j, i - 1), (j - 1, i)):
-        if r < 0 or c < 0:
-            continue
-        dx = f[r, c + 1] - f[r, c] if c < w - 1 else 0.0
-        dy = f[r + 1, c] - f[r, c] if r < h - 1 else 0.0
-        total += np.sqrt(dx * dx + dy * dy + alpha * alpha)
-    return total
+from conftest import local_energy, materialize, peak_allocation
 
 
 class TestEnergies:

@@ -21,7 +21,7 @@ from tvkit.restore import (
 )
 from tvkit.solvers import SolveReport, SolverConfig, SolverDivergenceError
 
-from conftest import materialize
+from conftest import materialize, noisy_step
 
 
 TIGHT = SolverConfig(tol_cg=1e-12, max_cg=5000)
@@ -33,13 +33,6 @@ def well_posed_kernel():
     w = 0.4 * Kernel.box(3).weights
     w[1, 1] += 0.6
     return Kernel(w)
-
-
-def noisy_step(h=32, w=32, sigma=0.05, seed=0):
-    rng = np.random.default_rng(seed)
-    f = np.full((h, w), 0.25)
-    f[:, w // 2:] = 0.75
-    return f, f + sigma * rng.standard_normal((h, w))
 
 
 class TestLeastSquares:
@@ -538,6 +531,9 @@ class TestLasso:
             lasso_estimate(g, Kernel.delta(), 0.0)
         with pytest.raises(ValueError):
             lasso_estimate(g, Kernel.delta(), -0.1)
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                lasso_estimate(g, Kernel.delta(), t)
 
 
 class TestPSNR:
@@ -563,3 +559,6 @@ class TestPSNR:
             psnr(np.zeros((3, 3)), np.zeros((3, 4)))
         with pytest.raises(ValueError):
             psnr(np.zeros((3, 3)), np.zeros((3, 3)), peak=0.0)
+        for peak in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                psnr(np.zeros((3, 3)), np.full((3, 3), 0.1), peak=peak)

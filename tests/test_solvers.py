@@ -18,20 +18,13 @@ from tvkit.solvers import (
     tv_restore_fixed_point,
 )
 
-from conftest import materialize
-
-
-def noisy_step(h=32, w=32, sigma=0.05, seed=0):
-    rng = np.random.default_rng(seed)
-    f = np.full((h, w), 0.25)
-    f[:, w // 2:] = 0.75
-    return f, f + sigma * rng.standard_normal((h, w))
+from conftest import noisy_step
 
 
 def lagged_step(f_k, g, kernel, lam, cfg=SolverConfig(), **kwargs):
-    """One outer step from ``f_k``: the fixed point capped at one iteration."""
-    f, _ = tv_restore_fixed_point(g, kernel, lam, cfg=replace(cfg, max_outer=1),
-                                  init=f_k, **kwargs)
+    """One outer step from ``f_k``."""
+    f, _, _ = solvers.lagged_restore_step(g, f_k, kernel,
+                                          RestoreParams(lam=lam, solver=cfg, **kwargs))
     return f
 
 
@@ -59,7 +52,8 @@ class TestConfig:
 
     def test_validation(self):
         for bad in (dict(max_outer=0), dict(tol_cg=0.0), dict(max_cg=-1),
-                    dict(tol_outer=-1e-3)):
+                    dict(tol_outer=-1e-3), dict(tol_outer=np.inf), dict(tol_outer=np.nan),
+                    dict(tol_cg=np.inf), dict(tol_cg=np.nan)):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
 
@@ -311,8 +305,8 @@ class TestLaggedStep:
         k = Kernel.box(3)
         g = grid.convolve(clean, k) + 1e-3 * np.random.default_rng(8).standard_normal((16, 16))
         lam, f_k = 0.05, g.copy()
-        f, report = tv_restore_fixed_point(g, k, lam, cfg=SolverConfig(max_outer=1, forcing=0.0),
-                                           init=f_k)
+        f, report = tv_restore_fixed_point(g, k, RestoreParams(
+            lam=lam, solver=SolverConfig(max_outer=1, forcing=0.0)))
         wx, wy = functionals.diffusion_weights(f_k, functionals.DEFAULT_ALPHA)
 
         def apply_A(x):
@@ -333,7 +327,7 @@ class TestLaggedStep:
         # single pixel that has no differences) the Jacobi diagonal is zero
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f, report = tv_restore_fixed_point(g, Kernel(np.zeros((3, 3))), lam)
+            f, report = tv_restore_fixed_point(g, Kernel(np.zeros((3, 3))), RestoreParams(lam=lam))
         np.testing.assert_array_equal(f, np.zeros_like(g))
         assert report.converged
         assert report.outer_iterations == 2
@@ -349,7 +343,8 @@ class TestLaggedStep:
         f_k = grid.convolve(g, Kernel.box(3))
         lam, alpha = 0.05, functionals.DEFAULT_ALPHA
         cfg = SolverConfig(forcing=0.0)
-        f, iters, ok = solvers.lagged_restore_step(g, f_k, kernel, lam, alpha, variant, cfg)
+        f, iters, ok = solvers.lagged_restore_step(
+            g, f_k, kernel, RestoreParams(lam=lam, alpha=alpha, variant=variant, solver=cfg))
 
         wx, wy = functionals.diffusion_weights(f_k, alpha, variant)
         diag = (float(np.sum(kernel.weights * kernel.weights))
@@ -379,15 +374,10 @@ class TestLaggedStep:
 
 
 class TestFixedPointSolver:
-    @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
-    def test_penalty_must_be_finite_and_nonnegative(self, lam):
-        with pytest.raises(ValueError):
-            tv_restore_fixed_point(np.zeros((4, 4)), Kernel.delta(), lam)
-
     def test_no_penalty_returns_observation(self):
         rng = np.random.default_rng(9)
         g = rng.uniform(0.0, 1.0, (8, 8))
-        f, report = tv_restore_fixed_point(g, Kernel.delta(), 0.0)
+        f, report = tv_restore_fixed_point(g, Kernel.delta(), RestoreParams(lam=0.0))
         np.testing.assert_allclose(f, g, atol=1e-8)
         assert report.converged
         assert report.outer_iterations == 1
@@ -395,7 +385,7 @@ class TestFixedPointSolver:
     def test_descent_monitored(self):
         _, noisy = noisy_step()
         for lam in (0.01, 0.05, 0.1):
-            f, report = tv_restore_fixed_point(noisy, Kernel.delta(), lam)
+            f, report = tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(lam=lam))
             assert report.objective_monotone
             objs = report.objective_history
             assert len(objs) == report.outer_iterations
@@ -404,13 +394,13 @@ class TestFixedPointSolver:
 
     def test_large_penalty_contracts_variance(self):
         _, noisy = noisy_step(24, 24)
-        f, _ = tv_restore_fixed_point(noisy, Kernel.delta(), 5.0)
+        f, _ = tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(lam=5.0))
         assert f.var() < 0.05 * noisy.var()
         assert abs(f.mean() - noisy.mean()) < 0.05
 
     def test_histories_consistent(self):
         _, noisy = noisy_step(16, 16)
-        f, report = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05)
+        f, report = tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(lam=0.05))
         n = report.outer_iterations
         assert len(report.objective_history) == n
         assert len(report.step_norm_history) == n
@@ -418,46 +408,26 @@ class TestFixedPointSolver:
         assert report.cg_iterations_total == sum(report.cg_iters_history)
         assert 1 <= n <= 50
 
-    def test_mean_initialization(self):
-        _, noisy = noisy_step(16, 16)
-        f_obs, _ = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05)
-        f_mean, _ = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05,
-                                           init=np.full_like(noisy, noisy.mean()))
-        # same fixed point from either start
-        assert np.linalg.norm(f_obs - f_mean) <= 2e-2 * np.linalg.norm(f_obs)
-
-    def test_array_initialization(self):
-        _, noisy = noisy_step(12, 12)
-        warm, _ = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05)
-        f, report = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05, init=warm)
-        assert report.outer_iterations <= 2
-        assert np.linalg.norm(f - warm) <= 1e-2 * np.linalg.norm(warm)
-
-    def test_bad_initialization_rejected(self):
-        g = np.zeros((4, 4))
-        with pytest.raises(ValueError):
-            tv_restore_fixed_point(g, Kernel.delta(), 0.1, init="zeros")
-        with pytest.raises(ValueError):
-            tv_restore_fixed_point(g, Kernel.delta(), 0.1, init=np.zeros((3, 3)))
-
     def test_halts_at_cap(self):
         _, noisy = noisy_step(16, 16)
         cfg = SolverConfig(tol_outer=1e-300, max_outer=4)
-        f, report = tv_restore_fixed_point(noisy, Kernel.delta(), 0.1, cfg=cfg)
+        f, report = tv_restore_fixed_point(noisy, Kernel.delta(),
+                                           RestoreParams(lam=0.1, solver=cfg))
         assert report.outer_iterations == 4
         assert not report.converged
 
     def test_convergence_flag_truthful(self):
         _, noisy = noisy_step(16, 16)
         cfg = SolverConfig(tol_outer=1e3, max_outer=10)
-        _, report = tv_restore_fixed_point(noisy, Kernel.delta(), 0.1, cfg=cfg)
+        _, report = tv_restore_fixed_point(noisy, Kernel.delta(),
+                                           RestoreParams(lam=0.1, solver=cfg))
         assert report.converged
         assert report.step_norm_history[-1] < 1e3
 
     def test_anisotropic_variant_descends_its_energy(self):
         _, noisy = noisy_step(16, 16)
-        f, report = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05,
-                                           variant=TVVariant.ANISOTROPIC)
+        f, report = tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(
+            lam=0.05, variant=TVVariant.ANISOTROPIC))
         assert report.objective_monotone
         want = tv_objective(f, noisy, Kernel.delta(), 0.05, variant=TVVariant.ANISOTROPIC)
         assert report.objective_history[-1] == pytest.approx(want, rel=1e-10)
@@ -465,7 +435,7 @@ class TestFixedPointSolver:
     def test_divergence_carries_report(self):
         g = np.full((6, 6), np.nan)
         with pytest.raises(SolverDivergenceError) as exc_info:
-            tv_restore_fixed_point(g, Kernel.delta(), 0.1)
+            tv_restore_fixed_point(g, Kernel.delta(), RestoreParams(lam=0.1))
         assert isinstance(exc_info.value.report, SolveReport)
 
     def test_overflowing_jacobi_diagonal_raises(self):
@@ -473,15 +443,15 @@ class TestFixedPointSolver:
         # zero every residual entry and PCG would stop at once, leaving the
         # flat start as an unconverged "solution"
         _, noisy = synth.make_step32()
-        with pytest.raises(SolverDivergenceError) as exc_info:
-            tv_restore_fixed_point(noisy, Kernel.delta(), 1e300, alpha=1e-160,
-                                   init=np.full_like(noisy, noisy.mean()))
+        flat = np.full_like(noisy, noisy.mean())
+        with pytest.raises(SolverDivergenceError, match="Jacobi") as exc_info:
+            tv_restore_fixed_point(flat, Kernel.delta(), RestoreParams(lam=1e300, alpha=1e-160))
         assert isinstance(exc_info.value.report, SolveReport)
 
 
 def capped_denoise(cfg):
     _, noisy = synth.make_step32()
-    return tv_restore_fixed_point(noisy, Kernel.delta(), 0.05, cfg=cfg)[1]
+    return tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(lam=0.05, solver=cfg))[1]
 
 
 def capped_flow(cfg):
@@ -525,10 +495,10 @@ class TestEquivariance:
         # commute with the solve almost exactly
         _, noisy = noisy_step(16, 16, seed=2)
         cfg = SolverConfig(tol_cg=1e-12)
-        f, _ = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05, cfg=cfg,
-                                      variant=TVVariant.ANISOTROPIC)
-        f_flip, _ = tv_restore_fixed_point(noisy[:, ::-1].copy(), Kernel.delta(), 0.05,
-                                           cfg=cfg, variant=TVVariant.ANISOTROPIC)
+        f, _ = tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(
+            lam=0.05, solver=cfg, variant=TVVariant.ANISOTROPIC))
+        f_flip, _ = tv_restore_fixed_point(noisy[:, ::-1].copy(), Kernel.delta(), RestoreParams(
+            lam=0.05, solver=cfg, variant=TVVariant.ANISOTROPIC))
         dev = np.abs(f[:, ::-1] - f_flip).max()
         assert dev <= 1e-8
 
@@ -537,15 +507,17 @@ class TestEquivariance:
         # pixel, so mirroring only commutes to discretization order, not to
         # solver tolerance; the gap shrinks with the penalty weight
         _, noisy = noisy_step(16, 16, seed=2)
-        f, _ = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05)
-        f_flip, _ = tv_restore_fixed_point(noisy[:, ::-1].copy(), Kernel.delta(), 0.05)
+        f, _ = tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(lam=0.05))
+        f_flip, _ = tv_restore_fixed_point(noisy[:, ::-1].copy(), Kernel.delta(),
+                                           RestoreParams(lam=0.05))
         assert np.abs(f[:, ::-1] - f_flip).max() <= 0.1
 
     def test_constant_shift_invariance(self):
         _, noisy = noisy_step(16, 16, seed=4)
         cfg = SolverConfig(tol_cg=1e-12)
-        f, _ = tv_restore_fixed_point(noisy, Kernel.delta(), 0.05, cfg=cfg)
-        f_shift, _ = tv_restore_fixed_point(noisy + 2.0, Kernel.delta(), 0.05, cfg=cfg)
+        f, _ = tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(lam=0.05, solver=cfg))
+        f_shift, _ = tv_restore_fixed_point(noisy + 2.0, Kernel.delta(),
+                                            RestoreParams(lam=0.05, solver=cfg))
         np.testing.assert_allclose(f_shift - 2.0, f, atol=1e-10)
 
 
@@ -564,8 +536,8 @@ class TestDualProjection:
     def test_matches_fixed_point_solver(self):
         _, noisy = noisy_step()
         lam = 0.1
-        primal, _ = tv_restore_fixed_point(noisy, Kernel.delta(), lam,
-                                           cfg=SolverConfig(tol_cg=1e-10))
+        primal, _ = tv_restore_fixed_point(noisy, Kernel.delta(), RestoreParams(
+            lam=lam, solver=SolverConfig(tol_cg=1e-10)))
         dual = dual_projection_denoise(noisy, lam, steps=300)
         rel = np.linalg.norm(primal - dual) / np.linalg.norm(primal)
         assert rel <= 0.02
@@ -576,3 +548,7 @@ class TestDualProjection:
             dual_projection_denoise(g, 0.0)
         with pytest.raises(ValueError):
             dual_projection_denoise(g, 0.1, steps=-1)
+        for lam, tau in ((np.nan, 0.25), (np.inf, 0.25), (0.1, np.nan), (0.1, np.inf),
+                         (0.1, 0.0)):
+            with pytest.raises(ValueError):
+                dual_projection_denoise(g, lam, tau=tau)
