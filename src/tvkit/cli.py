@@ -90,6 +90,15 @@ def _psnr(args: argparse.Namespace, ref, f) -> list:
     return [("psnr", restore.psnr(f, ref, peak=args.peak))]
 
 
+def _read_ref(args: argparse.Namespace):
+    """The ``--ref`` image, or None without one; ``--peak`` is checked
+    with it, so a bad peak also fails before the solve."""
+    if args.ref is None:
+        return None
+    restore._check_peak(args.peak)
+    return read_pgm(args.ref)
+
+
 def _epe(gt, w) -> list:
     """``epe_mean`` and ``epe_max`` against the ``--gt`` flow, or nothing
     without one."""
@@ -102,10 +111,10 @@ def _epe(gt, w) -> list:
 def _finish(args: argparse.Namespace, report, quality, started) -> int:
     """Write the CSV report beside the output, then print the final
     objective, the keys ``quality()`` returns and the wall time.  Handlers
-    read ``--ref`` or ``--gt`` before they solve, so a bad path fails
-    before any output is written; quality is measured after the report is
-    written, so a reference that does not match the output still leaves
-    the report of the finished solve."""
+    read ``--ref`` or ``--gt`` (and check ``--peak``) before they solve,
+    so a bad path or peak fails before any output is written; quality is
+    measured after the report is written, so a reference that does not
+    match the output still leaves the report of the finished solve."""
     write_report(args.output.with_suffix(".csv"), report)
     _print_metrics([
         ("objective", report.objective_history[-1]),
@@ -119,7 +128,7 @@ def _run_restore(args: argparse.Namespace) -> int:
     """denoise and deconv: denoising is deconvolution with the delta kernel."""
     started = time.perf_counter()
     g = read_pgm(args.input)
-    ref = None if args.ref is None else read_pgm(args.ref)
+    ref = _read_ref(args)
     kernel = parse_kernel(args.psf)
     params = RestoreParams(
         lam=args.lam,
@@ -135,7 +144,7 @@ def _run_restore(args: argparse.Namespace) -> int:
 def _run_blind(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g = read_pgm(args.input)
-    ref = None if args.ref is None else read_pgm(args.ref)
+    ref = _read_ref(args)
     kernel0 = parse_kernel(args.init_psf) if args.init_psf else None
     params = BlindParams(
         lam_image=args.lam,

@@ -225,10 +225,13 @@ def pad_edge(f: np.ndarray, cy: int, cx: int) -> np.ndarray:
     h, w = f.shape
     fp = np.empty((h + 2 * cy, w + 2 * cx), dtype=f.dtype)
     fp[cy : cy + h, cx : cx + w] = f
-    fp[cy : cy + h, :cx] = f[:, :1]
-    fp[cy : cy + h, cx + w :] = f[:, -1:]
-    fp[:cy] = fp[cy]
-    fp[cy + h :] = fp[cy + h - 1]
+    # a one-axis pass (factored kernel) pads one axis only; skip the other
+    if cx:
+        fp[cy : cy + h, :cx] = f[:, :1]
+        fp[cy : cy + h, cx + w :] = f[:, -1:]
+    if cy:
+        fp[:cy] = fp[cy]
+        fp[cy + h :] = fp[cy + h - 1]
     return fp
 
 
@@ -245,10 +248,12 @@ def _fold_edge(fp: np.ndarray, cy: int, cx: int) -> np.ndarray:
     rows, then the pad columns, onto the edge row or column they copy, and
     return the interior."""
     h, w = fp.shape[0] - 2 * cy, fp.shape[1] - 2 * cx
-    fp[cy] += fp[:cy].sum(axis=0)
-    fp[cy + h - 1] += fp[cy + h :].sum(axis=0)
-    fp[:, cx] += fp[:, :cx].sum(axis=1)
-    fp[:, cx + w - 1] += fp[:, cx + w :].sum(axis=1)
+    if cy:
+        fp[cy] += fp[:cy].sum(axis=0)
+        fp[cy + h - 1] += fp[cy + h :].sum(axis=0)
+    if cx:
+        fp[:, cx] += fp[:, :cx].sum(axis=1)
+        fp[:, cx + w - 1] += fp[:, cx + w :].sum(axis=1)
     return fp[cy : cy + h, cx : cx + w]
 
 

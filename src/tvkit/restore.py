@@ -260,14 +260,18 @@ def lasso_estimate(
     return f
 
 
+def _check_peak(peak: float) -> None:
+    if not 0 < peak < np.inf:
+        raise ValueError(f"peak must be finite and positive, got {peak}")
+
+
 def psnr(f: np.ndarray, reference: np.ndarray, peak: float = 1.0) -> float:
     """Peak signal-to-noise ratio in dB, capped at 300 dB for exact equality."""
     f = np.asarray(f, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if f.shape != reference.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {reference.shape}")
-    if not 0 < peak < np.inf:
-        raise ValueError(f"peak must be finite and positive, got {peak}")
+    _check_peak(peak)
     err = float(np.sum((f - reference) ** 2))
     if err == 0.0:
         return PSNR_CAP_DB

@@ -8,6 +8,16 @@ uniform via (x >> 11) / 2^53; Gaussians come from the Box-Muller
 transform on consecutive uniforms (first of the pair offset to (0,1] so
 the log is finite). All arithmetic is exactly specified, so outputs are
 bit-identical across platforms.
+
+The generator's state has a closed form: the k-th draw (k = 1, 2, ...)
+mixes ``seed + k * 0x9E3779B97F4A7C15 (mod 2^64)``, so `uniforms` and
+`gaussian_field` compute whole chunks of draws as uint64 arrays, whose
+arithmetic wraps modulo 2^64 like the recurrence in `splitmix64` (kept
+as the scalar reference).  ``log``, ``cos`` and ``sin`` go through
+Python's ``math`` module element by element, not numpy: numpy picks its
+SIMD kernels per CPU, and its ``log`` differs from ``math.log`` by one
+ulp on some draws, which would change the fixture bytes from machine to
+machine.  ``sqrt`` and the products are correctly rounded either way.
 """
 
 from __future__ import annotations
@@ -20,36 +30,64 @@ from .flow import FramePair
 from .grid import VectorField
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# draws generated at once; an even number, so a chunk holds whole
+# Box-Muller pairs, and small enough that the chunk's temporaries reuse
+# freed heap rather than grow it
+_CHUNK = 8192
 
 
 def splitmix64(seed: int):
     """Infinite uint64 stream from the SplitMix64 recurrence."""
     state = seed & _MASK64
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        state = (state + _GAMMA) & _MASK64
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         yield z ^ (z >> 31)
 
 
+def _draws(seed: int, start: int, n: int) -> np.ndarray:
+    """Draws ``start + 1`` to ``start + n`` of the seeded stream (1-based,
+    as uint64), each shifted right by 11 to its top 53 bits."""
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z
+
+
+def _math(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` from Python's ``math`` applied to each element of ``a``."""
+    return np.fromiter(map(fn, a.tolist()), dtype=np.float64, count=a.size)
+
+
 def uniforms(seed: int, count: int) -> np.ndarray:
     """First ``count`` uniforms in [0,1) from the seeded stream."""
-    gen = splitmix64(seed)
-    return np.array([(next(gen) >> 11) * 2.0**-53 for _ in range(count)])
+    out = np.empty(count)
+    for k in range(0, count, _CHUNK):
+        d = _draws(seed, k, min(_CHUNK, count - k))
+        np.multiply(d, 2.0**-53, out=out[k : k + d.size])
+    return out
 
 
 def gaussian_field(shape, seed: int) -> np.ndarray:
     """Standard-normal field via Box-Muller on the SplitMix64 stream."""
     count = int(np.prod(shape))
-    gen = splitmix64(seed)
     out = np.empty(count + (count & 1), dtype=np.float64)
-    for k in range(0, len(out), 2):
-        u1 = ((next(gen) >> 11) + 1) * 2.0**-53
-        u2 = (next(gen) >> 11) * 2.0**-53
-        r = math.sqrt(-2.0 * math.log(u1))
-        out[k] = r * math.cos(2.0 * math.pi * u2)
-        out[k + 1] = r * math.sin(2.0 * math.pi * u2)
+    for k in range(0, out.size, _CHUNK):
+        d = _draws(seed, k, min(_CHUNK, out.size - k))
+        u1 = (d[0::2] + np.uint64(1)) * 2.0**-53
+        theta = (2.0 * math.pi) * (d[1::2] * 2.0**-53)
+        r = np.sqrt(-2.0 * _math(math.log, u1))
+        np.multiply(r, _math(math.cos, theta), out=out[k : k + d.size : 2])
+        np.multiply(r, _math(math.sin, theta), out=out[k + 1 : k + d.size : 2])
     return out[:count].reshape(shape)
 
 

@@ -477,9 +477,14 @@ class TestCliRuns:
         ("blind", ["--lambda", "inf"]),
         ("flow", ["--eps", "inf"]),
         ("denoise", ["--tol", "inf"]),
+        ("denoise", ["--ref", "in.pgm", "--peak", "nan"]),
+        ("blind", ["--ref", "in.pgm", "--peak", "nan"]),
     ], ids=["box0", "gaussian-even", "lambda-nan", "lambda-inf", "alpha-inf",
-            "lambda-kernel-nan", "blind-lambda-inf", "flow-eps-inf", "tol-inf"])
-    def test_bad_parameter_exits_one_before_output(self, tmp_path, capsys, command, flags):
+            "lambda-kernel-nan", "blind-lambda-inf", "flow-eps-inf", "tol-inf",
+            "peak-nan", "blind-peak-nan"])
+    def test_bad_parameter_exits_one_before_output(self, tmp_path, monkeypatch, capsys,
+                                                   command, flags):
+        monkeypatch.chdir(tmp_path)  # so a flag can name the input as in.pgm
         src = tmp_path / "in.pgm"
         write_pgm(src, np.random.default_rng(5).uniform(0.0, 1.0, (8, 8)))
         if command == "flow":

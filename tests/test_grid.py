@@ -295,16 +295,26 @@ class TestOutBuffers:
             assert peak_allocation(lambda: op(f, k)) >= f.nbytes
 
 
+# pads wider than the field repeat the edge sample throughout; a zero pad
+# on one axis is a pass of a factored kernel
+PADS = [((5, 4), 2, 2), ((2, 3), 4, 0), ((2, 3), 0, 4), ((1, 1), 3, 2)]
+
+
 class TestPad:
-    # pads wider than the field repeat the edge sample throughout
-    @pytest.mark.parametrize("shape,cy,cx", [((5, 4), 2, 2), ((2, 3), 4, 0),
-                                             ((2, 3), 0, 4), ((1, 1), 3, 2)])
+    @pytest.mark.parametrize("shape,cy,cx", PADS)
     def test_pad_edge_matches_numpy_edge_mode(self, shape, cy, cx):
         f = random_field(np.random.default_rng(14), *shape)
         expect = np.pad(f, ((cy, cy), (cx, cx)), mode="edge")
         assert np.array_equal(grid.pad_edge(f, cy, cx), expect)
         expect = np.pad(f, ((cy, cy), (cx, cx)))
         assert np.array_equal(grid._pad_zero(f, cy, cx), expect)
+
+    @pytest.mark.parametrize("shape,cy,cx", PADS)
+    def test_fold_edge_is_the_transpose_of_pad_edge(self, shape, cy, cx):
+        padded = (shape[0] + 2 * cy, shape[1] + 2 * cx)
+        pad = materialize(lambda x: grid.pad_edge(x, cy, cx), shape)
+        fold = materialize(lambda x: grid._fold_edge(x.copy(), cy, cx), padded)
+        assert np.array_equal(fold, pad.T)
 
 
 class TestConvolve:
