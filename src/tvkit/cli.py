@@ -27,34 +27,36 @@ from .solvers import SolverConfig, SolverDivergenceError
 SYNTH_MAXVAL = 65535
 
 
+# each named kernel's factory and the converters of its optional ":" fields
+_NAMED_KERNELS = {
+    "delta": (Kernel.delta, (int,)),
+    "box3": (Kernel.box, ()),
+    "box": (Kernel.box, (int,)),
+    "binomial3": (Kernel.binomial3, ()),
+    "gaussian": (Kernel.gaussian, (int, float)),
+    "motion-h": (Kernel.motion_horizontal, (int,)),
+    "motion-v": (Kernel.motion_vertical, (int,)),
+}
+
+
 def parse_kernel(spec: str) -> Kernel:
-    """Kernel from a flag value: a named form (``delta``, ``box3``,
-    ``binomial3``, ``gaussian:SIZE:SIGMA``, ``motion-h:SIZE``,
-    ``motion-v:SIZE``) or ``@path`` to an ASCII grid of weights."""
+    """Kernel from a flag value: a named form (``delta[:SIZE]``, ``box3``,
+    ``box[:SIZE]``, ``binomial3``, ``gaussian[:SIZE[:SIGMA]]``,
+    ``motion-h[:SIZE]``, ``motion-v[:SIZE]``) or ``@path`` to an ASCII grid
+    of weights.  A field the form does not take is an error."""
     if spec.startswith("@"):
         return read_kernel_text(spec[1:])
     name, _, rest = spec.partition(":")
+    if name not in _NAMED_KERNELS:
+        raise ValueError(f"unknown kernel {spec!r}")
+    factory, fields = _NAMED_KERNELS[name]
     parts = rest.split(":") if rest else []
     try:
-        if name == "delta":
-            return Kernel.delta(int(parts[0]) if parts else 1)
-        if name == "box3":
-            return Kernel.box(3)
-        if name == "box":
-            return Kernel.box(int(parts[0]) if parts else 3)
-        if name == "binomial3":
-            return Kernel.binomial3()
-        if name == "gaussian":
-            size = int(parts[0]) if parts else 3
-            sigma = float(parts[1]) if len(parts) > 1 else 0.8
-            return Kernel.gaussian(size, sigma)
-        if name == "motion-h":
-            return Kernel.motion_horizontal(int(parts[0]) if parts else 3)
-        if name == "motion-v":
-            return Kernel.motion_vertical(int(parts[0]) if parts else 3)
-    except (IndexError, ValueError) as err:
+        if len(parts) > len(fields):
+            raise ValueError(f"too many ':' fields for {name}")
+        return factory(*(convert(part) for convert, part in zip(fields, parts)))
+    except ValueError as err:
         raise ValueError(f"bad kernel spec {spec!r}: {err}") from None
-    raise ValueError(f"unknown kernel {spec!r}")
 
 
 def read_kernel_text(path) -> Kernel:

@@ -5,7 +5,9 @@ anisotropic diffusion tensor built from the first frame's gradient
 (smoothing along image edges, not across), and a flow-driven isotropic
 TV penalty handled by lagged-nonlinearity outer iterations. Both reduce
 to symmetric positive (semi-)definite linear systems in the stacked
-(u, v) field, solved matrix-free by conjugate gradients.
+(u, v) field, solved matrix-free by conjugate gradients inside
+`solvers.lagged_loop`; the image-driven system does not depend on
+the flow, so its solve is a single step.
 
 Single linearization of brightness constancy: no warping or pyramid, so
 displacements should stay around a pixel or less.
@@ -13,7 +15,7 @@ displacements should stay around a pixel or less.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
@@ -57,8 +59,9 @@ class FlowParams:
     """Knobs for the flow estimators.
 
     ``eps`` keeps the diffusion tensor nonsingular (image-driven) and the
-    TV weights finite (flow-driven).  The image-driven solve is one cold
-    solve and ignores ``solver.forcing``.
+    TV weights finite (flow-driven).  The image-driven solve is one lagged
+    step solved to ``solver.tol_cg``: it ignores ``solver.forcing`` and
+    ``solver.max_outer``.
     """
 
     lam: float = 0.1
@@ -176,42 +179,57 @@ def flow_smoothness_weights(w: VectorField | np.ndarray, eps: float) -> np.ndarr
     return functionals.diffusion_weights(np.asarray(w), eps)[0]
 
 
-def _solve_linear_flow(fx, fy, ft, smooth, scale, work, x0, cfg, forcing):
-    """One CG solve of the coupled system
+def _lagged_flow(pair, cfg, smoothing, scale, penalty, n_work):
+    """`solvers.lagged_loop` from zero flow on the coupled system
 
         [fx^2 + lam*S, fx*fy      ] [u]   [-fx*ft]
         [fx*fy,        fy^2 + lam*S] [v] = [-fy*ft]
 
-    with S the (positive semi-definite) smoothness operator, on the
-    stacked (2, H, W) unknown, stopped at `conjugate_gradient`'s
-    ``forcing`` tolerance.  ``smooth(w, out=, work=)`` writes a smoothing
-    of the whole stacked ``w`` into ``out``, and ``scale`` times it is
-    ``lam * S w``: ``lam`` for the weighted Laplacian (TV), ``-lam`` for
-    the tensor diffusion (image-driven).  ``work`` holds the (2, H, W)
-    arrays ``smooth`` needs, at least two, which the data rows reuse after it.
-    Every CG iteration writes ``A w`` into one buffer of this solve, so no
-    iteration allocates a field.  An overflow in the operator is left to
-    CG's non-finite check, which raises `SolverDivergenceError`."""
-    fxx, fxy, fyy = fx * fx, fx * fy, fy * fy
-    Aw = np.empty((2,) + fx.shape)
+    on the stacked (2, H, W) unknown, each step a CG solve under ``cfg``
+    from the current flow, with S (positive semi-definite) frozen there by
+    ``smoothing(w)``: its ``smooth(z, out=, work=)`` writes a smoothing of
+    the whole stacked ``z`` into ``out``, and ``scale`` times that is
+    ``lam * S z`` (``lam`` for the TV weighted Laplacian, ``-lam`` for the
+    image-driven tensor diffusion).  ``smooth`` gets the solve's ``n_work
+    >= 2`` (2, H, W) work arrays, which the data rows reuse after it;
+    every CG iteration writes ``A w`` into one buffer of its step, so no
+    iteration allocates a field.  The objective is the squared OFC residual
+    plus ``penalty(w)``.  An overflow in the operator is left to CG's
+    non-finite check: `SolverDivergenceError` with the partial report."""
+    fx, fy, ft = image_derivatives(pair)
+    work = _buffers(n_work, (2,) + pair.shape)
     tu, tv = work[0], work[1]
 
-    def apply_A(wvec):
-        u, v = wvec[0], wvec[1]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
-            smooth(wvec, out=Aw, work=work)
-            np.multiply(Aw, scale, out=Aw)
-            np.multiply(fxx, u, out=tu[0])
-            np.multiply(fxy, u, out=tu[1])
-            np.multiply(fxy, v, out=tv[0])
-            np.multiply(fyy, v, out=tv[1])
-            np.add(tu, tv, out=tu)
-            # each row is (fx^2 u + fx fy v) + lam S u, and likewise for v
-            return np.add(Aw, tu, out=Aw)
+    def step(wvec):
+        smooth = smoothing(wvec)
+        fxx, fxy, fyy = fx * fx, fx * fy, fy * fy
+        Aw = np.empty((2,) + fx.shape)
 
-    # b is passed, not held here: CG drops it after the first residual
-    return solvers.conjugate_gradient(apply_A, np.stack([-fx * ft, -fy * ft]), x0=x0, cfg=cfg,
-                                      forcing=forcing)
+        def apply_A(z):
+            u, v = z[0], z[1]
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
+                smooth(z, out=Aw, work=work)
+                np.multiply(Aw, scale, out=Aw)
+                np.multiply(fxx, u, out=tu[0])
+                np.multiply(fxy, u, out=tu[1])
+                np.multiply(fxy, v, out=tv[0])
+                np.multiply(fyy, v, out=tv[1])
+                np.add(tu, tv, out=tu)
+                # each row is (fx^2 u + fx fy v) + lam S u, and likewise for v
+                return np.add(Aw, tu, out=Aw)
+
+        # b is passed, not held here: CG drops it after the first residual
+        return solvers.conjugate_gradient(apply_A, np.stack([-fx * ft, -fy * ft]), x0=wvec,
+                                          cfg=cfg, forcing=cfg.forcing)
+
+    def objective(wvec):
+        r = ofc_residual(fx, fy, ft, wvec)
+        return float(np.sum(r * r)) + penalty(wvec)
+
+    # zero flow as a read-only view that holds no memory: CG copies its start
+    zero = np.broadcast_to(0.0, (2,) + pair.shape)
+    wvec, report = solvers.lagged_loop(step, objective, zero, cfg)
+    return VectorField(*wvec), report
 
 
 def _buffers(count: int, shape: tuple[int, ...]) -> list[np.ndarray]:
@@ -228,30 +246,22 @@ def flow_image_driven(
     """Flow with the image-driven anisotropic smoothness term.
 
     Minimizes sum(OFC^2) + lam * sum(grad u . D grad u + grad v . D grad v)
-    with D the diffusion tensor of frame 1; a single linear solve.
+    with D the diffusion tensor of frame 1.  The system does not depend on
+    the flow, so the solve is one lagged step from zero flow, solved to
+    ``tol_cg``, and it converged when that step's CG did.
     """
-    fx, fy, ft = image_derivatives(pair)
     tensor = diffusion_tensor(centered_gradient(pair.f1), params.eps)
 
-    # one cold solve from zero flow (x0=None, so r0 = b): no forcing term;
+    def penalty(wvec):
+        s = -apply_tensor_diffusion(tensor, wvec)  # S u and S v
+        return params.lam * (inner(wvec[0], s[0]) + inner(wvec[1], s[1]))
+
     # S = -div(D grad), so lam * S is the tensor diffusion scaled by -lam
-    wvec, cg_iters, cg_ok = _solve_linear_flow(
-        fx, fy, ft, partial(apply_tensor_diffusion, tensor), -params.lam,
-        _buffers(3, (2,) + pair.shape), None, params.solver, forcing=0.0
-    )
-    r = ofc_residual(fx, fy, ft, wvec)
-    s = -apply_tensor_diffusion(tensor, wvec)  # S u and S v
-    energy = float(np.sum(r * r)) + params.lam * (inner(wvec[0], s[0]) + inner(wvec[1], s[1]))
-    report = SolveReport(
-        converged=cg_ok,
-        objective_history=[energy],
-        step_norm_history=[float(np.linalg.norm(wvec))],
-        cg_iterations_total=cg_iters,
-        cg_iters_history=[cg_iters],
-        cg_converged_history=[cg_ok],
-        forcing=0.0,
-    )
-    return VectorField(*wvec), report
+    w, report = _lagged_flow(
+        pair, replace(params.solver, max_outer=1, forcing=0.0),
+        lambda wvec: partial(apply_tensor_diffusion, tensor), -params.lam, penalty, n_work=3)
+    report.converged = report.cg_converged_history[0]
+    return w, report
 
 
 def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveReport]:
@@ -261,26 +271,14 @@ def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveRepo
     by freezing the TV weights at the current iterate and solving the
     resulting linear system, starting from zero flow.
     """
-    fx, fy, ft = image_derivatives(pair)
-    # one gradient's worth of work arrays, shared by every step's solve
-    work = _buffers(2, (2,) + pair.shape)
-
-    def step(wvec):
+    def smoothing(wvec):
         weights = flow_smoothness_weights(wvec, params.eps)
-        return _solve_linear_flow(
-            fx, fy, ft, partial(functionals.apply_weighted_laplacian, weights, weights),
-            params.lam, work, wvec, params.solver, forcing=params.solver.forcing)
+        return partial(functionals.apply_weighted_laplacian, weights, weights)
 
-    def objective(wvec):
-        r = ofc_residual(fx, fy, ft, wvec)
-        return float(np.sum(r * r)) + 2.0 * params.lam * functionals.tv_isotropic(
-            wvec, params.eps
-        )
+    def penalty(wvec):
+        return 2.0 * params.lam * functionals.tv_isotropic(wvec, params.eps)
 
-    wvec, report = solvers.lagged_loop(
-        step, objective, np.zeros((2,) + pair.shape), params.solver
-    )
-    return VectorField(*wvec), report
+    return _lagged_flow(pair, params.solver, smoothing, params.lam, penalty, n_work=2)
 
 
 def estimate_flow(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveReport]:

@@ -78,17 +78,18 @@ def gtr_estimate(
 
         f = f0 + (H^T P H + q_lambda^2 I)^{-1} H^T P (g - H f0)
 
-    with ``P = diag(p_weight)`` strictly positive per pixel.
+    with ``P = diag(p_weight)`` finite and strictly positive per pixel and
+    ``q_lambda`` finite and nonnegative.
     """
     g = np.asarray(g, dtype=np.float64)
     f0 = np.asarray(f0, dtype=np.float64)
     p = np.asarray(p_weight, dtype=np.float64)
     if p.shape != g.shape or f0.shape != g.shape:
         raise ValueError("g, f0 and p_weight must have the same shape")
-    if np.any(p <= 0):
-        raise ValueError("p_weight must be strictly positive per pixel")
-    if q_lambda < 0:
-        raise ValueError(f"q_lambda must be nonnegative, got {q_lambda}")
+    if not np.all((0 < p) & (p < np.inf)):
+        raise ValueError("p_weight must be finite and strictly positive per pixel")
+    if not 0 <= q_lambda < np.inf:
+        raise ValueError(f"q_lambda must be finite and nonnegative, got {q_lambda}")
     mu = q_lambda * q_lambda
 
     def apply_A(x):
@@ -112,13 +113,9 @@ def _image_times_kernel_adjoint(fp: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Adjoint of the kernel map ``h -> grid._taps(fp, h)``, the blur of the
     image by the kernel ``h`` with the image fixed (``fp`` is the image
     edge-padded by half the kernel size on each side, `grid.pad_edge`):
-    correlate the residual against ``fp`` at each tap offset."""
-    h, w = r.shape
-    out = np.empty((fp.shape[0] - h + 1, fp.shape[1] - w + 1))
-    for b in range(out.shape[0]):
-        for a in range(out.shape[1]):
-            out[b, a] = float(np.sum(fp[b : b + h, a : a + w] * r))
-    return out
+    correlate the residual against ``fp`` at each tap offset, one
+    contraction over the patch view of `_kernel_gram`, with no copy."""
+    return np.einsum("bajk,jk->ba", sliding_window_view(fp, r.shape), r)
 
 
 def _project_kernel(weights: np.ndarray) -> np.ndarray:

@@ -213,6 +213,12 @@ class TestKernelSpecs:
         with pytest.raises(ValueError):
             parse_kernel("sharpen")
 
+    @pytest.mark.parametrize("spec", ["box3:7", "binomial3:5", "delta:3:9",
+                                      "gaussian:5:1.0:2", "motion-h:3:1"])
+    def test_surplus_fields_rejected(self, spec):
+        with pytest.raises(ValueError, match="bad kernel spec"):
+            parse_kernel(spec)
+
     def test_text_round_trip(self, tmp_path):
         p = tmp_path / "k.txt"
         write_kernel_text(p, Kernel.gaussian(3, 0.8))
@@ -470,6 +476,8 @@ class TestCliRuns:
     @pytest.mark.parametrize("command, flags", [
         ("deconv", ["--psf", "box:0"]),
         ("deconv", ["--psf", "gaussian:4:1.0"]),
+        ("deconv", ["--psf", "box3:7"]),
+        ("deconv", ["--psf", "gaussian:5:1.0:2"]),
         ("denoise", ["--lambda", "nan"]),
         ("denoise", ["--lambda", "inf"]),
         ("denoise", ["--alpha", "inf"]),
@@ -479,9 +487,9 @@ class TestCliRuns:
         ("denoise", ["--tol", "inf"]),
         ("denoise", ["--ref", "in.pgm", "--peak", "nan"]),
         ("blind", ["--ref", "in.pgm", "--peak", "nan"]),
-    ], ids=["box0", "gaussian-even", "lambda-nan", "lambda-inf", "alpha-inf",
-            "lambda-kernel-nan", "blind-lambda-inf", "flow-eps-inf", "tol-inf",
-            "peak-nan", "blind-peak-nan"])
+    ], ids=["box0", "gaussian-even", "box3-surplus", "gaussian-surplus", "lambda-nan",
+            "lambda-inf", "alpha-inf", "lambda-kernel-nan", "blind-lambda-inf", "flow-eps-inf",
+            "tol-inf", "peak-nan", "blind-peak-nan"])
     def test_bad_parameter_exits_one_before_output(self, tmp_path, monkeypatch, capsys,
                                                    command, flags):
         monkeypatch.chdir(tmp_path)  # so a flag can name the input as in.pgm
@@ -522,16 +530,18 @@ class TestCliRuns:
 
     def test_solver_failure_exits_two_with_partial_report(self, tmp_path):
         assert main(["synth", "ramp-shift", "--outdir", str(tmp_path)]) == 0
-        out = tmp_path / "est.flo"
-        with np.errstate(all="ignore"):
-            code = main([
-                "flow", str(tmp_path / "ramp_shift_f1.pgm"),
-                str(tmp_path / "ramp_shift_f2.pgm"), str(out),
-                "--lambda", "1e300", "--eps", "1e-160",
-            ])
-        assert code == 2
-        assert not out.exists()
-        assert (tmp_path / "est.csv").exists()
+        # both flow variants overflow in their first lagged step
+        for name, flags in (("tv", ["--lambda", "1e300", "--eps", "1e-160"]),
+                            ("an", ["--variant", "an", "--lambda", "1e308"])):
+            out = tmp_path / f"{name}.flo"
+            with np.errstate(all="ignore"):
+                code = main([
+                    "flow", str(tmp_path / "ramp_shift_f1.pgm"),
+                    str(tmp_path / "ramp_shift_f2.pgm"), str(out), *flags,
+                ])
+            assert code == 2, name
+            assert not out.exists()
+            assert read_report(tmp_path / f"{name}.csv").outer_iterations == 0
 
     def test_blind_failure_exits_two_with_partial_report(self, tmp_path, monkeypatch):
         # the first alternation projects once; the second projection fails

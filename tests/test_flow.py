@@ -332,7 +332,7 @@ class TestImageDrivenFlow:
         assert np.abs(ws.v - w.v).max() <= 1e-8
 
     def test_ignores_forcing(self):
-        # one cold solve from zero flow (r0 = b): the default forcing term
+        # one lagged step from zero flow (r0 = b): the default forcing term
         # would only loosen tol_cg, so the solve ignores it
         pair, _ = synth.make_split_motion()
         params = FlowParams(lam=0.003, eps=0.05, variant=FlowVariant.IMAGE_DRIVEN)
@@ -344,6 +344,9 @@ class TestImageDrivenFlow:
         np.testing.assert_array_equal(w.v, w_exact.v)
         assert report == report_exact
         assert report.forcing == 0.0
+        # the system does not depend on the flow: the one step's CG decides
+        assert report.outer_iterations == 1
+        assert report.converged == report.cg_converged_history[0]
 
 
 class TestTVFlow:
@@ -387,23 +390,30 @@ class TestTVFlow:
 
         assert transition_width(wtv) < transition_width(wan)
 
+    # overflow-scale parameters that blow up the first linearized solve of
+    # each variant: TV's first lagged step, the image-driven flow's only one
+    BLOW_UPS = ((flow_tv, FlowParams(lam=1e300, eps=1e-160)),
+                (flow_image_driven, FlowParams(lam=1e308, variant=FlowVariant.IMAGE_DRIVEN)))
+
     def test_overflow_raises_divergence_not_warning(self):
         # the same blow-up without np.errstate: under the suite's
         # error::RuntimeWarning filter the overflow in the operator must
         # reach CG's non-finite check, not escape as a numpy warning
         pair, _ = synth.make_ramp_shift()
-        with pytest.raises(SolverDivergenceError) as exc_info:
-            flow_tv(pair, FlowParams(lam=1e300, eps=1e-160))
-        assert isinstance(exc_info.value.report, SolveReport)
+        for solve, params in self.BLOW_UPS:
+            with pytest.raises(SolverDivergenceError) as exc_info:
+                solve(pair, params)
+            assert isinstance(exc_info.value.report, SolveReport)
 
     def test_divergence_reports_outer_index(self):
-        # overflow-scale parameters blow up the first linearized solve
         pair, _ = synth.make_ramp_shift()
-        with np.errstate(all="ignore"):
-            with pytest.raises(SolverDivergenceError) as exc_info:
-                flow_tv(pair, FlowParams(lam=1e300, eps=1e-160))
-        assert "outer iteration" in str(exc_info.value)
-        assert isinstance(exc_info.value.report, SolveReport)
+        for solve, params in self.BLOW_UPS:
+            with np.errstate(all="ignore"):
+                with pytest.raises(SolverDivergenceError) as exc_info:
+                    solve(pair, params)
+            assert "(outer iteration 1)" in str(exc_info.value)
+            assert isinstance(exc_info.value.report, SolveReport)
+            assert exc_info.value.report.outer_iterations == 0
 
 
 class TestReportedEnergies:

@@ -125,12 +125,19 @@ class TestGeneralizedTikhonov:
         f = gtr_estimate(g, f0, k, p, lam, TIGHT)
         np.testing.assert_allclose(f.ravel(), want, atol=1e-8)
 
-    def test_nonpositive_weight_rejected(self):
-        g = np.zeros((4, 4))
+    @pytest.mark.parametrize("q_lambda, weight", [
+        (np.nan, 1.0), (np.inf, 1.0), (-1.0, 1.0), (0.1, np.nan), (0.1, np.inf), (0.1, 0.0),
+    ], ids=["q-nan", "q-inf", "q-negative", "p-nan", "p-inf", "p-zero"])
+    def test_bad_parameter_rejected(self, q_lambda, weight):
+        # a ValueError before CG runs, not a solver failure
+        g = np.ones((4, 4))
         p = np.ones((4, 4))
-        p[2, 2] = 0.0
-        with pytest.raises(ValueError):
-            gtr_estimate(g, g, Kernel.delta(), p, 0.1)
+        p[2, 2] = weight
+        with pytest.raises(ValueError, match="finite"):
+            gtr_estimate(g, np.zeros_like(g), Kernel.delta(), p, q_lambda)
+        if weight == 1.0:
+            with pytest.raises(ValueError, match="finite"):
+                rls_estimate(g, Kernel.delta(), q_lambda)
 
 
 class TestTVDenoise:
