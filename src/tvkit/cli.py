@@ -14,10 +14,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import functionals, restore, synth
-from .fileio import read_flo, read_pgm, write_flo, write_pgm, write_report
+from .fileio import (_check_maxval, read_flo, read_kernel_text, read_pgm, write_flo,
+                     write_kernel_text, write_pgm, write_report)
 from .flow import FlowParams, FlowVariant, FramePair, endpoint_error, estimate_flow
 from .functionals import TVVariant
 from .grid import Kernel
@@ -42,8 +41,9 @@ _NAMED_KERNELS = {
 def parse_kernel(spec: str) -> Kernel:
     """Kernel from a flag value: a named form (``delta[:SIZE]``, ``box3``,
     ``box[:SIZE]``, ``binomial3``, ``gaussian[:SIZE[:SIGMA]]``,
-    ``motion-h[:SIZE]``, ``motion-v[:SIZE]``) or ``@path`` to an ASCII grid
-    of weights.  A field the form does not take is an error."""
+    ``motion-h[:SIZE]``, ``motion-v[:SIZE]``) or ``@path`` to a kernel grid
+    (see `fileio.read_kernel_text`).  A field the form does not take is an
+    error."""
     if spec.startswith("@"):
         return read_kernel_text(spec[1:])
     name, _, rest = spec.partition(":")
@@ -57,22 +57,6 @@ def parse_kernel(spec: str) -> Kernel:
         return factory(*(convert(part) for convert, part in zip(fields, parts)))
     except ValueError as err:
         raise ValueError(f"bad kernel spec {spec!r}: {err}") from None
-
-
-def read_kernel_text(path) -> Kernel:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            rows.append([float(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError(f"no kernel weights in {path}")
-    return Kernel(np.array(rows, dtype=np.float64))
-
-
-def write_kernel_text(path, kernel: Kernel) -> None:
-    lines = [" ".join(repr(float(w)) for w in row) for row in kernel.weights]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
@@ -92,13 +76,14 @@ def _psnr(args: argparse.Namespace, ref, f) -> list:
     return [("psnr", restore.psnr(f, ref, peak=args.peak))]
 
 
-def _read_ref(args: argparse.Namespace):
-    """The ``--ref`` image, or None without one; ``--peak`` is checked
-    with it, so a bad peak also fails before the solve."""
-    if args.ref is None:
-        return None
-    restore._check_peak(args.peak)
-    return read_pgm(args.ref)
+def _read_images(args: argparse.Namespace):
+    """The input image and the ``--ref`` image (None without one).
+    ``--maxval``, and ``--peak`` with ``--ref``, are checked first, so a bad
+    value fails before any image is read or solved."""
+    _check_maxval(args.maxval)
+    if args.ref is not None:
+        restore._check_peak(args.peak)
+    return read_pgm(args.input), None if args.ref is None else read_pgm(args.ref)
 
 
 def _epe(gt, w) -> list:
@@ -129,8 +114,7 @@ def _finish(args: argparse.Namespace, report, quality, started) -> int:
 def _run_restore(args: argparse.Namespace) -> int:
     """denoise and deconv: denoising is deconvolution with the delta kernel."""
     started = time.perf_counter()
-    g = read_pgm(args.input)
-    ref = _read_ref(args)
+    g, ref = _read_images(args)
     kernel = parse_kernel(args.psf)
     params = RestoreParams(
         lam=args.lam,
@@ -145,8 +129,7 @@ def _run_restore(args: argparse.Namespace) -> int:
 
 def _run_blind(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    g = read_pgm(args.input)
-    ref = _read_ref(args)
+    g, ref = _read_images(args)
     kernel0 = parse_kernel(args.init_psf) if args.init_psf else None
     params = BlindParams(
         lam_image=args.lam,

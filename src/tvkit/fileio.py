@@ -1,71 +1,70 @@
-"""File formats: netpbm PGM images, Middlebury .flo flow fields, and CSV
-convergence reports.
+"""File formats: netpbm PGM images, Middlebury .flo flow fields, kernel
+grids and CSV convergence reports.
 
 PGM values are scaled to [0,1] on read and quantized (round half-up) on
 write; 16-bit samples are big-endian per netpbm. The .flo layout is the
 4-byte tag "PIEH", little-endian int32 width and height, then row-major
-interleaved (u, v) float32 pairs; round trips are bit-exact. Reports are
-RFC-4180-style CSV with LF line endings.
+interleaved (u, v) float32 pairs. A kernel grid has one row of weights per
+line and '#' comments. .flo and grid round trips are bit-exact. Reports are
+RFC-4180-style CSV with LF line endings. A malformed PGM, .flo or grid file
+raises a `FileFormatError` that names the byte offset of the fault.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .grid import VectorField, ensure_field
+from .grid import Kernel, VectorField, ensure_field
 from .solvers import SolveReport
 
 FLO_MAGIC = b"PIEH"
 REPORT_HEADER = ("iteration", "objective", "step_norm", "cg_iters")
 
-_WHITESPACE = b" \t\r\n\v\f"
+# whitespace and '#' comments, then one token (empty only at the end of data)
+_TOKEN = re.compile(rb"(?:\s+|#[^\r\n]*)*(\S*)")
 
 
-class PgmParseError(ValueError):
-    """Malformed PGM input; the message names the byte offset."""
+class FileFormatError(ValueError):
+    """Malformed input file; the message names the byte offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
 
 
-class FloFormatError(ValueError):
+class PgmParseError(FileFormatError):
+    """Malformed PGM input."""
+
+
+class FloFormatError(FileFormatError):
     """Malformed .flo input."""
 
 
-def _skip_space(data: bytes, pos: int) -> int:
-    """Position of the first byte at or after ``pos`` that is neither
-    whitespace nor inside a '#' comment (``len(data)`` if none)."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#'
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos
-
-
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int, int]:
-    """Next header token after whitespace and '#' comments.
+    """(token, token_offset, position_after_token) of the next token at or
+    after ``pos``; the token is empty at the end of the data."""
+    m = _TOKEN.match(data, pos)
+    return m[1], m.start(1), m.end()
 
-    Returns (token, token_offset, position_after_token).
-    """
-    n = len(data)
-    pos = _skip_space(data, pos)
-    if pos >= n:
-        raise PgmParseError("unexpected end of file in header", pos)
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    return data[start:pos], start, pos
+
+def _check_payload(data: bytes, start: int, size: int, what: str, error) -> None:
+    """Raise ``error`` unless exactly ``size`` bytes follow ``start``."""
+    available = len(data) - start
+    if available < size:
+        raise error(f"truncated {what}: need {size} bytes, have {available}", len(data))
+    if available > size:
+        raise error(f"trailing data after {what} of {size} bytes", start + size)
+
+
+def _check_maxval(maxval: int) -> None:
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"maxval must be in [1, 65535], got {maxval}")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -83,46 +82,35 @@ def read_pgm(path) -> np.ndarray:
     if magic not in (b"P2", b"P5"):
         raise PgmParseError(f"bad magic {magic!r}, expected P2 or P5", 0)
 
-    pos = 2
-    header = {}
+    pos, header = 2, []
     for name in ("width", "height", "maxval"):
         token, start, pos = _next_token(data, pos)
+        if not token:
+            raise PgmParseError("unexpected end of file in header", start)
         try:
             value = int(token)
         except ValueError:
             raise PgmParseError(f"invalid {name} token {token!r}", start) from None
         if value <= 0:
             raise PgmParseError(f"{name} must be positive, got {value}", start)
-        header[name] = value
-    width, height, maxval = header["width"], header["height"], header["maxval"]
+        header.append(value)
+    width, height, maxval = header
     if maxval > 65535:
         raise PgmParseError(f"maxval {maxval} exceeds 65535", start)
     count = width * height
 
     if magic == b"P5":
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
+        if not data[pos : pos + 1].isspace():
             raise PgmParseError("expected single whitespace after maxval", pos)
         payload = pos + 1
-        itemsize = 1 if maxval < 256 else 2
-        expected = count * itemsize
-        available = len(data) - payload
-        if available < expected:
-            raise PgmParseError(
-                f"truncated P5 payload: need {expected} bytes, have {available}",
-                len(data),
-            )
-        if available > expected:
-            raise PgmParseError(
-                f"trailing data after P5 payload of {expected} bytes",
-                payload + expected,
-            )
-        dtype = np.dtype(">u2") if itemsize == 2 else np.dtype("u1")
+        dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
+        _check_payload(data, payload, count * dtype.itemsize, "P5 payload", PgmParseError)
         samples = np.frombuffer(data, dtype=dtype, count=count, offset=payload)
         over = np.nonzero(samples > maxval)[0]
         if over.size:
             raise PgmParseError(
                 f"sample value {int(samples[over[0]])} exceeds maxval {maxval}",
-                payload + int(over[0]) * itemsize,
+                payload + int(over[0]) * dtype.itemsize,
             )
         values = samples.astype(np.float64)
     else:
@@ -137,19 +125,19 @@ def read_pgm(path) -> np.ndarray:
         values = np.empty(count, dtype=np.float64)
         for k in range(count):
             token, start, pos = _next_token(data, pos)
+            if not token:
+                raise PgmParseError(f"truncated P2 payload: read {k} of {count} samples", start)
             try:
                 sample = int(token)
             except ValueError:
                 raise PgmParseError(f"invalid sample token {token!r}", start) from None
             if sample < 0 or sample > maxval:
-                raise PgmParseError(
-                    f"sample value {sample} outside [0, {maxval}]", start
-                )
+                raise PgmParseError(f"sample value {sample} outside [0, {maxval}]", start)
             values[k] = sample
         # only whitespace/comments may follow the last sample
-        pos = _skip_space(data, pos)
-        if pos < len(data):
-            raise PgmParseError("trailing data after P2 samples", pos)
+        token, start, _ = _next_token(data, pos)
+        if token:
+            raise PgmParseError("trailing data after P2 samples", start)
 
     return values.reshape(height, width) / float(maxval)
 
@@ -161,8 +149,7 @@ def write_pgm(path, f: np.ndarray, maxval: int = 255) -> None:
     integer levels.  maxval above 255 switches to 16-bit big-endian samples.
     """
     f = ensure_field(f)
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval must be in [1, 65535], got {maxval}")
+    _check_maxval(maxval)
     levels = np.floor(np.clip(f, 0.0, 1.0) * maxval + 0.5)
     dtype = np.dtype("u1") if maxval < 256 else np.dtype(">u2")
     h, w = f.shape
@@ -175,17 +162,13 @@ def read_flo(path) -> VectorField:
     """Read a Middlebury .flo flow field."""
     data = Path(path).read_bytes()
     if len(data) < 12:
-        raise FloFormatError(f"file too short for a .flo header: {len(data)} bytes")
+        raise FloFormatError("file too short for a .flo header", len(data))
     if data[:4] != FLO_MAGIC:
-        raise FloFormatError(f"bad magic {data[:4]!r}, expected {FLO_MAGIC!r}")
+        raise FloFormatError(f"bad magic {data[:4]!r}, expected {FLO_MAGIC!r}", 0)
     width, height = struct.unpack_from("<ii", data, 4)
     if width <= 0 or height <= 0:
-        raise FloFormatError(f"bad dimensions {width}x{height}")
-    expected = 12 + 8 * width * height
-    if len(data) != expected:
-        raise FloFormatError(
-            f"size mismatch: {width}x{height} needs {expected} bytes, got {len(data)}"
-        )
+        raise FloFormatError(f"bad dimensions {width}x{height}", 4)
+    _check_payload(data, 12, 8 * width * height, ".flo payload", FloFormatError)
     arr = np.frombuffer(data, dtype="<f4", offset=12).reshape(height, width, 2)
     return VectorField(
         arr[..., 0].astype(np.float64), arr[..., 1].astype(np.float64)
@@ -206,6 +189,39 @@ def write_flo(path, w: VectorField) -> None:
         fh.write(FLO_MAGIC)
         fh.write(struct.pack("<ii", wd, h))
         fh.write(interleaved.tobytes())
+
+
+def read_kernel_text(path) -> Kernel:
+    """Read a kernel grid: one row of weights per line, '#' comments."""
+    data = Path(path).read_bytes()
+    rows, start = [], 0
+    for line in data.splitlines(keepends=True):
+        row, (token, offset, pos) = [], _next_token(line, 0)
+        while token:
+            try:
+                row.append(float(token))
+                if not math.isfinite(row[-1]):
+                    raise ValueError
+            except ValueError:
+                raise FileFormatError(f"invalid kernel weight {token!r}", start + offset) from None
+            token, offset, pos = _next_token(line, pos)
+        if row and rows and len(row) != len(rows[0]):
+            raise FileFormatError(f"ragged kernel row of {len(row)} weights", start)
+        if row:
+            rows.append(row)
+        start += len(line)
+    if not rows:
+        raise FileFormatError("no kernel weights", len(data))
+    try:
+        return Kernel(np.array(rows))
+    except ValueError as err:  # even dimensions
+        raise FileFormatError(str(err), 0) from None
+
+
+def write_kernel_text(path, kernel: Kernel) -> None:
+    """Write a kernel grid that `read_kernel_text` reads back exactly."""
+    lines = [" ".join(repr(float(w)) for w in row) for row in kernel.weights]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_report(path, report: SolveReport) -> None:

@@ -172,8 +172,8 @@ def tv_objective(
     """
     if np.asarray(f).shape != np.asarray(g).shape:
         raise ValueError("estimate and observation must have the same shape")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     r = convolve(f, kernel) - np.asarray(g, dtype=np.float64)
     fidelity = 0.5 * float(np.sum(r * r))
     if variant is TVVariant.ISOTROPIC:

@@ -1,18 +1,25 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tvkit import cli, fileio, grid, restore, synth
-from tvkit.cli import main, parse_kernel, read_kernel_text, write_kernel_text
+from tvkit.cli import main, parse_kernel
 from tvkit.flow import FlowParams
 from tvkit.fileio import (
+    FileFormatError,
     FloFormatError,
     PgmParseError,
     read_flo,
+    read_kernel_text,
     read_pgm,
     read_report,
     write_flo,
+    write_kernel_text,
     write_pgm,
     write_report,
 )
@@ -78,6 +85,17 @@ class TestPgm:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_ascii_samples_end_early(self, tmp_path):
+        # the header is complete, so a missing sample is a payload error
+        p = tmp_path / "early.pgm"
+        p.write_bytes(b"P2\n2 1\n255\n1          \n")
+        with pytest.raises(PgmParseError) as exc_info:
+            read_pgm(p)
+        assert str(exc_info.value) == (
+            "truncated P2 payload: read 1 of 2 samples (byte offset 23)"
+        )
+        assert exc_info.value.offset == 23
 
     def test_binary_payload_too_short(self, tmp_path):
         p = tmp_path / "short.pgm"
@@ -160,6 +178,21 @@ class TestFlo:
         with pytest.raises(FloFormatError):
             read_flo(p)
 
+    @pytest.mark.parametrize("data, offset", [
+        (b"PIEH\x02\x00", 6),
+        (b"XIEH" + np.array([2, 2], "<i4").tobytes() + bytes(32), 0),
+        (b"PIEH" + np.array([0, 2], "<i4").tobytes() + bytes(32), 4),
+        (b"PIEH" + np.array([2, 2], "<i4").tobytes() + bytes(31), 43),
+        (b"PIEH" + np.array([2, 3], "<i4").tobytes() + bytes(49), 12 + 8 * 2 * 3),
+    ], ids=["too-short", "bad-magic", "bad-dimensions", "truncated", "trailing"])
+    def test_errors_carry_byte_offset(self, tmp_path, data, offset):
+        p = tmp_path / "bad.flo"
+        p.write_bytes(data)
+        with pytest.raises(FloFormatError) as exc_info:
+            read_flo(p)
+        assert exc_info.value.offset == offset
+        assert str(exc_info.value).endswith(f"(byte offset {offset})")
+
 
 class TestReportCsv:
     def test_round_trip_exact(self, tmp_path):
@@ -226,6 +259,28 @@ class TestKernelSpecs:
         np.testing.assert_array_equal(k.weights, Kernel.gaussian(3, 0.8).weights)
         k2 = parse_kernel(f"@{p}")
         np.testing.assert_array_equal(k2.weights, k.weights)
+
+    def test_text_inline_comment(self, tmp_path):
+        p = tmp_path / "k.txt"
+        p.write_bytes(b"# cross\n0 1 0  # top\n1 1 1\n\n0 1 0\t# bottom\n")
+        np.testing.assert_array_equal(
+            read_kernel_text(p).weights, [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
+        )
+
+    @pytest.mark.parametrize("data, offset, match", [
+        (b"1 2 3\n4 x 6\n7 8 9\n", 8, "invalid kernel weight b'x'"),
+        (b"1 2 3\n4 5 nan\n7 8 9\n", 10, "invalid kernel weight b'nan'"),
+        (b"1 2 3\n4 5\n7 8 9\n", 6, "ragged kernel row"),
+        (b"# no weights\n\n", 14, "no kernel weights"),
+        (b"1 2\n3 4\n", 0, "must be odd"),
+    ], ids=["bad-token", "non-finite", "ragged-row", "empty", "even"])
+    def test_text_errors_carry_byte_offset(self, tmp_path, data, offset, match):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(data)
+        with pytest.raises(FileFormatError, match=match) as exc_info:
+            read_kernel_text(p)
+        assert exc_info.value.offset == offset
+        assert str(exc_info.value).endswith(f"(byte offset {offset})")
 
 
 class TestSynthFixtures:
@@ -503,6 +558,30 @@ class TestCliRuns:
         assert capsys.readouterr().err.startswith("error:")
         assert sorted(tmp_path.iterdir()) == [src]
 
+    @pytest.mark.parametrize("maxval", ["0", "70000"])
+    @pytest.mark.parametrize("command, solver", [
+        ("denoise", "tv_deconvolve"),
+        ("deconv", "tv_deconvolve"),
+        ("blind", "blind_deconvolve"),
+    ])
+    def test_bad_maxval_exits_one_before_reading(self, tmp_path, monkeypatch, capsys,
+                                                 command, solver, maxval):
+        def never(*args, **kwargs):
+            raise AssertionError("solver called with a bad --maxval")
+
+        monkeypatch.setattr(restore, solver, never)
+        src = tmp_path / "in.pgm"
+        write_pgm(src, np.full((8, 8), 0.5))
+        out = tmp_path / "out.pgm"
+        # a missing input is not reported either: maxval is checked first
+        for image in (src, tmp_path / "missing.pgm"):
+            argv = [command, str(image), str(out), "--maxval", maxval]
+            if command == "deconv":
+                argv += ["--psf", "box3"]
+            assert main(argv) == 1
+            assert "error: maxval must be in [1, 65535]" in capsys.readouterr().err
+            assert sorted(tmp_path.iterdir()) == [src]
+
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
     def test_bad_noise_level_exits_one_before_output(self, tmp_path, capsys, sigma):
         out = tmp_path / "fx"
@@ -595,3 +674,13 @@ class TestCliRuns:
         k = read_kernel_text(kout)
         assert k.weights.min() >= 0.0
         assert k.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_import_leaves_io_modules_unloaded():
+    # the benchmark's set-up time counts what ``import tvkit`` loads
+    code = "import sys, tvkit; print(sorted(m for m in sys.modules if m.startswith('tvkit')))"
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert "tvkit.fileio" not in out and "tvkit.cli" not in out
+    assert "'tvkit'" in out

@@ -311,5 +311,6 @@ class TestObjective:
         g = np.zeros((4, 4))
         with pytest.raises(ValueError):
             tv_objective(np.zeros((4, 5)), g, Kernel.delta(), 0.1)
-        with pytest.raises(ValueError):
-            tv_objective(g, g, Kernel.delta(), -0.1)
+        for lam in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                tv_objective(g, g, Kernel.delta(), lam)
