@@ -6,8 +6,9 @@ write; 16-bit samples are big-endian per netpbm. The .flo layout is the
 4-byte tag "PIEH", little-endian int32 width and height, then row-major
 interleaved (u, v) float32 pairs. A kernel grid has one row of weights per
 line and '#' comments. .flo and grid round trips are bit-exact. Reports are
-RFC-4180-style CSV with LF line endings. A malformed PGM, .flo or grid file
-raises a `FileFormatError` that names the byte offset of the fault.
+RFC-4180-style CSV with LF line endings. A malformed PGM, .flo, grid or
+report file raises a `FileFormatError` that names the byte offset of the
+fault (for a report, of its line).
 """
 
 from __future__ import annotations
@@ -248,25 +249,43 @@ def read_report(path) -> SolveReport:
     The file stores neither the converged flag, nor the per-iteration CG
     converged history, nor the forcing term, so ``converged`` reads back
     False, ``cg_converged_history`` empty and ``forcing`` None (unknown).
+    A bad header, a row of the wrong length, a cell that does not parse and
+    an iteration out of sequence raise `FileFormatError`, which names the
+    line, the `REPORT_HEADER` column of a bad cell and the line's offset.
     """
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    header = _csv_row(lines[0]) if lines else []
+    if tuple(header) != REPORT_HEADER:
+        raise FileFormatError(f"line 1: bad report header {header!r}", 0)
     report = SolveReport()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != REPORT_HEADER:
-            raise ValueError(f"bad report header {header!r}")
-        last = 0
-        for row in reader:
-            if len(row) != len(REPORT_HEADER):
-                raise ValueError(f"bad report row {row!r}")
-            iteration = int(row[0])
-            if iteration != last + 1:
-                raise ValueError(
-                    f"iterations must increase by 1: got {iteration} after {last}"
-                )
-            last = iteration
-            report.objective_history.append(float(row[1]))
-            report.step_norm_history.append(float(row[2]))
-            report.cg_iters_history.append(int(row[3]))
+    offset, last = len(lines[0]), 0
+    for number, line in enumerate(lines[1:], start=2):
+        row = _csv_row(line)
+        if len(row) != len(REPORT_HEADER):
+            raise FileFormatError(
+                f"line {number}: {len(row)} cells, expected {len(REPORT_HEADER)}", offset)
+        values = []
+        for cell, column, parse in zip(row, REPORT_HEADER, (int, float, float, int)):
+            try:
+                values.append(parse(cell))
+            except ValueError:
+                raise FileFormatError(
+                    f"line {number}, column {column!r}: invalid {parse.__name__} {cell!r}",
+                    offset) from None
+        iteration, objective, step_norm, cg_iters = values
+        if iteration != last + 1:
+            raise FileFormatError(
+                f"line {number}: iterations must increase by 1: got {iteration} after {last}",
+                offset)
+        last = iteration
+        report.objective_history.append(objective)
+        report.step_norm_history.append(step_norm)
+        report.cg_iters_history.append(cg_iters)
+        offset += len(line)
     report.cg_iterations_total = sum(report.cg_iters_history)
     return report
+
+
+def _csv_row(line: bytes) -> list[str]:
+    """The cells of one CSV line (its quoting rules included)."""
+    return next(csv.reader([line.decode("utf-8", errors="replace")]), [])

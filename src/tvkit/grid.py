@@ -10,10 +10,12 @@ Conventions used throughout the package:
   (clamp-to-edge) boundary: the forward difference in the last column/row
   is zero, and convolution reads out-of-range samples from the nearest
   edge pixel.
-* `pad_edge` is the single home of the replicate boundary: every stencil
-  that reads past the border (`convolve`, the blind kernel correlation,
-  the centered flow gradient) pads with it and then takes slices, and
-  `convolve_adjoint` folds the pad back with its exact adjoint.
+* The replicate boundary has two homes.  `pad_edge` serves the stencils
+  that read past the border with slices of a padded copy (`convolve` of a
+  kernel without `Kernel.factors`, the blind kernel correlation, the
+  centered flow gradient), and `convolve_adjoint` folds that pad back with
+  its exact adjoint.  For a kernel with `Kernel.factors`, `_band` folds the
+  boundary into the 1-D band matrices themselves, so nothing is padded.
 """
 
 from __future__ import annotations
@@ -23,11 +25,17 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 # largest entrywise misfit of outer(col, row), relative to the largest tap,
 # that still counts as rank 1: a few rounding errors per tap
 _RANK1_RTOL = 64 * np.finfo(np.float64).eps
+# rows per block of a band matrix (`_band`).  convolve by gaussian(5, 1.0)
+# with one BLAS thread on a 2-core Xeon: 32 took 19 us at 64x64, where 16
+# took 29 us and 64 took 21 us; at 512x512 32 and 16 took 1.1-1.2 ms and
+# 64 took 1.65 ms.  16 was up to a quarter faster at 128x128 and 256x256.
+_BLOCK = 32
 
 
 class VectorField(NamedTuple):
@@ -46,11 +54,13 @@ class Kernel:
 
     `factors` is the rank-1 factorization ``(col, row)`` with
     ``weights == outer(col, row)`` to rounding, found on first use and
-    cached.  It is ``None`` when the weights have rank above 1 (or are all
-    zero), or when a column pass and a row pass would not take fewer
-    nonzero taps than one pass over the weights: ``delta``, ``1xN`` and
-    ``Nx1`` kernels and the motion kernels, whose one nonzero line is
-    already a single pass.
+    cached.  `convolve` then applies ``col`` down the columns and ``row``
+    along the rows as two banded matrix products, whose blocks are built
+    once per axis length and kept with the kernel.  It is ``None`` when the
+    weights have rank above 1 (or are all zero), or when ``col`` and
+    ``row`` would not have fewer nonzero taps together than the weights:
+    ``delta``, ``1xN`` and ``Nx1`` kernels and the motion kernels, whose
+    one nonzero line the tap loop applies in a single pass.
     """
 
     weights: np.ndarray = field()
@@ -86,6 +96,21 @@ class Kernel:
         if np.abs(np.outer(col, row) - w).max() > _RANK1_RTOL * abs(pivot):
             return None
         return col, row
+
+    @cached_property
+    def _bands(self) -> dict:
+        return {}
+
+    def _band(self, axis: int, n: int, adjoint: bool) -> list:
+        """`_band` of the factor ``factors[axis]`` (0 the column, 1 the
+        row) for an axis of length ``n``, built on first use and kept with
+        the kernel."""
+        key = (axis, n, adjoint)
+        band = self._bands.get(key)
+        if band is None:
+            # two threads may both build it; every caller gets the one kept
+            band = self._bands.setdefault(key, _band(self.factors[axis], n, adjoint))
+        return band
 
     @classmethod
     def delta(cls, size: int = 1) -> "Kernel":
@@ -225,7 +250,7 @@ def pad_edge(f: np.ndarray, cy: int, cx: int) -> np.ndarray:
     h, w = f.shape
     fp = np.empty((h + 2 * cy, w + 2 * cx), dtype=f.dtype)
     fp[cy : cy + h, cx : cx + w] = f
-    # a one-axis pass (factored kernel) pads one axis only; skip the other
+    # a 1xN or Nx1 kernel pads one axis only; skip the other
     if cx:
         fp[cy : cy + h, :cx] = f[:, :1]
         fp[cy : cy + h, cx + w :] = f[:, -1:]
@@ -280,66 +305,130 @@ def _taps(fp: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np
     return out
 
 
-def _stages(kernel: Kernel) -> list[np.ndarray]:
-    """The tap arrays `convolve` runs in turn: the weights, or for a kernel
-    with `Kernel.factors` a row pass and then a column pass."""
-    if kernel.factors is None:
-        return [kernel.weights]
-    col, row = kernel.factors
-    return [row[None, :], col[:, None]]
+def _band_block(t: np.ndarray, n: int, r0: int, r1: int, adjoint: bool) -> np.ndarray:
+    """Rows ``r0:r1`` of the ``n x n`` 1-D correlation ``C`` by the taps
+    ``t`` (of ``C^T`` when ``adjoint``), on their column window
+    ``[max(0, r0 - c), min(n, r1 + c))`` with ``c = len(t) // 2``:
+    ``C[j, clamp(j + a - c)] += t[a]``, the replicate boundary folded onto
+    the edge columns."""
+    c = len(t) // 2
+    if adjoint:
+        # rows r0:r1 of C^T are columns r0:r1 of the rows of C in their window
+        lo, hi = max(0, r0 - c), min(n, r1 + c)
+        start = max(0, lo - c)  # the first column of those rows' window
+        return _band_block(t, n, lo, hi, False)[:, r0 - start : r1 - start].T.copy()
+    b = r1 - r0
+    # columns r0 - c ... r1 + c - 1 before clamping: m[i, i + a] = t[a]
+    m = np.zeros((b, b + 2 * c))
+    for a, tap in enumerate(t):
+        m.ravel()[a :: b + 2 * c + 1] = tap
+    # add the columns past either edge onto the edge column
+    left, right = max(0, c - r0), max(0, r1 + c - n)
+    if left:
+        m[:, left] += m[:, :left].sum(axis=1)
+    if right:
+        m[:, -right - 1] += m[:, -right:].sum(axis=1)
+    return np.ascontiguousarray(m[:, left : b + 2 * c - right])
+
+
+def _band(t: np.ndarray, n: int, adjoint: bool) -> list[tuple[int, int, int, np.ndarray]]:
+    """The ``n x n`` 1-D correlation ``C`` by the taps ``t`` (``C^T`` when
+    ``adjoint``) as row blocks of `_BLOCK` rows.  An entry ``(r0, count,
+    lo, m)`` places ``count`` copies of the block ``m``, the i-th at row
+    ``r0 + i*b`` and column ``lo + i*b`` with ``b = len(m)``.  The blocks
+    that clear both edges by the half-width ``c`` are one Toeplitz block
+    and make one entry; each edge block makes its own."""
+    c = len(t) // 2
+    first = -(-c // _BLOCK) * _BLOCK  # the first block start at or past c
+    count = max(0, (n - c - first) // _BLOCK)
+
+    def edge(r0):
+        return r0, 1, max(0, r0 - c), _band_block(t, n, r0, min(n, r0 + _BLOCK), adjoint)
+
+    band = [edge(r0) for r0 in range(0, min(first, n), _BLOCK)]
+    if count:
+        band.append((first, count, first - c, _band_block(t, n, first, first + _BLOCK, adjoint)))
+    return band + [edge(r0) for r0 in range(first + count * _BLOCK, n, _BLOCK)]
+
+
+def _band_rows(band: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = M @ x`` for the band matrix ``M`` of `_band`, one matmul
+    per entry; the Toeplitz entry runs its blocks as one batched matmul
+    over overlapping row windows of ``x``.  ``x`` and ``out`` may be
+    transposed views, so ``M`` also acts on the columns of a field."""
+    for r0, count, lo, m in band:
+        b, width = m.shape
+        if count == 1:  # plain slices: a strided view costs microseconds
+            np.matmul(m, x[lo : lo + width], out=out[r0 : r0 + b])
+        else:
+            windows = as_strided(x[lo:], (count, width, x.shape[1]),
+                                 (b * x.strides[0],) + x.strides, writeable=False)
+            # splitting the row axis of a view never copies
+            np.matmul(m, windows, out=out[r0 : r0 + count * b].reshape(count, b, -1))
+    return out
+
+
+def _band_product(x: np.ndarray, kernel: Kernel, adjoint: bool, out: np.ndarray) -> np.ndarray:
+    """``out = C_col @ x @ C_row^T`` for the `Kernel.factors` ``(col,
+    row)``, or ``C_col^T @ x @ C_row`` when ``adjoint``: the column factor
+    into one intermediate, then the row factor through transposed views."""
+    h, w = x.shape
+    z = _band_rows(kernel._band(0, h, adjoint), x, np.empty(x.shape))
+    _band_rows(kernel._band(1, w, adjoint), z.T, out.T)
+    return out
 
 
 def convolve(f: np.ndarray, kernel: Kernel, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the kernel to the field (correlation-style, replicate boundary).
 
-    Spatial-domain tap loop, linear in ``f``; the delta kernel is the exact
-    identity.  A kernel with `Kernel.factors` runs as a row pass and then a
-    column pass (``kh + kw`` taps, not ``kh*kw``): the replicate pad
-    factors over the two axes, so the result matches the tap loop to
-    rounding.  ``out``, a C-contiguous float64 array shaped like ``f`` and
-    distinct from it, receives the result and is returned; every entry is
-    written.
+    Linear in ``f``; the delta kernel is the exact identity.  A kernel with
+    `Kernel.factors` ``(col, row)`` runs as ``C_col @ f @ C_row^T``, with
+    ``C_t`` the banded matrix of the 1-D correlation by ``t`` and the
+    replicate boundary folded into it (`_band`), and matches the tap loop
+    to rounding.  Every other kernel runs the tap loop over the
+    edge-padded field.  ``out``, a C-contiguous float64 array shaped like
+    ``f`` and distinct from it, receives the result and is returned; every
+    entry is written.
     """
     x = np.asarray(f, dtype=np.float64)
     _check_out(out, x.shape)
     if kernel.shape == (1, 1):
         # reads no neighbour: no pad copy
         return _taps(x, kernel.weights, out)
-    stages = _stages(kernel)
-    for n, w in enumerate(stages, 1):
-        x = _taps(pad_edge(x, w.shape[0] // 2, w.shape[1] // 2), w,
-                  out if n == len(stages) else None)
-    return x
+    if out is None:
+        out = np.empty(x.shape)
+    if kernel.factors is not None:
+        return _band_product(x, kernel, False, out)
+    kh, kw = kernel.shape
+    return _taps(pad_edge(x, kh // 2, kw // 2), kernel.weights, out)
 
 
 def convolve_adjoint(f: np.ndarray, kernel: Kernel,
                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact adjoint of `convolve` under the same boundary rule.
 
-    Runs the passes of `convolve` in reverse.  Each applies its flipped
-    taps to the zero-extended field, which spreads each tap's contribution
-    over the padded grid, then folds the pad back onto the border, so
-    ``inner(convolve(x, k), y) == inner(x, convolve_adjoint(y, k))`` holds
-    to rounding for all x, y.  The result is a new C-contiguous array, or
-    ``out``: a C-contiguous float64 array shaped like ``f`` and distinct
-    from it, which receives the result and is returned; every entry is
-    written.
+    A kernel with `Kernel.factors` runs as ``C_col^T @ f @ C_row``, the
+    transposed band matrices of `convolve`.  Every other kernel applies its
+    flipped taps to the zero-extended field, which spreads each tap's
+    contribution over the padded grid, then folds the pad back onto the
+    border.  So ``inner(convolve(x, k), y) == inner(x, convolve_adjoint(y,
+    k))`` holds to rounding for all x, y.  The result is a new C-contiguous
+    array, or ``out``: a C-contiguous float64 array shaped like ``f`` and
+    distinct from it, which receives the result and is returned; every
+    entry is written.
     """
     x = np.asarray(f, dtype=np.float64)
     _check_out(out, x.shape)
     if kernel.shape == (1, 1):
         # nothing to spread or fold back
         return _taps(x, kernel.weights, out)
-    for w in reversed(_stages(kernel)):
-        kh, kw = w.shape
-        # fz stays bound through the final copy: freed before it, glibc
-        # unmaps the block and the copy faults in fresh pages, which made
-        # the minor page faults of a 256x256 denoise 4x as many
-        fz = _pad_zero(x, kh - 1, kw - 1)
-        x = _fold_edge(_taps(fz, w[::-1, ::-1]), kh // 2, kw // 2)
     if out is None:
-        return x.copy()
-    np.copyto(out, x)
+        out = np.empty(x.shape)
+    if kernel.factors is not None:
+        return _band_product(x, kernel, True, out)
+    kh, kw = kernel.shape
+    spread = _taps(_pad_zero(x, kh - 1, kw - 1), kernel.weights[::-1, ::-1])
+    np.copyto(out, _fold_edge(spread, kh // 2, kw // 2))
     return out
 
 

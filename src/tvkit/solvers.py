@@ -229,8 +229,9 @@ def lagged_loop(
     the tolerance and every CG solve converged; the report records
     ``cfg.forcing``, the forcing term the steps ran with.  A
     `SolverDivergenceError` (or subclass) is re-raised as its own type with
-    the partial report and its outer iteration; a given ``report`` is filled
-    in place, so a caller can pre-seed counts such as ``cg_iterations_total``.
+    the partial report and its outer iteration; a non-finite objective
+    raises one too.  A given ``report`` is filled in place, so a caller can
+    pre-seed counts such as ``cg_iterations_total``.
     """
     tol = cfg.resolved_tol_outer(x0.size)
     report = SolveReport() if report is None else report
@@ -239,6 +240,11 @@ def lagged_loop(
     for _ in range(cfg.max_outer):
         try:
             x_next, cg_iters, cg_converged = step(x)
+            # an overflow in the objective fails the step, as one in CG does
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = objective(x_next)
+            if not math.isfinite(value):
+                raise SolverDivergenceError("non-finite objective")
         except SolverDivergenceError as err:
             raise type(err)(
                 f"{err} (outer iteration {report.outer_iterations + 1})", report=report
@@ -247,7 +253,7 @@ def lagged_loop(
         report.cg_iterations_total += cg_iters
         report.cg_iters_history.append(cg_iters)
         report.cg_converged_history.append(cg_converged)
-        report.objective_history.append(objective(x_next))
+        report.objective_history.append(value)
         report.step_norm_history.append(step_norm)
         x = x_next
         if step_norm < tol:
@@ -267,15 +273,19 @@ def lagged_restore_step(
     is looser than ``tol_cg``.  The step allocates four fields shaped like
     ``f_k`` once: ``A x``, one that holds ``H x`` and then ``lam L(w) x``,
     and the two work arrays of `functionals.apply_weighted_laplacian`.  Its
-    CG iterations then allocate only the convolution pads (none for the 1x1
-    delta kernel) and CG's own vectors.  Returns `conjugate_gradient`'s
-    triple; a non-finite diagonal raises `SolverDivergenceError`."""
+    CG iterations then allocate only the one intermediate of each
+    convolution (nothing for the 1x1 delta kernel, the pads for a kernel
+    without `Kernel.factors`) and CG's own vectors.  Returns
+    `conjugate_gradient`'s triple.  An overflow in the weights, ``H^T g``
+    or the operator is left to the non-finite checks of the diagonal and
+    of CG, so it raises `SolverDivergenceError`, not a numpy warning."""
     lam, cfg = params.lam, params.solver
-    wx, wy = functionals.diffusion_weights(f_k, params.alpha, params.variant)
     # diagonal of H^T H: exact away from the border, where the replicate
     # boundary folds taps onto the edge pixels
     hth_diag = float(np.sum(kernel.weights * kernel.weights))
-    with np.errstate(over="ignore"):  # an overflow is caught just below
+    # an overflow here is left to the diagonal check below, CG's and the objective's
+    with np.errstate(over="ignore", invalid="ignore"):
+        wx, wy = functionals.diffusion_weights(f_k, params.alpha, params.variant)
         diag = hth_diag + lam * functionals.weighted_laplacian_diagonal(wx, wy)
     if not np.all(np.isfinite(diag)):
         raise SolverDivergenceError("non-finite Jacobi diagonal")
@@ -292,8 +302,11 @@ def lagged_restore_step(
         np.multiply(lap, lam, out=lap)
         return np.add(Ax, lap, out=Ax)
 
-    return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
-                              precond=lambda r: inv_diag * r, forcing=cfg.forcing)
+    # inf, inf - inf or 0 * inf in H^T g or the operator (a matmul of
+    # `convolve` included) is left to CG's non-finite checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
+                                  precond=lambda r: inv_diag * r, forcing=cfg.forcing)
 
 
 def tv_restore_fixed_point(

@@ -234,6 +234,36 @@ class TestReportCsv:
         with pytest.raises(ValueError):
             read_report(p)
 
+    HEADER = "iteration,objective,step_norm,cg_iters\n"
+    FIRST = "1,0.5,0.1,3\n"
+
+    # (second data row, message), each fault on line 3 of the file
+    @pytest.mark.parametrize("row,message", [
+        ("2,x,0.05,2", "line 3, column 'objective': invalid float 'x'"),
+        ("2,0.4,0.05,3.5", "line 3, column 'cg_iters': invalid int '3.5'"),
+        ("2.0,0.4,0.05,2", "line 3, column 'iteration': invalid int '2.0'"),
+        ("2,0.4,0.05", "line 3: 3 cells, expected 4"),
+        ("", "line 3: 0 cells, expected 4"),
+        ("3,0.4,0.05,2", "line 3: iterations must increase by 1: got 3 after 1"),
+    ], ids=["objective", "cg-iters", "iteration", "ragged", "blank", "gap"])
+    def test_bad_row_names_line_column_and_offset(self, tmp_path, row, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(self.HEADER + self.FIRST + row + "\n")
+        with pytest.raises(fileio.FileFormatError) as exc_info:
+            read_report(p)
+        offset = len(self.HEADER) + len(self.FIRST)
+        assert exc_info.value.offset == offset
+        assert str(exc_info.value) == f"{message} (byte offset {offset})"
+
+    @pytest.mark.parametrize("text", ["", "iteration,objective,step_norm\n1,0.5,0.1\n",
+                                      "1,0.5,0.1,3\n"], ids=["empty", "short", "missing"])
+    def test_bad_header_names_line_one(self, tmp_path, text):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(fileio.FileFormatError, match=r"^line 1: bad report header") as exc_info:
+            read_report(p)
+        assert exc_info.value.offset == 0
+
 
 class TestKernelSpecs:
     def test_named_kernels(self):

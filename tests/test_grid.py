@@ -88,6 +88,13 @@ class TestKernel:
         k = Kernel.gaussian(5, 1.0)
         assert k.factors is k.factors
 
+    def test_bands_cached_per_kernel(self):
+        k = Kernel.gaussian(5, 1.0)
+        grid.convolve(np.ones((40, 70)), k)
+        assert k._band(0, 40, False) is k._band(0, 40, False)
+        assert sorted(k._bands) == [(0, 40, False), (1, 70, False)]
+        assert not Kernel.gaussian(5, 1.0)._bands
+
 
 class TestGradient:
     def test_constant_is_zero(self):
@@ -295,8 +302,8 @@ class TestOutBuffers:
             assert peak_allocation(lambda: op(f, k)) >= f.nbytes
 
 
-# pads wider than the field repeat the edge sample throughout; a zero pad
-# on one axis is a pass of a factored kernel
+# pads wider than the field repeat the edge sample throughout; a 1xN or
+# Nx1 kernel pads one axis only
 PADS = [((5, 4), 2, 2), ((2, 3), 4, 0), ((2, 3), 0, 4), ((1, 1), 3, 2)]
 
 
@@ -436,8 +443,20 @@ def clamp_matrix(w, shape):
     return m
 
 
+# sides around one and two band blocks, one with a run of interior blocks
+# (one batched matmul), and one shorter than a 5-tap factor; the 67-tap
+# factor reaches past a whole block on each side
+BAND_SIDES = [grid._BLOCK - 1, grid._BLOCK, grid._BLOCK + 1, 2 * grid._BLOCK + 3,
+              4 * grid._BLOCK + 3, 2]
+BAND_KERNELS = {
+    "gaussian5": Kernel.gaussian(5, 1.0), "box3": Kernel.box(3),
+    "outer3x5": RANK1_KERNELS["outer3x5"], "outer5x3": RANK1_KERNELS["outer5x3"],
+    "outer67x3": Kernel(np.outer(np.hanning(69)[1:-1], [0.25, 0.5, 0.25])),
+}
+
+
 class TestFactoredConvolve:
-    """Kernels with `Kernel.factors` run as a row pass and a column pass."""
+    """Kernels with `Kernel.factors` run as products of band matrices."""
 
     @pytest.mark.parametrize("name", sorted(NAMED_KERNELS))
     def test_matches_tap_loop(self, name):
@@ -464,6 +483,34 @@ class TestFactoredConvolve:
         Ht = materialize(lambda x: grid.convolve_adjoint(x, k), shape)
         assert np.abs(H - clamp_matrix(k.weights, shape)).max() < 1e-14
         assert np.abs(H.T - Ht).max() < 1e-14
+
+    @pytest.mark.parametrize("kname", sorted(BAND_KERNELS))
+    @pytest.mark.parametrize("h", BAND_SIDES)
+    def test_band_blocks_match_oracles(self, h, kname):
+        k = BAND_KERNELS[kname]
+        assert k.factors is not None
+        w = k.weights
+        kh, kw = w.shape
+        rng = np.random.default_rng(h)
+        for wd in BAND_SIDES:
+            f, y = random_field(rng, h, wd), random_field(rng, h, wd)
+            ref = ndimage.correlate(f, w, mode="nearest")
+            out = grid.convolve(f, k)
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+            tap_adj = grid._fold_edge(
+                grid._taps(grid._pad_zero(y, kh - 1, kw - 1), w[::-1, ::-1]), kh // 2, kw // 2)
+            adj = grid.convolve_adjoint(y, k)
+            assert np.abs(adj - tap_adj).max() <= 1e-12 * np.abs(tap_adj).max()
+            assert grid.inner(out, y) == pytest.approx(grid.inner(f, adj), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("op", [grid.convolve, grid.convolve_adjoint],
+                             ids=["convolve", "adjoint"])
+    def test_first_call_builds_no_square_matrix(self, op):
+        # the 4096-long axis as a dense 4096x4096 matrix would be 128 MiB;
+        # the call holds its result, one intermediate and a few small blocks
+        f = random_field(np.random.default_rng(17), 3, 4096)
+        k = Kernel.gaussian(5, 1.0)
+        assert peak_allocation(lambda: op(f, k)) < 3 * f.nbytes
 
     @pytest.mark.parametrize("k", [Kernel.gaussian(5, 1.0), Kernel(np.arange(9.0).reshape(3, 3))],
                              ids=["factored", "tap-loop"])

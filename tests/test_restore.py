@@ -196,6 +196,25 @@ class TestTVDeconvolve:
         assert tvs == sorted(tvs, reverse=True)
 
 
+    # the restore twin of test_flow's overflow test: under the suite's
+    # error::RuntimeWarning filter an overflow in the weights, in H^T g, in
+    # the operator (a band matmul included) or in the objective must raise
+    # SolverDivergenceError with the partial report, not a numpy warning
+    @pytest.mark.parametrize("scale", [1e200, 1.7e308])
+    @pytest.mark.parametrize("kernel", [
+        Kernel.gaussian(5, 1.0),
+        Kernel(np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [0.0, 1.0, 1.0]])),
+        Kernel.delta(),
+    ], ids=["factored", "rank3", "delta"])
+    def test_overflow_raises_divergence_not_warning(self, kernel, scale):
+        g = scale * np.random.default_rng(31).uniform(0.0, 1.0, (16, 16))
+        with pytest.raises(SolverDivergenceError) as exc_info:
+            tv_deconvolve(g, kernel, RestoreParams(lam=0.01))
+        assert "(outer iteration 1)" in str(exc_info.value)
+        report = exc_info.value.report
+        assert isinstance(report, SolveReport) and report.outer_iterations == 0
+
+
 class TestForcingQuality:
     """The default forcing term stops each lagged step's CG early; its output
     must be as close to the minimizer as the exact-CG output, at no higher

@@ -448,6 +448,17 @@ class TestFixedPointSolver:
             tv_restore_fixed_point(flat, Kernel.delta(), RestoreParams(lam=1e300, alpha=1e-160))
         assert isinstance(exc_info.value.report, SolveReport)
 
+    def test_non_finite_objective_raises_with_report(self):
+        # the step itself succeeded; the report keeps only the steps before it
+        values = iter([1.0, np.inf])
+        with pytest.raises(SolverDivergenceError,
+                           match=r"non-finite objective \(outer iteration 2\)") as exc_info:
+            solvers.lagged_loop(lambda x: (x + 1.0, 3, True), lambda x: next(values),
+                                np.zeros(4), SolverConfig(max_outer=5))
+        report = exc_info.value.report
+        assert report.objective_history == [1.0]
+        assert report.cg_iters_history == [3] and report.cg_iterations_total == 3
+
 
 def capped_denoise(cfg):
     _, noisy = synth.make_step32()
