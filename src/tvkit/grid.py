@@ -25,16 +25,16 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 # largest entrywise misfit of outer(col, row), relative to the largest tap,
 # that still counts as rank 1: a few rounding errors per tap
 _RANK1_RTOL = 64 * np.finfo(np.float64).eps
 # rows per block of a band matrix (`_band`).  convolve by gaussian(5, 1.0)
-# with one BLAS thread on a 2-core Xeon: 32 took 19 us at 64x64, where 16
-# took 29 us and 64 took 21 us; at 512x512 32 and 16 took 1.1-1.2 ms and
-# 64 took 1.65 ms.  16 was up to a quarter faster at 128x128 and 256x256.
+# with one BLAS thread on a 2-core Xeon: 32 took 19-20 us at 64x64, where
+# 16 took 22-36 us and 64 took 22-23 us; from 128x128 to 512x512 16 was at
+# most a tenth faster than 32 (512x512: 1.15-1.2 against 1.25-1.3 ms) and
+# 64 was a third to a half slower.
 _BLOCK = 32
 
 
@@ -331,40 +331,23 @@ def _band_block(t: np.ndarray, n: int, r0: int, r1: int, adjoint: bool) -> np.nd
     return np.ascontiguousarray(m[:, left : b + 2 * c - right])
 
 
-def _band(t: np.ndarray, n: int, adjoint: bool) -> list[tuple[int, int, int, np.ndarray]]:
+def _band(t: np.ndarray, n: int, adjoint: bool) -> list[tuple[int, int, np.ndarray]]:
     """The ``n x n`` 1-D correlation ``C`` by the taps ``t`` (``C^T`` when
-    ``adjoint``) as row blocks of `_BLOCK` rows.  An entry ``(r0, count,
-    lo, m)`` places ``count`` copies of the block ``m``, the i-th at row
-    ``r0 + i*b`` and column ``lo + i*b`` with ``b = len(m)``.  The blocks
-    that clear both edges by the half-width ``c`` are one Toeplitz block
-    and make one entry; each edge block makes its own."""
+    ``adjoint``) as row blocks of `_BLOCK` rows.  An entry ``(r0, lo, m)``
+    places the block ``m`` at row ``r0`` and column ``lo``, the first
+    column of its window."""
     c = len(t) // 2
-    first = -(-c // _BLOCK) * _BLOCK  # the first block start at or past c
-    count = max(0, (n - c - first) // _BLOCK)
-
-    def edge(r0):
-        return r0, 1, max(0, r0 - c), _band_block(t, n, r0, min(n, r0 + _BLOCK), adjoint)
-
-    band = [edge(r0) for r0 in range(0, min(first, n), _BLOCK)]
-    if count:
-        band.append((first, count, first - c, _band_block(t, n, first, first + _BLOCK, adjoint)))
-    return band + [edge(r0) for r0 in range(first + count * _BLOCK, n, _BLOCK)]
+    return [(r0, max(0, r0 - c), _band_block(t, n, r0, min(n, r0 + _BLOCK), adjoint))
+            for r0 in range(0, n, _BLOCK)]
 
 
 def _band_rows(band: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = M @ x`` for the band matrix ``M`` of `_band`, one matmul
-    per entry; the Toeplitz entry runs its blocks as one batched matmul
-    over overlapping row windows of ``x``.  ``x`` and ``out`` may be
-    transposed views, so ``M`` also acts on the columns of a field."""
-    for r0, count, lo, m in band:
+    per block.  ``x`` and ``out`` may be transposed views, so ``M`` also
+    acts on the columns of a field."""
+    for r0, lo, m in band:
         b, width = m.shape
-        if count == 1:  # plain slices: a strided view costs microseconds
-            np.matmul(m, x[lo : lo + width], out=out[r0 : r0 + b])
-        else:
-            windows = as_strided(x[lo:], (count, width, x.shape[1]),
-                                 (b * x.strides[0],) + x.strides, writeable=False)
-            # splitting the row axis of a view never copies
-            np.matmul(m, windows, out=out[r0 : r0 + count * b].reshape(count, b, -1))
+        np.matmul(m, x[lo : lo + width], out=out[r0 : r0 + b])
     return out
 
 

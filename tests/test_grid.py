@@ -443,9 +443,9 @@ def clamp_matrix(w, shape):
     return m
 
 
-# sides around one and two band blocks, one with a run of interior blocks
-# (one batched matmul), and one shorter than a 5-tap factor; the 67-tap
-# factor reaches past a whole block on each side
+# sides around one and two band blocks, one with interior blocks clear of
+# both edges, and one shorter than a 5-tap factor; the 67-tap factor
+# reaches past a whole block on each side
 BAND_SIDES = [grid._BLOCK - 1, grid._BLOCK, grid._BLOCK + 1, 2 * grid._BLOCK + 3,
               4 * grid._BLOCK + 3, 2]
 BAND_KERNELS = {
@@ -507,10 +507,12 @@ class TestFactoredConvolve:
                              ids=["convolve", "adjoint"])
     def test_first_call_builds_no_square_matrix(self, op):
         # the 4096-long axis as a dense 4096x4096 matrix would be 128 MiB;
-        # the call holds its result, one intermediate and a few small blocks
+        # its band blocks hold 4096 x (_BLOCK + 4) entries (1.2 MB), and the
+        # call adds its result, one intermediate and the 3-long axis' blocks
         f = random_field(np.random.default_rng(17), 3, 4096)
         k = Kernel.gaussian(5, 1.0)
-        assert peak_allocation(lambda: op(f, k)) < 3 * f.nbytes
+        blocks = 4096 * (grid._BLOCK + 4) * 8
+        assert peak_allocation(lambda: op(f, k)) < 2 * blocks
 
     @pytest.mark.parametrize("k", [Kernel.gaussian(5, 1.0), Kernel(np.arange(9.0).reshape(3, 3))],
                              ids=["factored", "tap-loop"])
