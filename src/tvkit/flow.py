@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -61,7 +61,8 @@ class FlowParams:
     ``eps`` keeps the diffusion tensor nonsingular (image-driven) and the
     TV weights finite (flow-driven).  The image-driven solve is one lagged
     step solved to ``solver.tol_cg``: it ignores ``solver.forcing`` and
-    ``solver.max_outer``.
+    ``solver.max_outer``.  A ``lam``, ``eps`` or frame scale that overflows
+    a lagged step raises `solvers.SolverDivergenceError` with the report.
     """
 
     lam: float = 0.1
@@ -194,8 +195,8 @@ def _lagged_flow(pair, cfg, smoothing, scale, penalty, n_work):
     >= 2`` (2, H, W) work arrays, which the data rows reuse after it;
     every CG iteration writes ``A w`` into one buffer of its step, so no
     iteration allocates a field.  The objective is the squared OFC residual
-    plus ``penalty(w)``.  An overflow in the operator is left to CG's
-    non-finite check: `SolverDivergenceError` with the partial report."""
+    plus ``penalty(w)``.  The data terms are formed in the step, where an
+    overflow ends as `lagged_loop`'s `SolverDivergenceError`."""
     fx, fy, ft = image_derivatives(pair)
     work = _buffers(n_work, (2,) + pair.shape)
     tu, tv = work[0], work[1]
@@ -207,16 +208,15 @@ def _lagged_flow(pair, cfg, smoothing, scale, penalty, n_work):
 
         def apply_A(z):
             u, v = z[0], z[1]
-            with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf
-                smooth(z, out=Aw, work=work)
-                np.multiply(Aw, scale, out=Aw)
-                np.multiply(fxx, u, out=tu[0])
-                np.multiply(fxy, u, out=tu[1])
-                np.multiply(fxy, v, out=tv[0])
-                np.multiply(fyy, v, out=tv[1])
-                np.add(tu, tv, out=tu)
-                # each row is (fx^2 u + fx fy v) + lam S u, and likewise for v
-                return np.add(Aw, tu, out=Aw)
+            smooth(z, out=Aw, work=work)
+            np.multiply(Aw, scale, out=Aw)
+            np.multiply(fxx, u, out=tu[0])
+            np.multiply(fxy, u, out=tu[1])
+            np.multiply(fxy, v, out=tv[0])
+            np.multiply(fyy, v, out=tv[1])
+            np.add(tu, tv, out=tu)
+            # each row is (fx^2 u + fx fy v) + lam S u, and likewise for v
+            return np.add(Aw, tu, out=Aw)
 
         # b is passed, not held here: CG drops it after the first residual
         return solvers.conjugate_gradient(apply_A, np.stack([-fx * ft, -fy * ft]), x0=wvec,
@@ -250,16 +250,17 @@ def flow_image_driven(
     the flow, so the solve is one lagged step from zero flow, solved to
     ``tol_cg``, and it converged when that step's CG did.
     """
-    tensor = diffusion_tensor(centered_gradient(pair.f1), params.eps)
+    # built by the step, under `lagged_loop`'s overflow policy; the penalty reuses it
+    tensor = cache(lambda: diffusion_tensor(centered_gradient(pair.f1), params.eps))
 
     def penalty(wvec):
-        s = -apply_tensor_diffusion(tensor, wvec)  # S u and S v
+        s = -apply_tensor_diffusion(tensor(), wvec)  # S u and S v
         return params.lam * (inner(wvec[0], s[0]) + inner(wvec[1], s[1]))
 
     # S = -div(D grad), so lam * S is the tensor diffusion scaled by -lam
     w, report = _lagged_flow(
         pair, replace(params.solver, max_outer=1, forcing=0.0),
-        lambda wvec: partial(apply_tensor_diffusion, tensor), -params.lam, penalty, n_work=3)
+        lambda wvec: partial(apply_tensor_diffusion, tensor()), -params.lam, penalty, n_work=3)
     report.converged = report.cg_converged_history[0]
     return w, report
 

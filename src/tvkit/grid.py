@@ -45,7 +45,7 @@ class VectorField(NamedTuple):
     v: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """Small 2D stencil with odd dimensions, anchored at its center pixel.
 
@@ -60,7 +60,8 @@ class Kernel:
     weights have rank above 1 (or are all zero), or when ``col`` and
     ``row`` would not have fewer nonzero taps together than the weights:
     ``delta``, ``1xN`` and ``Nx1`` kernels and the motion kernels, whose
-    one nonzero line the tap loop applies in a single pass.
+    one nonzero line the tap loop applies in a single pass.  Kernels compare
+    and hash by identity, so one can key a dict.
     """
 
     weights: np.ndarray = field()

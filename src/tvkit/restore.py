@@ -238,6 +238,7 @@ def lasso_estimate(
 
     Step size is ``1 / (sum |h|)^2``, a bound on the Lipschitz constant of
     the data term's gradient, which makes the objective non-increasing.
+    Raises `solvers.SolverDivergenceError` if the estimate turns non-finite.
     """
     if not 0 < t_penalty < np.inf:
         raise ValueError(f"t_penalty must be finite and positive, got {t_penalty}")
@@ -250,10 +251,13 @@ def lasso_estimate(
     step = 1.0 / lipschitz
     thresh = t_penalty * step
     f = np.zeros_like(g)
-    for _ in range(steps):
-        grad = convolve_adjoint(convolve(f, kernel) - g, kernel)
-        z = f - step * grad
-        f = np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            grad = convolve_adjoint(convolve(f, kernel) - g, kernel)
+            z = f - step * grad
+            f = np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+    if not np.all(np.isfinite(f)):
+        raise solvers.SolverDivergenceError("non-finite LASSO estimate")
     return f
 
 

@@ -152,64 +152,65 @@ def conjugate_gradient(
     residual (preconditioned CG); the stopping test stays on the
     unpreconditioned residual.  ``apply_A``'s result is read only until
     the next call, so ``apply_A`` may write every result into one buffer
-    of its own.  Returns ``(x, iterations, converged)``.  Raises
-    `SolverDivergenceError` if the residual turns non-finite (indefinite or
-    ill-posed operator).
+    of its own.  Returns ``(x, iterations, converged)``.  Runs with numpy's
+    overflow and invalid warnings off: a non-finite residual or curvature
+    raises `SolverDivergenceError` (indefinite or ill-posed operator).
     """
-    cfg = cfg or SolverConfig()
-    b = np.asarray(b, dtype=np.float64)
-    bnorm = float(np.sqrt(np.vdot(b, b).real))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, True
-    # private copy: x, r and p are updated in place
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
-    threshold = cfg.tol_cg * bnorm
+    with np.errstate(over="ignore", invalid="ignore"):
+        cfg = cfg or SolverConfig()
+        b = np.asarray(b, dtype=np.float64)
+        bnorm = float(np.sqrt(np.vdot(b, b).real))
+        if bnorm == 0.0:
+            return np.zeros_like(b), 0, True
+        # private copy: x, r and p are updated in place
+        x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+        threshold = cfg.tol_cg * bnorm
 
-    r = b - apply_A(x)
-    del b  # not needed past the first residual: one vector less to hold
-    rs = float(np.vdot(r, r).real)
-    if not np.isfinite(rs):
-        raise SolverDivergenceError("non-finite residual entering CG")
-    # forcing = 0 leaves the threshold as it is
-    threshold = max(threshold, forcing * math.sqrt(rs))
-    if math.sqrt(rs) <= threshold:
-        return x, 0, True
-
-    def preconditioned(r, rs):
-        """``(z, <r, z>)`` with ``z = M^-1 r``; the plain CG pair without
-        ``precond``, with no extra inner product."""
-        if precond is None:
-            return r, rs
-        z = precond(r)
-        return z, float(np.vdot(r, z).real)
-
-    z, rz = preconditioned(r, rs)
-    p = z.copy()
-    del z
-    for k in range(1, cfg.max_cg + 1):
-        Ap = apply_A(p)
-        pAp = float(np.vdot(p, Ap).real)
-        if not np.isfinite(pAp):
-            raise SolverDivergenceError(f"non-finite curvature at CG iteration {k}")
-        if pAp <= 0.0:
-            # null-space direction of a semi-definite operator: nothing left to do
-            return x, k - 1, math.sqrt(rs) <= threshold
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        r = b - apply_A(x)
+        del b  # not needed past the first residual: one vector less to hold
         rs = float(np.vdot(r, r).real)
         if not np.isfinite(rs):
-            raise SolverDivergenceError(f"non-finite residual at CG iteration {k}")
+            raise SolverDivergenceError("non-finite residual entering CG")
+        # forcing = 0 leaves the threshold as it is
+        threshold = max(threshold, forcing * math.sqrt(rs))
         if math.sqrt(rs) <= threshold:
-            return x, k, True
-        z, rz_new = preconditioned(r, rs)
-        p *= rz_new / rz
-        p += z
-        # z must not outlive this update: alive through the next apply_A it
-        # would add one more vector to the solve's peak memory
+            return x, 0, True
+
+        def preconditioned(r, rs):
+            """``(z, <r, z>)`` with ``z = M^-1 r``; the plain CG pair without
+            ``precond``, with no extra inner product."""
+            if precond is None:
+                return r, rs
+            z = precond(r)
+            return z, float(np.vdot(r, z).real)
+
+        z, rz = preconditioned(r, rs)
+        p = z.copy()
         del z
-        rz = rz_new
-    return x, cfg.max_cg, False
+        for k in range(1, cfg.max_cg + 1):
+            Ap = apply_A(p)
+            pAp = float(np.vdot(p, Ap).real)
+            if not np.isfinite(pAp):
+                raise SolverDivergenceError(f"non-finite curvature at CG iteration {k}")
+            if pAp <= 0.0:
+                # null-space direction of a semi-definite operator: nothing left to do
+                return x, k - 1, math.sqrt(rs) <= threshold
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            rs = float(np.vdot(r, r).real)
+            if not np.isfinite(rs):
+                raise SolverDivergenceError(f"non-finite residual at CG iteration {k}")
+            if math.sqrt(rs) <= threshold:
+                return x, k, True
+            z, rz_new = preconditioned(r, rs)
+            p *= rz_new / rz
+            p += z
+            # z must not outlive this update: alive through the next apply_A it
+            # would add one more vector to the solve's peak memory
+            del z
+            rz = rz_new
+        return x, cfg.max_cg, False
 
 
 def lagged_loop(
@@ -230,8 +231,10 @@ def lagged_loop(
     ``cfg.forcing``, the forcing term the steps ran with.  A
     `SolverDivergenceError` (or subclass) is re-raised as its own type with
     the partial report and its outer iteration; a non-finite objective
-    raises one too.  A given ``report`` is filled in place, so a caller can
-    pre-seed counts such as ``cg_iterations_total``.
+    raises one too.  ``step`` and ``objective`` run with numpy's overflow
+    and invalid warnings off, so an overflow in them ends as that error.  A
+    given ``report`` is filled in place, so a caller can pre-seed counts
+    such as ``cg_iterations_total``.
     """
     tol = cfg.resolved_tol_outer(x0.size)
     report = SolveReport() if report is None else report
@@ -239,9 +242,8 @@ def lagged_loop(
     x = x0
     for _ in range(cfg.max_outer):
         try:
-            x_next, cg_iters, cg_converged = step(x)
-            # an overflow in the objective fails the step, as one in CG does
             with np.errstate(over="ignore", invalid="ignore"):
+                x_next, cg_iters, cg_converged = step(x)
                 value = objective(x_next)
             if not math.isfinite(value):
                 raise SolverDivergenceError("non-finite objective")
@@ -276,17 +278,14 @@ def lagged_restore_step(
     CG iterations then allocate only the one intermediate of each
     convolution (nothing for the 1x1 delta kernel, the pads for a kernel
     without `Kernel.factors`) and CG's own vectors.  Returns
-    `conjugate_gradient`'s triple.  An overflow in the weights, ``H^T g``
-    or the operator is left to the non-finite checks of the diagonal and
-    of CG, so it raises `SolverDivergenceError`, not a numpy warning."""
+    `conjugate_gradient`'s triple, or raises `SolverDivergenceError` for a
+    non-finite Jacobi diagonal."""
     lam, cfg = params.lam, params.solver
     # diagonal of H^T H: exact away from the border, where the replicate
     # boundary folds taps onto the edge pixels
     hth_diag = float(np.sum(kernel.weights * kernel.weights))
-    # an overflow here is left to the diagonal check below, CG's and the objective's
-    with np.errstate(over="ignore", invalid="ignore"):
-        wx, wy = functionals.diffusion_weights(f_k, params.alpha, params.variant)
-        diag = hth_diag + lam * functionals.weighted_laplacian_diagonal(wx, wy)
+    wx, wy = functionals.diffusion_weights(f_k, params.alpha, params.variant)
+    diag = hth_diag + lam * functionals.weighted_laplacian_diagonal(wx, wy)
     if not np.all(np.isfinite(diag)):
         raise SolverDivergenceError("non-finite Jacobi diagonal")
     # a zero diagonal (zero kernel, no penalty) leaves its residual entries unscaled
@@ -302,11 +301,8 @@ def lagged_restore_step(
         np.multiply(lap, lam, out=lap)
         return np.add(Ax, lap, out=Ax)
 
-    # inf, inf - inf or 0 * inf in H^T g or the operator (a matmul of
-    # `convolve` included) is left to CG's non-finite checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
-                                  precond=lambda r: inv_diag * r, forcing=cfg.forcing)
+    return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
+                              precond=lambda r: inv_diag * r, forcing=cfg.forcing)
 
 
 def tv_restore_fixed_point(
@@ -341,6 +337,7 @@ def dual_projection_denoise(
     Independent of the fixed-point path: works on the exact (unsmoothed) TV
     through its dual, iterating ``p <- (p + tau*grad(div p - g/lam)) /
     (1 + tau*|grad(div p - g/lam)|)`` and returning ``g - lam * div p``.
+    Raises `SolverDivergenceError` if the result turns non-finite.
     """
     if not (0 < lam < np.inf and 0 < tau < np.inf):
         raise ValueError(f"lam and tau must be finite and positive, got {lam}, {tau}")
@@ -349,10 +346,14 @@ def dual_projection_denoise(
     g = np.asarray(g, dtype=np.float64)
     px = np.zeros_like(g)
     py = np.zeros_like(g)
-    scaled = g / lam
-    for _ in range(steps):
-        gx, gy = gradient(divergence(VectorField(px, py)) - scaled)
-        denom = 1.0 + tau * np.hypot(gx, gy)
-        px = (px + tau * gx) / denom
-        py = (py + tau * gy) / denom
-    return g - lam * divergence(VectorField(px, py))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = g / lam
+        for _ in range(steps):
+            gx, gy = gradient(divergence(VectorField(px, py)) - scaled)
+            denom = 1.0 + tau * np.hypot(gx, gy)
+            px = (px + tau * gx) / denom
+            py = (py + tau * gy) / denom
+        f = g - lam * divergence(VectorField(px, py))
+    if not np.all(np.isfinite(f)):
+        raise SolverDivergenceError("non-finite dual-projection estimate")
+    return f

@@ -129,6 +129,20 @@ class TestPgm:
         with pytest.raises(PgmParseError):
             read_pgm(p)
 
+    def test_binary_sample_above_maxval_names_offset(self, tmp_path):
+        p = tmp_path / "over5.pgm"
+        p.write_bytes(b"P5\n2 1\n10\n\x05\x0b")
+        with pytest.raises(PgmParseError) as exc_info:
+            read_pgm(p)
+        assert str(exc_info.value) == "sample value 11 exceeds maxval 10 (byte offset 11)"
+
+    def test_ascii_bad_token_names_offset(self, tmp_path):
+        p = tmp_path / "token.pgm"
+        p.write_bytes(b"P2\n2 1\n255\n1 x\n")
+        with pytest.raises(PgmParseError) as exc_info:
+            read_pgm(p)
+        assert str(exc_info.value) == "invalid sample token b'x' (byte offset 13)"
+
     def test_write_clamps_out_of_range(self, tmp_path):
         p = tmp_path / "clamp.pgm"
         write_pgm(p, np.array([[-0.5, 1.5]]))
@@ -518,6 +532,15 @@ class TestCliRuns:
         w = read_flo(tmp_path / "est.flo")
         assert w.u.shape == (32, 32)
 
+    def test_flow_without_gt_prints_no_epe(self, tmp_path, capsys):
+        assert main(["synth", "ramp-shift", "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code = main(["flow", str(tmp_path / "ramp_shift_f1.pgm"),
+                     str(tmp_path / "ramp_shift_f2.pgm"), str(tmp_path / "est.flo")])
+        assert code == 0
+        keys = [item.split("=")[0] for item in capsys.readouterr().out.split()]
+        assert keys == ["objective", "wall_time_s"]
+
     def test_metrics_command(self, tmp_path, capsys):
         a = tmp_path / "a.pgm"
         b = tmp_path / "b.pgm"
@@ -651,6 +674,18 @@ class TestCliRuns:
             assert code == 2, name
             assert not out.exists()
             assert read_report(tmp_path / f"{name}.csv").outer_iterations == 0
+
+    def test_unwritable_partial_report_still_exits_two(self, tmp_path, capsys):
+        # the partial CSV goes beside an output in a missing directory: it
+        # cannot be written, and the solver failure still exits 2
+        assert main(["synth", "ramp-shift", "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code = main(["flow", str(tmp_path / "ramp_shift_f1.pgm"),
+                     str(tmp_path / "ramp_shift_f2.pgm"), str(tmp_path / "missing" / "x.flo"),
+                     "--variant", "an", "--lambda", "1e308"])
+        assert code == 2
+        assert not (tmp_path / "missing").exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_blind_failure_exits_two_with_partial_report(self, tmp_path, monkeypatch):
         # the first alternation projects once; the second projection fails

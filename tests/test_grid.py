@@ -95,6 +95,12 @@ class TestKernel:
         assert sorted(k._bands) == [(0, 40, False), (1, 70, False)]
         assert not Kernel.gaussian(5, 1.0)._bands
 
+    def test_identity_equality_and_hash(self):
+        a, b = Kernel.box(3), Kernel.box(3)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert {a: "a", b: "b"}[b] == "b"
+
 
 class TestGradient:
     def test_constant_is_zero(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tvkit import functionals, grid, restore, solvers, synth
+from tvkit.flow import FlowParams, FlowVariant, FramePair, flow_image_driven, flow_tv
 from tvkit.functionals import tv_isotropic
 from tvkit.grid import Kernel
 from tvkit.restore import (
@@ -33,6 +34,45 @@ def well_posed_kernel():
     w = 0.4 * Kernel.box(3).weights
     w[1, 1] += 0.6
     return Kernel(w)
+
+
+def _uniform(scale):
+    return scale * np.random.default_rng(31).uniform(0.0, 1.0, (16, 16))
+
+
+def _scaled_ramp_shift(scale):
+    pair, _ = synth.make_ramp_shift()
+    return FramePair(scale * pair.f1, scale * pair.f2)
+
+
+RESTORE_KERNELS = {
+    "factored": Kernel.gaussian(5, 1.0),
+    "rank3": Kernel(np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [0.0, 1.0, 1.0]])),
+    "delta": Kernel.delta(),
+}
+
+# one overflowing call per solve driver, and whether it runs in
+# `solvers.lagged_loop` and so carries the partial report
+OVERFLOWS = [
+    *(pytest.param(lambda k=k, s=s: tv_deconvolve(_uniform(s), k, RestoreParams(lam=0.01)),
+                   True, id=f"{name}-{s:g}")
+      for name, k in RESTORE_KERNELS.items() for s in (1e200, 1.7e308)),
+    pytest.param(lambda: blind_deconvolve(_uniform(1e200), BlindParams()), True,
+                 id="blind-1e+200"),
+    pytest.param(lambda: flow_tv(_scaled_ramp_shift(1e160), FlowParams()), True,
+                 id="flow-tv-1e+160"),
+    pytest.param(lambda: flow_image_driven(_scaled_ramp_shift(1e160),
+                                           FlowParams(variant=FlowVariant.IMAGE_DRIVEN)),
+                 True, id="flow-an-1e+160"),
+    pytest.param(lambda: solvers.conjugate_gradient(lambda x: (x * 1e300) * 1e10, np.ones(4)),
+                 False, id="cg"),
+    pytest.param(lambda: lasso_estimate(_uniform(1.7e308), Kernel.box(3), 0.1), False,
+                 id="lasso"),
+    pytest.param(lambda: solvers.dual_projection_denoise(_uniform(1.0), 0.1, tau=1e308), False,
+                 id="dual-tau"),
+    pytest.param(lambda: solvers.dual_projection_denoise(_uniform(1e300), 1e-10), False,
+                 id="dual-scale"),
+]
 
 
 class TestLeastSquares:
@@ -196,23 +236,21 @@ class TestTVDeconvolve:
         assert tvs == sorted(tvs, reverse=True)
 
 
-    # the restore twin of test_flow's overflow test: under the suite's
-    # error::RuntimeWarning filter an overflow in the weights, in H^T g, in
-    # the operator (a band matmul included) or in the objective must raise
-    # SolverDivergenceError with the partial report, not a numpy warning
-    @pytest.mark.parametrize("scale", [1e200, 1.7e308])
-    @pytest.mark.parametrize("kernel", [
-        Kernel.gaussian(5, 1.0),
-        Kernel(np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [0.0, 1.0, 1.0]])),
-        Kernel.delta(),
-    ], ids=["factored", "rank3", "delta"])
-    def test_overflow_raises_divergence_not_warning(self, kernel, scale):
-        g = scale * np.random.default_rng(31).uniform(0.0, 1.0, (16, 16))
+    # under the suite's error::RuntimeWarning filter an overflow in any
+    # solve driver (restore with a factored, rank-3 or delta kernel, blind,
+    # both flows, CG itself, LASSO, the dual projection) must raise
+    # SolverDivergenceError, with the partial report from the lagged loop,
+    # not a numpy warning
+    @pytest.mark.parametrize("solve, loop_driven", OVERFLOWS)
+    def test_overflow_raises_divergence_not_warning(self, solve, loop_driven):
         with pytest.raises(SolverDivergenceError) as exc_info:
-            tv_deconvolve(g, kernel, RestoreParams(lam=0.01))
-        assert "(outer iteration 1)" in str(exc_info.value)
+            solve()
         report = exc_info.value.report
-        assert isinstance(report, SolveReport) and report.outer_iterations == 0
+        if loop_driven:
+            assert "(outer iteration 1)" in str(exc_info.value)
+            assert isinstance(report, SolveReport) and report.outer_iterations == 0
+        else:
+            assert report is None
 
 
 class TestForcingQuality:
@@ -560,6 +598,11 @@ class TestLasso:
         for t in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 lasso_estimate(g, Kernel.delta(), t)
+
+    def test_zero_kernel_returns_zeros(self):
+        g = np.random.default_rng(53).uniform(0.0, 1.0, (5, 5))
+        f = lasso_estimate(g, Kernel(np.zeros((3, 3))), 0.1)
+        np.testing.assert_array_equal(f, np.zeros((5, 5)))
 
 
 class TestPSNR:

@@ -278,6 +278,12 @@ class TestConjugateGradient:
         with pytest.raises(SolverDivergenceError):
             conjugate_gradient(bad, np.ones((3, 3)))
 
+    def test_null_direction_stops_unconverged(self):
+        # <p, A p> = 0 on the first direction: no step taken, not converged
+        x, iters, converged = conjugate_gradient(lambda v: 0 * v, np.ones(3))
+        assert iters == 0 and not converged
+        np.testing.assert_array_equal(x, np.zeros(3))
+
 
 class TestLaggedStep:
     def test_identity_kernel_no_penalty(self):
