@@ -10,12 +10,13 @@ Conventions used throughout the package:
   (clamp-to-edge) boundary: the forward difference in the last column/row
   is zero, and convolution reads out-of-range samples from the nearest
   edge pixel.
-* The replicate boundary has two homes.  `pad_edge` serves the stencils
-  that read past the border with slices of a padded copy (`convolve` of a
-  kernel without `Kernel.factors`, the blind kernel correlation, the
-  centered flow gradient), and `convolve_adjoint` folds that pad back with
-  its exact adjoint.  For a kernel with `Kernel.factors`, `_band` folds the
+* The replicate boundary has two homes.  For a kernel with
+  `Kernel.factors` (every nonzero kernel of rank 1), `_band` folds the
   boundary into the 1-D band matrices themselves, so nothing is padded.
+  `pad_edge` serves the stencils that read past the border with slices of
+  a padded copy (`convolve` of a kernel of rank above 1, the blind kernel
+  correlation, the centered flow gradient), and `convolve_adjoint` folds
+  that pad back with its exact adjoint.
 """
 
 from __future__ import annotations
@@ -55,13 +56,12 @@ class Kernel:
     `factors` is the rank-1 factorization ``(col, row)`` with
     ``weights == outer(col, row)`` to rounding, found on first use and
     cached.  `convolve` then applies ``col`` down the columns and ``row``
-    along the rows as two banded matrix products, whose blocks are built
-    once per axis length and kept with the kernel.  It is ``None`` when the
-    weights have rank above 1 (or are all zero), or when ``col`` and
-    ``row`` would not have fewer nonzero taps together than the weights:
-    ``delta``, ``1xN`` and ``Nx1`` kernels and the motion kernels, whose
-    one nonzero line the tap loop applies in a single pass.  Kernels compare
-    and hash by identity, so one can key a dict.
+    along the rows as banded matrix products, whose blocks are built once
+    per axis length and kept with the kernel; a factor that is one centred
+    tap, as the deltas' and the line kernels' (``1xN``, ``Nx1``, motion)
+    other factor, is a scale and runs no product.  It is ``None`` only when
+    the weights have rank above 1 or are all zero.  Kernels compare and
+    hash by identity, so one can key a dict.
     """
 
     weights: np.ndarray = field()
@@ -92,26 +92,39 @@ class Kernel:
             return None
         # if w has rank 1, its column and row through the pivot span it
         col, row = w[:, q], w[p, :] / pivot
-        if np.count_nonzero(col) + np.count_nonzero(row) >= np.count_nonzero(w):
-            return None
         if np.abs(np.outer(col, row) - w).max() > _RANK1_RTOL * abs(pivot):
             return None
         return col, row
+
+    @cached_property
+    def _passes(self) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """The taps of the column and the row band pass of `_band_product`:
+        `factors`, with ``None`` for a factor that is one centred tap, as
+        when every nonzero weight lies on the centre row (column).  That
+        tap's scale moves into the other factor, which leaves it the
+        kernel's centre column (row); a kernel of one centred tap runs
+        neither pass."""
+        w = self.weights
+        cy, cx = w.shape[0] // 2, w.shape[1] // 2
+        nnz = np.count_nonzero(w)
+        on_row, on_col = np.count_nonzero(w[cy]) == nnz, np.count_nonzero(w[:, cx]) == nnz
+        if not (on_row or on_col):
+            return self.factors
+        return None if on_row else w[:, cx], None if on_col else w[cy]
 
     @cached_property
     def _bands(self) -> dict:
         return {}
 
     def _band(self, axis: int, n: int, adjoint: bool) -> list:
-        """`_band` of the factor ``factors[axis]`` (0 the column, 1 the
-        row) for an axis of length ``n``, built on first use and kept with
-        the kernel."""
+        """`_band` of the pass ``_passes[axis]`` (0 the column, 1 the row)
+        for an axis of length ``n``, built on first use and kept with the
+        kernel."""
         key = (axis, n, adjoint)
-        band = self._bands.get(key)
-        if band is None:
+        if key not in self._bands:
             # two threads may both build it; every caller gets the one kept
-            band = self._bands.setdefault(key, _band(self.factors[axis], n, adjoint))
-        return band
+            self._bands.setdefault(key, _band(self._passes[axis], n, adjoint))
+        return self._bands[key]
 
     @classmethod
     def delta(cls, size: int = 1) -> "Kernel":
@@ -251,13 +264,10 @@ def pad_edge(f: np.ndarray, cy: int, cx: int) -> np.ndarray:
     h, w = f.shape
     fp = np.empty((h + 2 * cy, w + 2 * cx), dtype=f.dtype)
     fp[cy : cy + h, cx : cx + w] = f
-    # a 1xN or Nx1 kernel pads one axis only; skip the other
-    if cx:
-        fp[cy : cy + h, :cx] = f[:, :1]
-        fp[cy : cy + h, cx + w :] = f[:, -1:]
-    if cy:
-        fp[:cy] = fp[cy]
-        fp[cy + h :] = fp[cy + h - 1]
+    fp[cy : cy + h, :cx] = f[:, :1]
+    fp[cy : cy + h, cx + w :] = f[:, -1:]
+    fp[:cy] = fp[cy]
+    fp[cy + h :] = fp[cy + h - 1]
     return fp
 
 
@@ -274,12 +284,10 @@ def _fold_edge(fp: np.ndarray, cy: int, cx: int) -> np.ndarray:
     rows, then the pad columns, onto the edge row or column they copy, and
     return the interior."""
     h, w = fp.shape[0] - 2 * cy, fp.shape[1] - 2 * cx
-    if cy:
-        fp[cy] += fp[:cy].sum(axis=0)
-        fp[cy + h - 1] += fp[cy + h :].sum(axis=0)
-    if cx:
-        fp[:, cx] += fp[:, :cx].sum(axis=1)
-        fp[:, cx + w - 1] += fp[:, cx + w :].sum(axis=1)
+    fp[cy] += fp[:cy].sum(axis=0)
+    fp[cy + h - 1] += fp[cy + h :].sum(axis=0)
+    fp[:, cx] += fp[:, :cx].sum(axis=1)
+    fp[:, cx + w - 1] += fp[:, cx + w :].sum(axis=1)
     return fp[cy : cy + h, cx : cx + w]
 
 
@@ -306,40 +314,30 @@ def _taps(fp: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np
     return out
 
 
-def _band_block(t: np.ndarray, n: int, r0: int, r1: int, adjoint: bool) -> np.ndarray:
-    """Rows ``r0:r1`` of the ``n x n`` 1-D correlation ``C`` by the taps
-    ``t`` (of ``C^T`` when ``adjoint``), on their column window
-    ``[max(0, r0 - c), min(n, r1 + c))`` with ``c = len(t) // 2``:
-    ``C[j, clamp(j + a - c)] += t[a]``, the replicate boundary folded onto
-    the edge columns."""
-    c = len(t) // 2
-    if adjoint:
-        # rows r0:r1 of C^T are columns r0:r1 of the rows of C in their window
-        lo, hi = max(0, r0 - c), min(n, r1 + c)
-        start = max(0, lo - c)  # the first column of those rows' window
-        return _band_block(t, n, lo, hi, False)[:, r0 - start : r1 - start].T.copy()
-    b = r1 - r0
-    # columns r0 - c ... r1 + c - 1 before clamping: m[i, i + a] = t[a]
-    m = np.zeros((b, b + 2 * c))
-    for a, tap in enumerate(t):
-        m.ravel()[a :: b + 2 * c + 1] = tap
-    # add the columns past either edge onto the edge column
-    left, right = max(0, c - r0), max(0, r1 + c - n)
-    if left:
-        m[:, left] += m[:, :left].sum(axis=1)
-    if right:
-        m[:, -right - 1] += m[:, -right:].sum(axis=1)
-    return np.ascontiguousarray(m[:, left : b + 2 * c - right])
-
-
 def _band(t: np.ndarray, n: int, adjoint: bool) -> list[tuple[int, int, np.ndarray]]:
     """The ``n x n`` 1-D correlation ``C`` by the taps ``t`` (``C^T`` when
-    ``adjoint``) as row blocks of `_BLOCK` rows.  An entry ``(r0, lo, m)``
-    places the block ``m`` at row ``r0`` and column ``lo``, the first
-    column of its window."""
+    ``adjoint``) as row blocks of `_BLOCK` rows, from the clamp rule
+    ``C[j, clamp(j + a - c)] += t[a]`` with ``c = len(t) // 2``, the
+    replicate boundary folded onto the edge columns.  Every entry lies
+    within ``c`` of the diagonal, so an entry ``(r0, lo, m)`` places the
+    block ``m`` at row ``r0`` and column ``lo = max(0, r0 - c)``, the first
+    column of its window ``[lo, min(n, r0 + _BLOCK + c))``.  The blocks are
+    views into one array, filled in one pass over the whole axis."""
     c = len(t) // 2
-    return [(r0, max(0, r0 - c), _band_block(t, n, r0, min(n, r0 + _BLOCK), adjoint))
-            for r0 in range(0, n, _BLOCK)]
+    rows, width = min(_BLOCK, n), min(n, _BLOCK + 2 * c)
+    starts = range(0, n, _BLOCK)
+    j = np.arange(n)
+    lo = np.maximum(0, j // _BLOCK * _BLOCK - c)
+    # flat offset of the entry (r, lo of r's block) in the block array
+    base = (j // _BLOCK * rows + j % _BLOCK) * width - lo
+    # the column clamp(j + a - c) of each tap's entry in row j of C, then
+    # that entry's flat offset, with row and column swapped for C^T
+    idx = np.clip(j[:, None] + np.arange(-c, c + 1), 0, n - 1)
+    idx = base[idx] + j[:, None] if adjoint else np.add(idx, base[:, None], out=idx)
+    m = np.bincount(idx.ravel(), weights=np.broadcast_to(t, idx.shape).ravel(),
+                    minlength=len(starts) * rows * width).reshape(len(starts), rows, width)
+    return [(r0, lo[r0], m[i, : min(n, r0 + _BLOCK) - r0, : min(n, r0 + _BLOCK + c) - lo[r0]])
+            for i, r0 in enumerate(starts)]
 
 
 def _band_rows(band: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -353,32 +351,37 @@ def _band_rows(band: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _band_product(x: np.ndarray, kernel: Kernel, adjoint: bool, out: np.ndarray) -> np.ndarray:
-    """``out = C_col @ x @ C_row^T`` for the `Kernel.factors` ``(col,
-    row)``, or ``C_col^T @ x @ C_row`` when ``adjoint``: the column factor
-    into one intermediate, then the row factor through transposed views."""
-    h, w = x.shape
-    z = _band_rows(kernel._band(0, h, adjoint), x, np.empty(x.shape))
-    _band_rows(kernel._band(1, w, adjoint), z.T, out.T)
+    """``out = C_col @ x @ C_row^T`` for the `Kernel._passes` ``(col,
+    row)``, or ``C_col^T @ x @ C_row`` when ``adjoint``.  The column pass
+    writes one intermediate, which the row pass reads through transposed
+    views; a line kernel runs its one pass straight into ``out``, and a
+    kernel of one centred tap is one multiply."""
+    col, row = kernel._passes
+    if col is None and row is None:
+        return np.multiply(kernel.weights[kernel.shape[0] // 2, kernel.shape[1] // 2], x, out=out)
+    if col is not None:
+        x = _band_rows(kernel._band(0, x.shape[0], adjoint), x,
+                       out if row is None else np.empty(x.shape))
+    if row is not None:
+        _band_rows(kernel._band(1, x.shape[1], adjoint), x.T, out.T)
     return out
 
 
 def convolve(f: np.ndarray, kernel: Kernel, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Apply the kernel to the field (correlation-style, replicate boundary).
 
-    Linear in ``f``; the delta kernel is the exact identity.  A kernel with
+    Linear in ``f``; a delta kernel is the exact identity.  A kernel with
     `Kernel.factors` ``(col, row)`` runs as ``C_col @ f @ C_row^T``, with
     ``C_t`` the banded matrix of the 1-D correlation by ``t`` and the
     replicate boundary folded into it (`_band`), and matches the tap loop
-    to rounding.  Every other kernel runs the tap loop over the
-    edge-padded field.  ``out``, a C-contiguous float64 array shaped like
-    ``f`` and distinct from it, receives the result and is returned; every
-    entry is written.
+    to rounding; the pass of a factor that is one centred tap is skipped
+    (`_band_product`).  A kernel without factors (rank above 1, or all
+    zero) runs the tap loop over the edge-padded field.  ``out``, a
+    C-contiguous float64 array shaped like ``f`` and distinct from it,
+    receives the result and is returned; every entry is written.
     """
     x = np.asarray(f, dtype=np.float64)
     _check_out(out, x.shape)
-    if kernel.shape == (1, 1):
-        # reads no neighbour: no pad copy
-        return _taps(x, kernel.weights, out)
     if out is None:
         out = np.empty(x.shape)
     if kernel.factors is not None:
@@ -392,20 +395,17 @@ def convolve_adjoint(f: np.ndarray, kernel: Kernel,
     """Exact adjoint of `convolve` under the same boundary rule.
 
     A kernel with `Kernel.factors` runs as ``C_col^T @ f @ C_row``, the
-    transposed band matrices of `convolve`.  Every other kernel applies its
-    flipped taps to the zero-extended field, which spreads each tap's
-    contribution over the padded grid, then folds the pad back onto the
-    border.  So ``inner(convolve(x, k), y) == inner(x, convolve_adjoint(y,
-    k))`` holds to rounding for all x, y.  The result is a new C-contiguous
-    array, or ``out``: a C-contiguous float64 array shaped like ``f`` and
-    distinct from it, which receives the result and is returned; every
-    entry is written.
+    transposed band matrices of `convolve`, with the same passes skipped.
+    A kernel without factors applies its flipped taps to the zero-extended
+    field, which spreads each tap's contribution over the padded grid, then
+    folds the pad back onto the border.  So ``inner(convolve(x, k), y) ==
+    inner(x, convolve_adjoint(y, k))`` holds to rounding for all x, y.  The
+    result is a new C-contiguous array, or ``out``: a C-contiguous float64
+    array shaped like ``f`` and distinct from it, which receives the result
+    and is returned; every entry is written.
     """
     x = np.asarray(f, dtype=np.float64)
     _check_out(out, x.shape)
-    if kernel.shape == (1, 1):
-        # nothing to spread or fold back
-        return _taps(x, kernel.weights, out)
     if out is None:
         out = np.empty(x.shape)
     if kernel.factors is not None:

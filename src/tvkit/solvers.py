@@ -230,9 +230,10 @@ def lagged_loop(
     the tolerance and every CG solve converged; the report records
     ``cfg.forcing``, the forcing term the steps ran with.  A
     `SolverDivergenceError` (or subclass) is re-raised as its own type with
-    the partial report and its outer iteration; a non-finite objective
-    raises one too.  ``step`` and ``objective`` run with numpy's overflow
-    and invalid warnings off, so an overflow in them ends as that error.  A
+    the partial report and its outer iteration; a non-finite objective or
+    step norm raises one too.  ``step``, ``objective`` and the step norm
+    run with numpy's overflow and invalid warnings off, so an overflow in
+    them ends as that error.  A
     given ``report`` is filled in place, so a caller can pre-seed counts
     such as ``cg_iterations_total``.
     """
@@ -245,13 +246,15 @@ def lagged_loop(
             with np.errstate(over="ignore", invalid="ignore"):
                 x_next, cg_iters, cg_converged = step(x)
                 value = objective(x_next)
+                step_norm = float(np.linalg.norm(x_next - x))
             if not math.isfinite(value):
                 raise SolverDivergenceError("non-finite objective")
+            if not math.isfinite(step_norm):
+                raise SolverDivergenceError("non-finite step norm")
         except SolverDivergenceError as err:
             raise type(err)(
                 f"{err} (outer iteration {report.outer_iterations + 1})", report=report
             ) from err
-        step_norm = float(np.linalg.norm(x_next - x))
         report.cg_iterations_total += cg_iters
         report.cg_iters_history.append(cg_iters)
         report.cg_converged_history.append(cg_converged)
@@ -275,9 +278,10 @@ def lagged_restore_step(
     is looser than ``tol_cg``.  The step allocates four fields shaped like
     ``f_k`` once: ``A x``, one that holds ``H x`` and then ``lam L(w) x``,
     and the two work arrays of `functionals.apply_weighted_laplacian`.  Its
-    CG iterations then allocate only the one intermediate of each
-    convolution (nothing for the 1x1 delta kernel, the pads for a kernel
-    without `Kernel.factors`) and CG's own vectors.  Returns
+    CG iterations then allocate only CG's own vectors and what each
+    convolution allocates: nothing for a delta or a line kernel, one
+    intermediate for another kernel with `Kernel.factors`, the pads for a
+    kernel of rank above 1.  Returns
     `conjugate_gradient`'s triple, or raises `SolverDivergenceError` for a
     non-finite Jacobi diagonal."""
     lam, cfg = params.lam, params.solver

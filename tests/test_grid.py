@@ -55,24 +55,25 @@ class TestKernel:
         assert k.weights[2, 2] == 1.0
         assert k.weights.sum() == 1.0
 
-    @pytest.mark.parametrize("k", [Kernel.box(3), Kernel.box(5), Kernel.binomial3(),
-                                   Kernel.gaussian(5, 1.0)],
-                             ids=["box3", "box5", "binomial3", "gaussian5"])
+    # every nonzero rank-1 kernel has factors, down to the deltas and the
+    # line kernels, whose one nonzero line leaves the other factor one tap
+    @pytest.mark.parametrize("k", [
+        Kernel.box(3), Kernel.box(5), Kernel.binomial3(), Kernel.gaussian(5, 1.0),
+        Kernel.delta(), Kernel.delta(3), Kernel(np.full((1, 5), 0.2)),
+        Kernel.motion_horizontal(5), Kernel.motion_vertical(5),
+    ], ids=["box3", "box5", "binomial3", "gaussian5",
+            "delta1", "delta3", "row1x5", "motion-h5", "motion-v5"])
     def test_factors_reproduce_weights(self, k):
         col, row = k.factors
         assert col.shape == (k.shape[0],) and row.shape == (k.shape[1],)
         err = np.abs(np.outer(col, row) - k.weights).max()
         assert err <= 1e-15 * np.abs(k.weights).max()
 
-    # delta, 1xN and the motion kernels are rank 1, but their nonzero taps
-    # lie on one line, so a row pass plus a column pass (1 + N taps) would
-    # not take fewer taps than the one pass (N taps)
+    # only a kernel of rank above 1, or of no nonzero tap, has none
     @pytest.mark.parametrize("k", [
-        Kernel.delta(), Kernel.delta(3), Kernel(np.full((1, 5), 0.2)),
-        Kernel.motion_horizontal(5), Kernel.motion_vertical(5),
         Kernel(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])),
         Kernel(np.zeros((3, 3))),
-    ], ids=["delta1", "delta3", "row1x5", "motion-h5", "motion-v5", "plus-rank2", "zero"])
+    ], ids=["plus-rank2", "zero"])
     def test_no_factors(self, k):
         assert k.factors is None
 
@@ -252,9 +253,9 @@ class TestOutBuffers:
         # the allocating calls are measured the same way
         assert peak_allocation(lambda: grid.gradient(f)) >= 2 * f.nbytes
 
-    # delta runs its one tap on f with no pad; box3, binomial3 and gaussian5
-    # are factored; the rank-2 kernel (third row = first + second) and the
-    # motion kernel run the full tap loop; the zero kernel has no tap
+    # delta is one multiply; box3, binomial3 and gaussian5 run two band
+    # passes and the motion kernel one; the rank-2 kernel (third row = first
+    # + second) runs the full tap loop; the zero kernel has no tap
     CONVOLVE_KERNELS = {
         "delta": Kernel.delta(),
         "box3": Kernel.box(3),
@@ -299,17 +300,19 @@ class TestOutBuffers:
                 op(f, k, out=out)
 
     def test_buffered_convolution_allocates_no_field(self):
+        # a delta is one multiply and a line kernel one band pass into out;
+        # the first calls also build the motion kernel's bands
         f = np.random.default_rng(97).standard_normal((128, 128))
         out = np.empty_like(f)
-        k = Kernel.delta()
-        for op in (grid.convolve, grid.convolve_adjoint):
-            assert peak_allocation(lambda: op(f, k, out=out)) < f.nbytes
-            # the allocating call is measured the same way
-            assert peak_allocation(lambda: op(f, k)) >= f.nbytes
+        for k in (Kernel.delta(), Kernel.delta(3), Kernel.motion_horizontal(7)):
+            for op in (grid.convolve, grid.convolve_adjoint):
+                assert peak_allocation(lambda: op(f, k, out=out)) < f.nbytes
+                # the allocating call is measured the same way
+                assert peak_allocation(lambda: op(f, k)) >= f.nbytes
 
 
-# pads wider than the field repeat the edge sample throughout; a 1xN or
-# Nx1 kernel pads one axis only
+# pads wider than the field repeat the edge sample throughout; a zero pad
+# leaves its axis as it is
 PADS = [((5, 4), 2, 2), ((2, 3), 4, 0), ((2, 3), 0, 4), ((1, 1), 3, 2)]
 
 
@@ -432,6 +435,15 @@ RANK1_KERNELS = {
     for kh, kw in [(3, 3), (5, 5), (3, 5), (5, 3)]
 }
 RANK1_KERNELS["gaussian5"] = Kernel.gaussian(5, 1.0)
+# rank 1 with one factor a single tap: one band pass, or none for a kernel
+# of one centred tap; the shift's one tap is off centre, so it runs a pass
+LINE_KERNELS = {
+    "motion-h3": Kernel.motion_horizontal(3), "motion-h7": Kernel.motion_horizontal(7),
+    "motion-v3": Kernel.motion_vertical(3), "motion-v7": Kernel.motion_vertical(7),
+    "row1x5": Kernel(_rng.standard_normal((1, 5))), "col5x1": Kernel(_rng.standard_normal((5, 1))),
+    "delta3": Kernel.delta(3), "scale1x1": Kernel([[2.0]]), "shift1x3": Kernel([[0.0, 0.0, 1.0]]),
+}
+RANK1_KERNELS.update(LINE_KERNELS)
 
 
 def clamp_matrix(w, shape):
@@ -458,6 +470,7 @@ BAND_KERNELS = {
     "gaussian5": Kernel.gaussian(5, 1.0), "box3": Kernel.box(3),
     "outer3x5": RANK1_KERNELS["outer3x5"], "outer5x3": RANK1_KERNELS["outer5x3"],
     "outer67x3": Kernel(np.outer(np.hanning(69)[1:-1], [0.25, 0.5, 0.25])),
+    **LINE_KERNELS,
 }
 
 

@@ -465,6 +465,15 @@ class TestFixedPointSolver:
         assert report.objective_history == [1.0]
         assert report.cg_iters_history == [3] and report.cg_iterations_total == 3
 
+    def test_overflowing_step_norm_raises_with_report(self):
+        # x_next - x overflows to inf: an error with the (empty) partial
+        # report, not a numpy warning and an inf in the step-norm history
+        with pytest.raises(SolverDivergenceError,
+                           match=r"non-finite step norm \(outer iteration 1\)") as exc_info:
+            solvers.lagged_loop(lambda x: (-x, 0, True), lambda x: 0.0,
+                                np.full(4, 1.5e308), SolverConfig(max_outer=2))
+        assert exc_info.value.report.outer_iterations == 0
+
 
 def capped_denoise(cfg):
     _, noisy = synth.make_step32()
