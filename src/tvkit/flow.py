@@ -92,7 +92,10 @@ def centered_gradient(f: np.ndarray) -> VectorField:
     stencil for the data-term derivatives, where one-sided bias would
     shift the flow estimate by half a pixel.
     """
-    f = ensure_field(f)
+    return _centered_differences(ensure_field(f))
+
+
+def _centered_differences(f: np.ndarray) -> VectorField:
     fp = pad_edge(f, 1, 1)
     fx = 0.5 * (fp[1:-1, 2:] - fp[1:-1, :-2])
     fy = 0.5 * (fp[2:, 1:-1] - fp[:-2, 1:-1])
@@ -101,9 +104,11 @@ def centered_gradient(f: np.ndarray) -> VectorField:
 
 def image_derivatives(pair: FramePair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spatial derivatives (centered, on the frame average) and the
-    two-point temporal derivative ft = f2 - f1."""
-    avg = 0.5 * (pair.f1 + pair.f2)
-    fx, fy = centered_gradient(avg)
+    two-point temporal derivative ft = f2 - f1.  The frames are finite, but
+    the average or ft of frames near the float maximum overflows: such
+    derivatives are non-finite, and the CG solve they feed raises
+    `solvers.SolverDivergenceError`."""
+    fx, fy = _centered_differences(0.5 * (pair.f1 + pair.f2))
     return fx, fy, pair.f2 - pair.f1
 
 
@@ -195,13 +200,15 @@ def _lagged_flow(pair, cfg, smoothing, scale, penalty, n_work):
     >= 2`` (2, H, W) work arrays, which the data rows reuse after it;
     every CG iteration writes ``A w`` into one buffer of its step, so no
     iteration allocates a field.  The objective is the squared OFC residual
-    plus ``penalty(w)``.  The data terms are formed in the step, where an
-    overflow ends as `lagged_loop`'s `SolverDivergenceError`."""
-    fx, fy, ft = image_derivatives(pair)
+    plus ``penalty(w)``.  The frame derivatives and the data terms are
+    formed in the first step, where an overflow ends as `lagged_loop`'s
+    `SolverDivergenceError`; the objective reuses the derivatives."""
+    derivatives = cache(lambda: image_derivatives(pair))
     work = _buffers(n_work, (2,) + pair.shape)
     tu, tv = work[0], work[1]
 
     def step(wvec):
+        fx, fy, ft = derivatives()
         smooth = smoothing(wvec)
         fxx, fxy, fyy = fx * fx, fx * fy, fy * fy
         Aw = np.empty((2,) + fx.shape)
@@ -223,7 +230,7 @@ def _lagged_flow(pair, cfg, smoothing, scale, penalty, n_work):
                                           cfg=cfg, forcing=cfg.forcing)
 
     def objective(wvec):
-        r = ofc_residual(fx, fy, ft, wvec)
+        r = ofc_residual(*derivatives(), wvec)
         return float(np.sum(r * r)) + penalty(wvec)
 
     # zero flow as a read-only view that holds no memory: CG copies its start

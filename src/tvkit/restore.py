@@ -182,8 +182,10 @@ def blind_deconvolve(
     """Alternating-minimization blind deconvolution (Chan & Wong, IEEE TIP
     1998).
 
-    Starting from ``kernel0`` (a centered delta by default), first solves
-    the image problem for that kernel (`solvers.tv_restore_fixed_point`).
+    Starting from ``kernel0`` (a centered delta by default), projected as
+    below, first solves the image problem for that kernel
+    (`solvers.tv_restore_fixed_point`).  A ``kernel0`` with no positive tap,
+    or whose positive taps do not have a finite sum, raises `ValueError`.
     Each alternation after that makes one exact lagged kernel step
     (`_kernel_step`, a dense solve with no CG) and then one lagged image
     step (`solvers.lagged_restore_step`) with the new kernel, until the image
@@ -210,6 +212,12 @@ def blind_deconvolve(
             raise ValueError(
                 f"kernel0 shape {kernel0.shape} does not match kernel_size {ks}"
             )
+        # no positive tap, or positive taps summing past the float maximum,
+        # would project to a zero kernel: an input error, not a failed solve
+        with np.errstate(over="ignore"):
+            total = np.maximum(kernel0.weights, 0.0).sum()
+        if not 0.0 < total < np.inf:
+            raise ValueError("kernel0 needs a positive tap, and its positive taps a finite sum")
         kernel = Kernel(_project_kernel(kernel0.weights))
 
     image = RestoreParams(lam=params.lam_image, alpha=params.alpha, solver=params.solver)

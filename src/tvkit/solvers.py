@@ -145,16 +145,22 @@ def conjugate_gradient(
 ) -> tuple[np.ndarray, int, bool]:
     """Solve ``A x = b`` for a symmetric positive (semi-)definite operator.
 
-    Standard CG recurrences on arrays of any shape; stops when
-    ``||A x - b|| <= max(tol_cg * ||b||, forcing * ||r0||)``, with ``r0 =
-    b - A x0`` the starting residual, or after ``max_cg`` iterations.
-    ``precond``, if given, applies an SPD approximation of ``A^-1`` to a
-    residual (preconditioned CG); the stopping test stays on the
-    unpreconditioned residual.  ``apply_A``'s result is read only until
-    the next call, so ``apply_A`` may write every result into one buffer
-    of its own.  Returns ``(x, iterations, converged)``.  Runs with numpy's
-    overflow and invalid warnings off: a non-finite residual or curvature
-    raises `SolverDivergenceError` (indefinite or ill-posed operator).
+    Standard CG recurrences on arrays of any shape.  ``precond``, if given,
+    applies an SPD approximation of ``A^-1`` to a residual (preconditioned
+    CG).  ``apply_A``'s result is read only until the next call, so
+    ``apply_A`` may write every result into one buffer of its own.  Returns
+    ``(x, iterations, converged)``.  The loop stops, in the order it tests:
+
+    1. converged, at the head of an iteration, once ``||b - A x|| <=
+       max(tol_cg * ||b||, forcing * ||r0||)`` with ``r0 = b - A x0`` the
+       starting residual (the test stays on the unpreconditioned residual);
+    2. not converged, at the head of iteration ``max_cg + 1``;
+    3. not converged, on a search direction of zero curvature (the null
+       space of a semi-definite operator), counting the iterations before it.
+
+    Runs with numpy's overflow and invalid warnings off: a non-finite
+    residual or curvature raises `SolverDivergenceError` (indefinite or
+    ill-posed operator).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cfg = cfg or SolverConfig()
@@ -164,53 +170,44 @@ def conjugate_gradient(
             return np.zeros_like(b), 0, True
         # private copy: x, r and p are updated in place
         x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
-        threshold = cfg.tol_cg * bnorm
-
         r = b - apply_A(x)
         del b  # not needed past the first residual: one vector less to hold
         rs = float(np.vdot(r, r).real)
         if not np.isfinite(rs):
             raise SolverDivergenceError("non-finite residual entering CG")
-        # forcing = 0 leaves the threshold as it is
-        threshold = max(threshold, forcing * math.sqrt(rs))
-        if math.sqrt(rs) <= threshold:
-            return x, 0, True
-
-        def preconditioned(r, rs):
-            """``(z, <r, z>)`` with ``z = M^-1 r``; the plain CG pair without
-            ``precond``, with no extra inner product."""
-            if precond is None:
-                return r, rs
-            z = precond(r)
-            return z, float(np.vdot(r, z).real)
-
-        z, rz = preconditioned(r, rs)
-        p = z.copy()
-        del z
-        for k in range(1, cfg.max_cg + 1):
+        # forcing = 0 leaves tol_cg * ||b|| as it is
+        threshold = max(cfg.tol_cg * bnorm, forcing * math.sqrt(rs))
+        p = None
+        for k in range(cfg.max_cg + 1):
+            if math.sqrt(rs) <= threshold:
+                return x, k, True
+            if k == cfg.max_cg:
+                return x, k, False
+            # z = M^-1 r and <r, z>; plain CG takes r itself, with no extra inner product
+            z = r if precond is None else precond(r)
+            rz_new = rs if precond is None else float(np.vdot(r, z).real)
+            if p is None:
+                p = z.copy()
+            else:
+                p *= rz_new / rz
+                p += z
+            # z must not outlive this update: alive through the next apply_A it
+            # would add one more vector to the solve's peak memory
+            del z
+            rz = rz_new
             Ap = apply_A(p)
             pAp = float(np.vdot(p, Ap).real)
             if not np.isfinite(pAp):
-                raise SolverDivergenceError(f"non-finite curvature at CG iteration {k}")
+                raise SolverDivergenceError(f"non-finite curvature at CG iteration {k + 1}")
             if pAp <= 0.0:
                 # null-space direction of a semi-definite operator: nothing left to do
-                return x, k - 1, math.sqrt(rs) <= threshold
+                return x, k, False
             alpha = rz / pAp
             x += alpha * p
             r -= alpha * Ap
             rs = float(np.vdot(r, r).real)
             if not np.isfinite(rs):
-                raise SolverDivergenceError(f"non-finite residual at CG iteration {k}")
-            if math.sqrt(rs) <= threshold:
-                return x, k, True
-            z, rz_new = preconditioned(r, rs)
-            p *= rz_new / rz
-            p += z
-            # z must not outlive this update: alive through the next apply_A it
-            # would add one more vector to the solve's peak memory
-            del z
-            rz = rz_new
-        return x, cfg.max_cg, False
+                raise SolverDivergenceError(f"non-finite residual at CG iteration {k + 1}")
 
 
 def lagged_loop(

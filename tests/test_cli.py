@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvkit import cli, fileio, grid, restore, synth
+from tvkit import cli, fileio, grid, restore, solvers, synth
 from tvkit.cli import main, parse_kernel
 from tvkit.flow import FlowParams
 from tvkit.fileio import (
@@ -123,6 +123,23 @@ class TestPgm:
             read_pgm(p)
         assert "byte offset" in str(exc_info.value)
 
+    @pytest.mark.parametrize("data, message, offset", [
+        (b"P", "file too short for a PGM magic number", 0),
+        (b"XY 1 1 255\n" + bytes(1), "bad magic b'XY', expected P2 or P5", 0),
+        (b"P5 4 4", "unexpected end of file in header", 6),
+        (b"P5 0 4 255\n", "width must be positive, got 0", 3),
+        (b"P2 1 1 70000\n5\n", "maxval 70000 exceeds 65535", 7),
+        (b"P5 1 1 255", "expected single whitespace after maxval", 10),
+    ], ids=["too-short", "bad-magic", "header-eof", "zero-width", "maxval-range",
+            "no-whitespace-after-maxval"])
+    def test_header_errors_name_offset(self, tmp_path, data, message, offset):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(data)
+        with pytest.raises(PgmParseError) as exc_info:
+            read_pgm(p)
+        assert str(exc_info.value) == f"{message} (byte offset {offset})"
+        assert exc_info.value.offset == offset
+
     def test_sample_above_maxval_rejected(self, tmp_path):
         p = tmp_path / "over.pgm"
         p.write_bytes(b"P2\n2 1\n100\n50 101\n")
@@ -171,6 +188,12 @@ class TestFlo:
         np.testing.assert_array_equal(back.v, w.v)
         write_flo(tmp_path / "b.flo", back)
         assert (tmp_path / "b.flo").read_bytes() == first
+
+    def test_write_rejects_mismatched_components(self, tmp_path):
+        p = tmp_path / "bad.flo"
+        with pytest.raises(ValueError, match="matching 2-d fields"):
+            write_flo(p, VectorField(np.zeros((2, 2)), np.zeros((2, 3))))
+        assert not p.exists()
 
     def test_layout_arithmetic(self, tmp_path):
         p = tmp_path / "z.flo"
@@ -610,6 +633,20 @@ class TestCliRuns:
         assert main([command, *files, *flags]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert sorted(tmp_path.iterdir()) == [src]
+
+    def test_initial_kernel_without_positive_tap_exits_one(self, tmp_path, monkeypatch,
+                                                           capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(solvers, "tv_restore_fixed_point", never)
+        src = tmp_path / "in.pgm"
+        psf = tmp_path / "neg.txt"
+        write_pgm(src, np.random.default_rng(5).uniform(0.0, 1.0, (8, 8)))
+        write_kernel_text(psf, Kernel(-np.ones((3, 3))))
+        assert main(["blind", str(src), str(tmp_path / "out.pgm"), "--init-psf", f"@{psf}"]) == 1
+        assert capsys.readouterr().err.startswith("error: kernel0")
+        assert sorted(tmp_path.iterdir()) == [src, psf]
 
     @pytest.mark.parametrize("maxval", ["0", "70000"])
     @pytest.mark.parametrize("command, solver", [

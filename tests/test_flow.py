@@ -44,6 +44,23 @@ class TestFramePair:
                 FlowParams(**bad)
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ofc_residual(*image_derivatives(ramp_pair()),
+                              VectorField(np.zeros((8, 7)), np.zeros((8, 7)))),
+         "derivative and flow shapes must match"),
+        (lambda: endpoint_error(VectorField(np.zeros((4, 4)), np.zeros((4, 4))),
+                                VectorField(np.zeros((4, 5)), np.zeros((4, 5)))),
+         "flow shapes must match"),
+        # the variant's value, not the enum member
+        (lambda: estimate_flow(ramp_pair(), FlowParams(variant="tv")),
+         "unknown flow variant 'tv'"),
+    ], ids=["ofc-residual-shapes", "endpoint-error-shapes", "variant-string"])
+    def test_malformed_input_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestImageDerivatives:
     def test_static_pair_has_zero_time_derivative(self):
         rng = np.random.default_rng(1)

@@ -544,6 +544,18 @@ class TestFactoredConvolve:
             assert out.base is None
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Kernel(np.ones(3)), "2D array"),
+        (lambda: grid.ensure_field(np.zeros((2, 3, 3))), "expected a 2D field, got ndim=3"),
+        (lambda: grid.divergence(VectorField(np.zeros((3, 3)), np.zeros((3, 4)))),
+         "components differ"),
+    ], ids=["kernel-1d", "field-3d", "divergence-components"])
+    def test_malformed_input_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestNorms:
     def test_inner_is_squared_norm(self):
         rng = np.random.default_rng(6)

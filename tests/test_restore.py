@@ -59,11 +59,12 @@ OVERFLOWS = [
       for name, k in RESTORE_KERNELS.items() for s in (1e200, 1.7e308)),
     pytest.param(lambda: blind_deconvolve(_uniform(1e200), BlindParams()), True,
                  id="blind-1e+200"),
-    pytest.param(lambda: flow_tv(_scaled_ramp_shift(1e160), FlowParams()), True,
-                 id="flow-tv-1e+160"),
-    pytest.param(lambda: flow_image_driven(_scaled_ramp_shift(1e160),
-                                           FlowParams(variant=FlowVariant.IMAGE_DRIVEN)),
-                 True, id="flow-an-1e+160"),
+    *(pytest.param(lambda s=s: flow_tv(_scaled_ramp_shift(s), FlowParams()), True,
+                   id=f"flow-tv-{s:g}") for s in (1e160, 1.7e308)),
+    # at 1.7e308 the frame average itself overflows
+    *(pytest.param(lambda s=s: flow_image_driven(_scaled_ramp_shift(s),
+                                                 FlowParams(variant=FlowVariant.IMAGE_DRIVEN)),
+                   True, id=f"flow-an-{s:g}") for s in (1e160, 1.7e308)),
     pytest.param(lambda: solvers.conjugate_gradient(lambda x: (x * 1e300) * 1e10, np.ones(4)),
                  False, id="cg"),
     pytest.param(lambda: lasso_estimate(_uniform(1.7e308), Kernel.box(3), 0.1), False,
@@ -178,6 +179,13 @@ class TestGeneralizedTikhonov:
         if weight == 1.0:
             with pytest.raises(ValueError, match="finite"):
                 rls_estimate(g, Kernel.delta(), q_lambda)
+
+    @pytest.mark.parametrize("f0_shape, p_shape", [((4, 5), (4, 4)), ((4, 4), (4, 5))],
+                             ids=["f0", "p-weight"])
+    def test_shape_mismatch_rejected(self, f0_shape, p_shape):
+        with pytest.raises(ValueError, match="same shape"):
+            gtr_estimate(np.ones((4, 4)), np.zeros(f0_shape), Kernel.delta(), np.ones(p_shape),
+                         0.1)
 
 
 class TestTVDenoise:
@@ -368,6 +376,18 @@ class TestBlindDeconvolve:
     def test_kernel0_shape_validated(self):
         with pytest.raises(ValueError):
             blind_deconvolve(self.g, BlindParams(kernel_size=5), kernel0=self.ktrue)
+
+    # no positive tap, and positive taps whose sum overflows: either would
+    # project to a zero kernel, so it is an input error raised before any solve
+    @pytest.mark.parametrize("weights", [-np.ones((3, 3)), np.full((3, 3), 1e308)],
+                             ids=["negative", "overflowing-sum"])
+    def test_kernel0_without_positive_mass_is_input_error(self, weights, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(solvers, "tv_restore_fixed_point", never)
+        with pytest.raises(ValueError, match="kernel0"):
+            blind_deconvolve(self.g, BlindParams(), kernel0=Kernel(weights))
 
     def test_even_kernel_size_rejected(self):
         with pytest.raises(ValueError):
@@ -598,6 +618,8 @@ class TestLasso:
         for t in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 lasso_estimate(g, Kernel.delta(), t)
+        with pytest.raises(ValueError, match="steps"):
+            lasso_estimate(g, Kernel.delta(), 0.1, steps=0)
 
     def test_zero_kernel_returns_zeros(self):
         g = np.random.default_rng(53).uniform(0.0, 1.0, (5, 5))

@@ -278,6 +278,17 @@ class TestConjugateGradient:
         with pytest.raises(SolverDivergenceError):
             conjugate_gradient(bad, np.ones((3, 3)))
 
+    @pytest.mark.parametrize("a, b, message", [
+        ([np.inf, 1.0], [1.0, 1.0], "non-finite residual entering CG"),
+        ([1e300, 1e300], [1e10, 1.0], "non-finite curvature at CG iteration 1"),
+        # <p, A p> = 1e-100 is finite, and the step 1e100 * A p overflows r
+        ([1e300, 1e-300], [1e-200, 1.0], "non-finite residual at CG iteration 1"),
+    ], ids=["entering", "curvature", "residual"])
+    def test_non_finite_names_where(self, a, b, message):
+        a = np.array(a)
+        with pytest.raises(SolverDivergenceError, match=f"^{message}$"):
+            conjugate_gradient(lambda x: a * x, np.array(b))
+
     def test_null_direction_stops_unconverged(self):
         # <p, A p> = 0 on the first direction: no step taken, not converged
         x, iters, converged = conjugate_gradient(lambda v: 0 * v, np.ones(3))
