@@ -10,13 +10,14 @@ Conventions used throughout the package:
   (clamp-to-edge) boundary: the forward difference in the last column/row
   is zero, and convolution reads out-of-range samples from the nearest
   edge pixel.
-* The replicate boundary has two homes.  For a kernel with
-  `Kernel.factors` (every nonzero kernel of rank 1), `_band` folds the
+* The replicate boundary has two homes, and `_blur`, the one body of
+  `convolve` and `convolve_adjoint`, picks one by the kernel.  For a kernel
+  with `Kernel.factors` (every nonzero kernel of rank 1), `_band` folds the
   boundary into the 1-D band matrices themselves, so nothing is padded.
   `pad_edge` serves the stencils that read past the border with slices of
-  a padded copy (`convolve` of a kernel of rank above 1, the blind kernel
-  correlation, the centered flow gradient), and `convolve_adjoint` folds
-  that pad back with its exact adjoint.
+  a padded copy (`_blur`'s tap loop for a kernel of rank above 1, the blind
+  kernel correlation, the centered flow gradient), and the adjoint tap
+  loop folds that pad back with its exact adjoint, `_fold_edge`.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class Kernel:
 
     @cached_property
     def _passes(self) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """The taps of the column and the row band pass of `_band_product`:
+        """The taps of the column and the row band pass of `_blur`:
         `factors`, with ``None`` for a factor that is one centred tap, as
         when every nonzero weight lies on the centre row (column).  That
         tap's scale moves into the other factor, which leaves it the
@@ -202,9 +203,8 @@ def gradient(f: np.ndarray, out: Optional[Sequence[np.ndarray]] = None) -> Vecto
     written.
     """
     f = np.ascontiguousarray(f, dtype=np.float64)
-    u, v = (np.empty_like(f), np.empty_like(f)) if out is None else out
-    _check_out(u, f.shape)
-    _check_out(v, f.shape)
+    u, v = (None, None) if out is None else out
+    u, v = _out(u, f.shape), _out(v, f.shape)
     # differences of the flat arrays, one pass each; the ones that straddle
     # a row (channel) end fall on the last column (row) and are zeroed
     ff, n = f.reshape(-1), f.shape[-1]
@@ -229,9 +229,7 @@ def divergence(p: VectorField, out: Optional[np.ndarray] = None) -> np.ndarray:
     v = np.asarray(p.v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"vector field components differ: {u.shape} vs {v.shape}")
-    if out is None:
-        out = np.empty_like(u)
-    _check_out(out, u.shape)
+    out = _out(out, u.shape)
     # x part u[i] - u[i-1], reading u as zero left of column 0 and in the
     # last column: one flat pass, then both edge columns rewritten
     if u.shape[-1] > 1:
@@ -248,14 +246,17 @@ def divergence(p: VectorField, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _check_out(out: Optional[np.ndarray], shape: tuple[int, ...]) -> None:
-    """Reject an ``out=`` buffer that is not a C-contiguous float64 array of
+def _out(out: Optional[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The buffer of an ``out=``: a new array of ``shape`` when ``out`` is
+    None, else ``out`` itself, which must be a C-contiguous float64 array of
     ``shape``, the one rule of every ``out=`` in this module: numpy would
     broadcast into a larger one or cast into another dtype without a word,
     and a flat view of a strided one would be a copy whose writes are lost."""
-    if out is not None and not (out.shape == shape and out.dtype == np.float64
-                                and out.flags.c_contiguous):
+    if out is None:
+        return np.empty(shape)
+    if not (out.shape == shape and out.dtype == np.float64 and out.flags.c_contiguous):
         raise ValueError(f"out= must be a C-contiguous float64 array of shape {shape}")
+    return out
 
 
 def pad_edge(f: np.ndarray, cy: int, cx: int) -> np.ndarray:
@@ -350,15 +351,28 @@ def _band_rows(band: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_product(x: np.ndarray, kernel: Kernel, adjoint: bool, out: np.ndarray) -> np.ndarray:
-    """``out = C_col @ x @ C_row^T`` for the `Kernel._passes` ``(col,
-    row)``, or ``C_col^T @ x @ C_row`` when ``adjoint``.  The column pass
-    writes one intermediate, which the row pass reads through transposed
-    views; a line kernel runs its one pass straight into ``out``, and a
-    kernel of one centred tap is one multiply."""
+def _blur(f: np.ndarray, kernel: Kernel, adjoint: bool, out: Optional[np.ndarray]) -> np.ndarray:
+    """The one body of `convolve` and, when ``adjoint``, `convolve_adjoint`.
+    A kernel without factors runs the tap loop: forward over the
+    edge-padded field, adjoint with the flipped taps over the zero-extended
+    field, whose pad is then folded back.  Any other kernel runs as ``C_col
+    @ f @ C_row^T`` for the `Kernel._passes` ``(col, row)``, or ``C_col^T @
+    f @ C_row`` when ``adjoint``: the column pass writes one intermediate,
+    which the row pass reads through transposed views; a line kernel runs
+    its one pass straight into ``out``, and a kernel of one centred tap is
+    one multiply."""
+    x = np.asarray(f, dtype=np.float64)
+    out = _out(out, x.shape)
+    kh, kw = kernel.shape
+    if kernel.factors is None and not adjoint:
+        return _taps(pad_edge(x, kh // 2, kw // 2), kernel.weights, out)
+    if kernel.factors is None:
+        spread = _taps(_pad_zero(x, kh - 1, kw - 1), kernel.weights[::-1, ::-1])
+        np.copyto(out, _fold_edge(spread, kh // 2, kw // 2))
+        return out
     col, row = kernel._passes
     if col is None and row is None:
-        return np.multiply(kernel.weights[kernel.shape[0] // 2, kernel.shape[1] // 2], x, out=out)
+        return np.multiply(kernel.weights[kh // 2, kw // 2], x, out=out)
     if col is not None:
         x = _band_rows(kernel._band(0, x.shape[0], adjoint), x,
                        out if row is None else np.empty(x.shape))
@@ -375,19 +389,12 @@ def convolve(f: np.ndarray, kernel: Kernel, out: Optional[np.ndarray] = None) ->
     ``C_t`` the banded matrix of the 1-D correlation by ``t`` and the
     replicate boundary folded into it (`_band`), and matches the tap loop
     to rounding; the pass of a factor that is one centred tap is skipped
-    (`_band_product`).  A kernel without factors (rank above 1, or all
+    (`_blur`).  A kernel without factors (rank above 1, or all
     zero) runs the tap loop over the edge-padded field.  ``out``, a
     C-contiguous float64 array shaped like ``f`` and distinct from it,
     receives the result and is returned; every entry is written.
     """
-    x = np.asarray(f, dtype=np.float64)
-    _check_out(out, x.shape)
-    if out is None:
-        out = np.empty(x.shape)
-    if kernel.factors is not None:
-        return _band_product(x, kernel, False, out)
-    kh, kw = kernel.shape
-    return _taps(pad_edge(x, kh // 2, kw // 2), kernel.weights, out)
+    return _blur(f, kernel, False, out)
 
 
 def convolve_adjoint(f: np.ndarray, kernel: Kernel,
@@ -404,16 +411,7 @@ def convolve_adjoint(f: np.ndarray, kernel: Kernel,
     array shaped like ``f`` and distinct from it, which receives the result
     and is returned; every entry is written.
     """
-    x = np.asarray(f, dtype=np.float64)
-    _check_out(out, x.shape)
-    if out is None:
-        out = np.empty(x.shape)
-    if kernel.factors is not None:
-        return _band_product(x, kernel, True, out)
-    kh, kw = kernel.shape
-    spread = _taps(_pad_zero(x, kh - 1, kw - 1), kernel.weights[::-1, ::-1])
-    np.copyto(out, _fold_edge(spread, kh // 2, kw // 2))
-    return out
+    return _blur(f, kernel, True, out)
 
 
 def inner(f: np.ndarray, g: np.ndarray) -> float:

@@ -95,7 +95,9 @@ def gtr_estimate(
     def apply_A(x):
         return convolve_adjoint(p * convolve(x, kernel), kernel) + mu * x
 
-    b = convolve_adjoint(p * (g - convolve(f0, kernel)), kernel)
+    # formed under CG's overflow policy: a non-finite b raises in CG
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = convolve_adjoint(p * (g - convolve(f0, kernel)), kernel)
     delta, _, _ = solvers.conjugate_gradient(apply_A, b, cfg=cfg)
     return f0 + delta
 
@@ -246,16 +248,20 @@ def lasso_estimate(
 
     Step size is ``1 / (sum |h|)^2``, a bound on the Lipschitz constant of
     the data term's gradient, which makes the objective non-increasing.
-    Raises `solvers.SolverDivergenceError` if the estimate turns non-finite.
+    Raises `solvers.SolverDivergenceError` if the step size overflows or the
+    estimate turns non-finite.
     """
     if not 0 < t_penalty < np.inf:
         raise ValueError(f"t_penalty must be finite and positive, got {t_penalty}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     g = np.asarray(g, dtype=np.float64)
-    lipschitz = float(np.sum(np.abs(kernel.weights))) ** 2
+    with np.errstate(over="ignore"):
+        lipschitz = float(np.sum(np.abs(kernel.weights)) ** 2)
     if lipschitz == 0.0:
         return np.zeros_like(g)
+    if not np.isfinite(lipschitz):
+        raise solvers.SolverDivergenceError("non-finite LASSO step size")
     step = 1.0 / lipschitz
     thresh = t_penalty * step
     f = np.zeros_like(g)

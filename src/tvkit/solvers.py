@@ -165,14 +165,14 @@ def conjugate_gradient(
     with np.errstate(over="ignore", invalid="ignore"):
         cfg = cfg or SolverConfig()
         b = np.asarray(b, dtype=np.float64)
-        bnorm = float(np.sqrt(np.vdot(b, b).real))
+        bnorm = float(np.sqrt(np.vdot(b, b)))
         if bnorm == 0.0:
             return np.zeros_like(b), 0, True
         # private copy: x, r and p are updated in place
         x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
         r = b - apply_A(x)
         del b  # not needed past the first residual: one vector less to hold
-        rs = float(np.vdot(r, r).real)
+        rs = float(np.vdot(r, r))
         if not np.isfinite(rs):
             raise SolverDivergenceError("non-finite residual entering CG")
         # forcing = 0 leaves tol_cg * ||b|| as it is
@@ -185,7 +185,7 @@ def conjugate_gradient(
                 return x, k, False
             # z = M^-1 r and <r, z>; plain CG takes r itself, with no extra inner product
             z = r if precond is None else precond(r)
-            rz_new = rs if precond is None else float(np.vdot(r, z).real)
+            rz_new = rs if precond is None else float(np.vdot(r, z))
             if p is None:
                 p = z.copy()
             else:
@@ -196,7 +196,7 @@ def conjugate_gradient(
             del z
             rz = rz_new
             Ap = apply_A(p)
-            pAp = float(np.vdot(p, Ap).real)
+            pAp = float(np.vdot(p, Ap))
             if not np.isfinite(pAp):
                 raise SolverDivergenceError(f"non-finite curvature at CG iteration {k + 1}")
             if pAp <= 0.0:
@@ -205,7 +205,7 @@ def conjugate_gradient(
             alpha = rz / pAp
             x += alpha * p
             r -= alpha * Ap
-            rs = float(np.vdot(r, r).real)
+            rs = float(np.vdot(r, r))
             if not np.isfinite(rs):
                 raise SolverDivergenceError(f"non-finite residual at CG iteration {k + 1}")
 

@@ -45,6 +45,9 @@ def _scaled_ramp_shift(scale):
     return FramePair(scale * pair.f1, scale * pair.f2)
 
 
+# rank 2, so it runs the tap loop
+PLUS = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+
 RESTORE_KERNELS = {
     "factored": Kernel.gaussian(5, 1.0),
     "rank3": Kernel(np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [0.0, 1.0, 1.0]])),
@@ -59,6 +62,9 @@ OVERFLOWS = [
       for name, k in RESTORE_KERNELS.items() for s in (1e200, 1.7e308)),
     pytest.param(lambda: blind_deconvolve(_uniform(1e200), BlindParams()), True,
                  id="blind-1e+200"),
+    # the initial image solve survives, the kernel step's Gram overflows
+    pytest.param(lambda: blind_deconvolve(_uniform(1e154), BlindParams()), True,
+                 id="blind-1e+154"),
     *(pytest.param(lambda s=s: flow_tv(_scaled_ramp_shift(s), FlowParams()), True,
                    id=f"flow-tv-{s:g}") for s in (1e160, 1.7e308)),
     # at 1.7e308 the frame average itself overflows
@@ -69,6 +75,14 @@ OVERFLOWS = [
                  False, id="cg"),
     pytest.param(lambda: lasso_estimate(_uniform(1.7e308), Kernel.box(3), 0.1), False,
                  id="lasso"),
+    # the step size 1 / (sum |h|)^2 itself overflows
+    *(pytest.param(lambda s=s: lasso_estimate(_uniform(1.0), Kernel(np.full((3, 3), s)), 0.1),
+                   False, id=f"lasso-kernel-{s:g}") for s in (1e200, 1e308)),
+    # the right-hand side H^T P (g - H f0), formed before CG, overflows
+    pytest.param(lambda: ls_estimate(_uniform(1.0), Kernel(np.full((3, 3), 1e308))), False,
+                 id="ls-kernel-1e+308"),
+    pytest.param(lambda: rls_estimate(_uniform(1.0), Kernel(1e308 * PLUS), 0.1), False,
+                 id="rls-plus-1e+308"),
     pytest.param(lambda: solvers.dual_projection_denoise(_uniform(1.0), 0.1, tau=1e308), False,
                  id="dual-tau"),
     pytest.param(lambda: solvers.dual_projection_denoise(_uniform(1e300), 1e-10), False,
@@ -246,7 +260,7 @@ class TestTVDeconvolve:
 
     # under the suite's error::RuntimeWarning filter an overflow in any
     # solve driver (restore with a factored, rank-3 or delta kernel, blind,
-    # both flows, CG itself, LASSO, the dual projection) must raise
+    # both flows, CG itself, LASSO, LS/RLS, the dual projection) must raise
     # SolverDivergenceError, with the partial report from the lagged loop,
     # not a numpy warning
     @pytest.mark.parametrize("solve, loop_driven", OVERFLOWS)
