@@ -17,6 +17,13 @@ positive semi-definite - the workhorse of the lagged-diffusivity solvers.
 For a stacked ``(C, H, W)`` field, such as a flow's (u, v), the isotropic
 TV sums ``t`` over the channels before the square root, so the channels
 share one edge set and one diffusivity weight per pixel.
+
+`_magnitudes` is the one definition of each variant's per-pixel term,
+``sqrt(t + alpha^2)`` for the isotropic TV and ``sqrt(dx^2 + alpha^2)``,
+``sqrt(dy^2 + alpha^2)`` for the smoothed anisotropic TV: the energies
+(`tv_isotropic`, `tv_anisotropic_smoothed` and the TV term of
+`tv_objective`) sum it, and `diffusion_weights` takes its reciprocals, so
+each lagged weight is the exact reciprocal of the term its energy sums.
 """
 
 from __future__ import annotations
@@ -44,12 +51,26 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def _grad_sq(f: np.ndarray) -> np.ndarray:
-    """Per-pixel squared gradient magnitude ``dx^2 + dy^2``, summed over the
-    leading (channel) axes of a stacked field."""
+def _magnitudes(f: np.ndarray, alpha: float, variant: TVVariant) -> tuple[np.ndarray, ...]:
+    """Per-pixel terms of the smoothed TV of ``variant``, whose sum is the
+    energy and whose reciprocals are the lagged diffusivity weights.
+
+    Isotropic: one array ``sqrt(dx^2 + dy^2 + alpha^2)``, the squares summed
+    over the leading (channel) axes of a stacked field.  Anisotropic: two,
+    ``sqrt(dx^2 + alpha^2)`` and ``sqrt(dy^2 + alpha^2)``.
+    """
+    _check_alpha(alpha)
+    a2 = alpha * alpha
     dx, dy = gradient(f)
-    t = dx * dx + dy * dy
-    return t.reshape((-1,) + t.shape[-2:]).sum(axis=0)
+    if variant is TVVariant.ISOTROPIC:
+        t = dx * dx + dy * dy
+        return (np.sqrt(t.reshape((-1,) + t.shape[-2:]).sum(axis=0) + a2),)
+    return np.sqrt(dx * dx + a2), np.sqrt(dy * dy + a2)
+
+
+def _energy(f: np.ndarray, alpha: float, variant: TVVariant) -> float:
+    """The smoothed TV energy of ``variant``: the sum of its `_magnitudes`."""
+    return float(sum(map(np.sum, _magnitudes(f, alpha, variant))))
 
 
 def tv_isotropic(f: np.ndarray, alpha: float = DEFAULT_ALPHA) -> float:
@@ -57,8 +78,7 @@ def tv_isotropic(f: np.ndarray, alpha: float = DEFAULT_ALPHA) -> float:
 
     A constant MxN field scores exactly ``M*N*alpha``.
     """
-    _check_alpha(alpha)
-    return float(np.sum(np.sqrt(_grad_sq(f) + alpha * alpha)))
+    return _energy(f, alpha, TVVariant.ISOTROPIC)
 
 
 def tv_anisotropic(f: np.ndarray, alpha: float = DEFAULT_ALPHA) -> float:
@@ -77,10 +97,7 @@ def tv_anisotropic_smoothed(f: np.ndarray, alpha: float = DEFAULT_ALPHA) -> floa
     Its gradient is the anisotropic weighted Laplacian, so this is the
     energy the anisotropic solver path actually descends.
     """
-    _check_alpha(alpha)
-    dx, dy = gradient(f)
-    a2 = alpha * alpha
-    return float(np.sum(np.sqrt(dx * dx + a2)) + np.sum(np.sqrt(dy * dy + a2)))
+    return _energy(f, alpha, TVVariant.ANISOTROPIC)
 
 
 def diffusion_weights(
@@ -92,13 +109,9 @@ def diffusion_weights(
     summed over the channels of a stacked field; anisotropic: each axis
     gets its own ``1/sqrt(d^2 + alpha^2)``.
     """
-    _check_alpha(alpha)
-    a2 = alpha * alpha
-    if variant is TVVariant.ISOTROPIC:
-        w = 1.0 / np.sqrt(_grad_sq(f) + a2)
-        return w, w
-    dx, dy = gradient(f)
-    return 1.0 / np.sqrt(dx * dx + a2), 1.0 / np.sqrt(dy * dy + a2)
+    w = tuple(1.0 / m for m in _magnitudes(f, alpha, variant))
+    # the isotropic variant has one term: both axes share its weight array
+    return w if len(w) == 2 else w * 2
 
 
 def apply_weighted_laplacian(
@@ -176,8 +189,4 @@ def tv_objective(
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
     r = convolve(f, kernel) - np.asarray(g, dtype=np.float64)
     fidelity = 0.5 * float(np.sum(r * r))
-    if variant is TVVariant.ISOTROPIC:
-        reg = tv_isotropic(f, alpha)
-    else:
-        reg = tv_anisotropic_smoothed(f, alpha)
-    return fidelity + lam * reg
+    return fidelity + lam * _energy(f, alpha, variant)

@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import functionals, solvers
-from .grid import Kernel, convolve, convolve_adjoint, pad_edge
+from .grid import Kernel, convolve, convolve_adjoint, ensure_field, pad_edge
 from .solvers import RestoreParams, SolverConfig, SolveReport
 
 PSNR_CAP_DB = 300.0
@@ -79,10 +79,11 @@ def gtr_estimate(
         f = f0 + (H^T P H + q_lambda^2 I)^{-1} H^T P (g - H f0)
 
     with ``P = diag(p_weight)`` finite and strictly positive per pixel and
-    ``q_lambda`` finite and nonnegative.
+    ``q_lambda`` finite and nonnegative.  A non-finite ``g`` or ``f0``
+    raises `ValueError`.
     """
-    g = np.asarray(g, dtype=np.float64)
-    f0 = np.asarray(f0, dtype=np.float64)
+    g = ensure_field(g)
+    f0 = ensure_field(f0)
     p = np.asarray(p_weight, dtype=np.float64)
     if p.shape != g.shape or f0.shape != g.shape:
         raise ValueError("g, f0 and p_weight must have the same shape")
@@ -203,9 +204,9 @@ def blind_deconvolve(
     steps', as the kernel step runs no CG.  ``cg_iterations_total`` also
     counts the initial solve, so it can exceed ``sum(cg_iters_history)``.
     ``converged`` also requires every CG solve of the initial image solve
-    to have converged.
+    to have converged.  A non-finite ``g`` raises `ValueError`.
     """
-    g = np.asarray(g, dtype=np.float64)
+    g = ensure_field(g)
     ks = params.kernel_size
     if kernel0 is None:
         kernel = Kernel.delta(ks)
@@ -248,24 +249,26 @@ def lasso_estimate(
 
     Step size is ``1 / (sum |h|)^2``, a bound on the Lipschitz constant of
     the data term's gradient, which makes the objective non-increasing.
-    Raises `solvers.SolverDivergenceError` if the step size overflows or the
-    estimate turns non-finite.
+    When ``max |H^T g| <= t``, zero is the exact minimizer (the iteration
+    from zero never leaves it) and is returned before the step size is
+    formed, as for a zero kernel.  A non-finite ``g`` raises `ValueError`.
+    Raises `solvers.SolverDivergenceError` if the step size overflows or
+    the estimate turns non-finite.
     """
     if not 0 < t_penalty < np.inf:
         raise ValueError(f"t_penalty must be finite and positive, got {t_penalty}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    g = np.asarray(g, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        lipschitz = float(np.sum(np.abs(kernel.weights)) ** 2)
-    if lipschitz == 0.0:
-        return np.zeros_like(g)
-    if not np.isfinite(lipschitz):
-        raise solvers.SolverDivergenceError("non-finite LASSO step size")
-    step = 1.0 / lipschitz
-    thresh = t_penalty * step
-    f = np.zeros_like(g)
+    g = ensure_field(g)
     with np.errstate(over="ignore", invalid="ignore"):
+        if np.all(np.abs(convolve_adjoint(g, kernel)) <= t_penalty):
+            return np.zeros_like(g)
+        lipschitz = float(np.sum(np.abs(kernel.weights)) ** 2)
+        if not np.isfinite(lipschitz):
+            raise solvers.SolverDivergenceError("non-finite LASSO step size")
+        step = 1.0 / lipschitz
+        thresh = t_penalty * step
+        f = np.zeros_like(g)
         for _ in range(steps):
             grad = convolve_adjoint(convolve(f, kernel) - g, kernel)
             z = f - step * grad

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import functionals
-from .grid import Kernel, VectorField, convolve, convolve_adjoint, divergence, gradient
+from .grid import Kernel, VectorField, convolve, convolve_adjoint, divergence, ensure_field, gradient
 from .functionals import TVVariant
 
 DESCENT_SLACK = 1e-9
@@ -313,8 +313,8 @@ def tv_restore_fixed_point(
     L(f_k)] f_{k+1} = H^T g`` from ``f_0 = g`` by `lagged_loop` of
     `lagged_restore_step`, each step warm-started at ``f_k``, until the step
     norm drops below ``params.solver``'s outer tolerance or its iteration
-    cap is reached."""
-    g = np.asarray(g, dtype=np.float64)
+    cap is reached.  A non-finite ``g`` raises `ValueError`."""
+    g = ensure_field(g)
 
     def step(f_k):
         return lagged_restore_step(g, f_k, kernel, params)
@@ -338,13 +338,14 @@ def dual_projection_denoise(
     Independent of the fixed-point path: works on the exact (unsmoothed) TV
     through its dual, iterating ``p <- (p + tau*grad(div p - g/lam)) /
     (1 + tau*|grad(div p - g/lam)|)`` and returning ``g - lam * div p``.
-    Raises `SolverDivergenceError` if the result turns non-finite.
+    A non-finite ``g`` raises `ValueError`; `SolverDivergenceError` is
+    raised if the result turns non-finite.
     """
     if not (0 < lam < np.inf and 0 < tau < np.inf):
         raise ValueError(f"lam and tau must be finite and positive, got {lam}, {tau}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    g = np.asarray(g, dtype=np.float64)
+    g = ensure_field(g)
     px = np.zeros_like(g)
     py = np.zeros_like(g)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -275,6 +275,30 @@ class TestTVDeconvolve:
             assert report is None
 
 
+def _one_nan():
+    g = np.random.default_rng(59).uniform(0.0, 1.0, (8, 8))
+    g[3, 4] = np.nan
+    return g
+
+
+# a non-finite observation (or prior mean) is an input error at every solve
+# entry point, raised before any solve, as a non-finite frame is to flow
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda g: tv_deconvolve(g, Kernel.box(3), RestoreParams()), id="tv-deconvolve"),
+    pytest.param(lambda g: tv_denoise(g, RestoreParams()), id="tv-denoise"),
+    pytest.param(lambda g: blind_deconvolve(g, BlindParams()), id="blind"),
+    pytest.param(lambda g: ls_estimate(g, Kernel.box(3)), id="ls"),
+    pytest.param(lambda g: rls_estimate(g, Kernel.box(3), 0.1), id="rls"),
+    pytest.param(lambda g: gtr_estimate(np.zeros(g.shape), g, Kernel.box(3), np.ones(g.shape),
+                                        0.1), id="gtr-f0"),
+    pytest.param(lambda g: lasso_estimate(g, Kernel.box(3), 0.1), id="lasso"),
+    pytest.param(lambda g: solvers.dual_projection_denoise(g, 0.1), id="dual-projection"),
+])
+def test_non_finite_observation_is_input_error(solve):
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(_one_nan())
+
+
 class TestForcingQuality:
     """The default forcing term stops each lagged step's CG early; its output
     must be as close to the minimizer as the exact-CG output, at no higher
@@ -638,6 +662,13 @@ class TestLasso:
     def test_zero_kernel_returns_zeros(self):
         g = np.random.default_rng(53).uniform(0.0, 1.0, (5, 5))
         f = lasso_estimate(g, Kernel(np.zeros((3, 3))), 0.1)
+        np.testing.assert_array_equal(f, np.zeros((5, 5)))
+
+    def test_tiny_kernel_returns_zero_minimizer(self):
+        # (sum |h|)^2 is subnormal and its reciprocal step overflows, but
+        # max |H^T g| <= t makes zero the exact minimizer
+        g = np.random.default_rng(53).uniform(0.0, 1.0, (5, 5))
+        f = lasso_estimate(g, Kernel(np.full((3, 3), 1e-160)), 0.1)
         np.testing.assert_array_equal(f, np.zeros((5, 5)))
 
 
