@@ -1,15 +1,18 @@
 """Batch command line front end.
 
 Subcommands: denoise, deconv, blind, flow, metrics, synth. Every solve
-writes its result file plus a CSV convergence report beside it (same
-name, .csv suffix) and prints machine-readable key=value lines. Exit
-status: 0 success, 1 usage or input errors, 2 solver failure (with the
-report flushed up to the failure point).
+writes its result file and prints machine-readable key=value lines; the
+solving handlers return the solve's report, and `main` writes every CSV
+convergence report beside the output (same name, .csv suffix), the partial
+report of a failed solve included. Exit status: 0 success, 1 usage or
+input errors, 2 solver failure (with the report flushed up to the failure
+point).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -71,9 +74,7 @@ def _print_metrics(pairs) -> None:
 def _psnr(args: argparse.Namespace, ref, f) -> list:
     """``[("psnr", value)]`` against the ``--ref`` image, or nothing
     without one."""
-    if ref is None:
-        return []
-    return [("psnr", restore.psnr(f, ref, peak=args.peak))]
+    return [] if ref is None else [("psnr", restore.psnr(f, ref, peak=args.peak))]
 
 
 def _read_images(args: argparse.Namespace):
@@ -95,25 +96,8 @@ def _epe(gt, w) -> list:
     return [("epe_mean", epe_mean), ("epe_max", epe_max)]
 
 
-def _finish(args: argparse.Namespace, report, quality, started) -> int:
-    """Write the CSV report beside the output, then print the final
-    objective, the keys ``quality()`` returns and the wall time.  Handlers
-    read ``--ref`` or ``--gt`` (and check ``--peak``) before they solve,
-    so a bad path or peak fails before any output is written; quality is
-    measured after the report is written, so a reference that does not
-    match the output still leaves the report of the finished solve."""
-    write_report(args.output.with_suffix(".csv"), report)
-    _print_metrics([
-        ("objective", report.objective_history[-1]),
-        *quality(),
-        ("wall_time_s", time.perf_counter() - started),
-    ])
-    return 0
-
-
-def _run_restore(args: argparse.Namespace) -> int:
+def _run_restore(args: argparse.Namespace) -> tuple:
     """denoise and deconv: denoising is deconvolution with the delta kernel."""
-    started = time.perf_counter()
     g, ref = _read_images(args)
     kernel = parse_kernel(args.psf)
     params = RestoreParams(
@@ -124,11 +108,10 @@ def _run_restore(args: argparse.Namespace) -> int:
     )
     f, report = restore.tv_deconvolve(g, kernel, params)
     write_pgm(args.output, f, maxval=args.maxval)
-    return _finish(args, report, lambda: _psnr(args, ref, f), started)
+    return report, lambda: _psnr(args, ref, f)
 
 
-def _run_blind(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _run_blind(args: argparse.Namespace) -> tuple:
     g, ref = _read_images(args)
     kernel0 = parse_kernel(args.init_psf) if args.init_psf else None
     params = BlindParams(
@@ -142,11 +125,10 @@ def _run_blind(args: argparse.Namespace) -> int:
     if args.kernel_out is not None:
         write_kernel_text(args.kernel_out, kernel)
     write_pgm(args.output, f, maxval=args.maxval)
-    return _finish(args, report, lambda: _psnr(args, ref, f), started)
+    return report, lambda: _psnr(args, ref, f)
 
 
-def _run_flow(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _run_flow(args: argparse.Namespace) -> tuple:
     pair = FramePair(read_pgm(args.input), read_pgm(args.input2))
     gt = None if args.gt is None else read_flo(args.gt)
     params = FlowParams(
@@ -157,16 +139,17 @@ def _run_flow(args: argparse.Namespace) -> int:
     )
     w, report = estimate_flow(pair, params)
     write_flo(args.output, w)
-    return _finish(args, report, lambda: _epe(gt, w), started)
+    return report, lambda: _epe(gt, w)
 
 
-def _run_metrics(args: argparse.Namespace) -> int:
+def _run_metrics(args: argparse.Namespace) -> None:
     f = read_pgm(args.input)
     _print_metrics(_psnr(args, read_pgm(args.ref), f))
-    return 0
 
 
-def _run_synth(args: argparse.Namespace) -> int:
+def _run_synth(args: argparse.Namespace) -> None:
+    # --sigma is checked for every fixture, though the frame pairs take none
+    synth._check_sigma(args.sigma)
     # fixture NAME is made by synth.make_NAME, with '-' spelled '_'
     stem = args.fixture.replace("-", "_")
     make = getattr(synth, f"make_{stem}")
@@ -185,16 +168,6 @@ def _run_synth(args: argparse.Namespace) -> int:
         path = args.outdir / f"{stem}_gt.flo"
         write_flo(path, gt)
         print(f"wrote {path}")
-    return 0
-
-
-def _flush_partial(args: argparse.Namespace, err: SolverDivergenceError) -> None:
-    """Write whatever convergence history exists before failing."""
-    if err.report is not None:
-        try:
-            write_report(args.output.with_suffix(".csv"), err.report)
-        except OSError:
-            pass
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -290,10 +263,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; fold usage into 1
         return 0 if exc.code == 0 else 1
+    started = time.perf_counter()
     try:
-        return args.run(args)
+        if (solved := args.run(args)) is not None:
+            # handlers read --ref or --gt (and check --peak) before they
+            # solve, so a bad path or peak fails before any output is written;
+            # quality is measured after the report is written, so a reference
+            # that does not match the output still leaves the finished report
+            report, quality = solved
+            write_report(args.output.with_suffix(".csv"), report)
+            _print_metrics([("objective", report.objective_history[-1]), *quality(),
+                            ("wall_time_s", time.perf_counter() - started)])
+        return 0
     except SolverDivergenceError as err:
-        _flush_partial(args, err)
+        # whatever convergence history exists is written before failing
+        if err.report is not None:
+            with contextlib.suppress(OSError):
+                write_report(args.output.with_suffix(".csv"), err.report)
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as err:

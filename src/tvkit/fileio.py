@@ -25,7 +25,11 @@ from .grid import Kernel, VectorField, ensure_field
 from .solvers import SolveReport
 
 FLO_MAGIC = b"PIEH"
-REPORT_HEADER = ("iteration", "objective", "step_norm", "cg_iters")
+# the report columns after "iteration": CSV name, SolveReport history, cell type
+_REPORT_COLUMNS = (("objective", "objective_history", float),
+                   ("step_norm", "step_norm_history", float),
+                   ("cg_iters", "cg_iters_history", int))
+REPORT_HEADER = ("iteration", *(name for name, _, _ in _REPORT_COLUMNS))
 
 # whitespace and '#' comments, then one token (empty only at the end of data)
 _TOKEN = re.compile(rb"(?:\s+|#[^\r\n]*)*(\S*)")
@@ -226,19 +230,25 @@ def write_kernel_text(path, kernel: Kernel) -> None:
 
 
 def write_report(path, report: SolveReport) -> None:
-    """Write the per-iteration histories of a solve as CSV."""
-    histories = (
-        report.objective_history,
-        report.step_norm_history,
-        report.cg_iters_history,
-    )
+    """Write the per-iteration histories of a solve as CSV.  Each cell is
+    written as its column's type, so a numpy scalar writes as a plain
+    number; a non-integral CG count raises ValueError and writes nothing."""
+    histories = [getattr(report, history) for _, history, _ in _REPORT_COLUMNS]
     if any(len(h) != len(histories[0]) for h in histories):
         raise ValueError("report histories have inconsistent lengths")
+    rows = [[k, *(_report_cell(kind, v) for (_, _, kind), v in zip(_REPORT_COLUMNS, values))]
+            for k, values in enumerate(zip(*histories), start=1)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
-        for k, (objective, step_norm, cg_iters) in enumerate(zip(*histories), start=1):
-            writer.writerow([k, repr(objective), repr(step_norm), cg_iters])
+        writer.writerows(rows)
+
+
+def _report_cell(kind, value) -> str:
+    """``value`` as a report cell of type ``kind``; an int cell must be integral."""
+    if kind is int and not float(value).is_integer():
+        raise ValueError(f"report count {value!r} is not an integer")
+    return repr(kind(value))
 
 
 def read_report(path) -> SolveReport:
@@ -258,29 +268,28 @@ def read_report(path) -> SolveReport:
     if tuple(header) != REPORT_HEADER:
         raise FileFormatError(f"line 1: bad report header {header!r}", 0)
     report = SolveReport()
-    offset, last = len(lines[0]), 0
+    offset = len(lines[0])
     for number, line in enumerate(lines[1:], start=2):
         row = _csv_row(line)
         if len(row) != len(REPORT_HEADER):
             raise FileFormatError(
                 f"line {number}: {len(row)} cells, expected {len(REPORT_HEADER)}", offset)
         values = []
-        for cell, column, parse in zip(row, REPORT_HEADER, (int, float, float, int)):
+        for cell, column, kind in zip(row, REPORT_HEADER, (int, *(k for *_, k in _REPORT_COLUMNS))):
             try:
-                values.append(parse(cell))
+                values.append(kind(cell))
             except ValueError:
                 raise FileFormatError(
-                    f"line {number}, column {column!r}: invalid {parse.__name__} {cell!r}",
+                    f"line {number}, column {column!r}: invalid {kind.__name__} {cell!r}",
                     offset) from None
-        iteration, objective, step_norm, cg_iters = values
-        if iteration != last + 1:
+        iteration, *values = values
+        # line 2 holds iteration 1, and every earlier line passed this check
+        if iteration != number - 1:
             raise FileFormatError(
-                f"line {number}: iterations must increase by 1: got {iteration} after {last}",
+                f"line {number}: iterations must increase by 1: got {iteration} after {number - 2}",
                 offset)
-        last = iteration
-        report.objective_history.append(objective)
-        report.step_norm_history.append(step_norm)
-        report.cg_iters_history.append(cg_iters)
+        for (_, history, _), value in zip(_REPORT_COLUMNS, values):
+            getattr(report, history).append(value)
         offset += len(line)
     report.cg_iterations_total = sum(report.cg_iters_history)
     return report

@@ -183,10 +183,13 @@ def _check_size(size: int) -> None:
 
 
 def ensure_field(f: np.ndarray) -> np.ndarray:
-    """Coerce to a 2D float64 array, rejecting non-finite values."""
+    """Coerce to a 2D float64 array, rejecting an empty field and
+    non-finite values."""
     a = np.asarray(f, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2D field, got ndim={a.ndim}")
+    if a.size == 0:
+        raise ValueError(f"field has no pixels: shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("field contains non-finite values")
     return a

@@ -284,11 +284,14 @@ def _check_peak(peak: float) -> None:
 
 
 def psnr(f: np.ndarray, reference: np.ndarray, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 300 dB for exact equality."""
+    """Peak signal-to-noise ratio in dB, capped at 300 dB for exact equality.
+    Empty images have no PSNR: they raise ValueError."""
     f = np.asarray(f, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if f.shape != reference.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {reference.shape}")
+    if f.size == 0:
+        raise ValueError("psnr of empty images")
     _check_peak(peak)
     err = float(np.sum((f - reference) ** 2))
     if err == 0.0:

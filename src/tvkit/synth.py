@@ -91,11 +91,15 @@ def gaussian_field(shape, seed: int) -> np.ndarray:
     return out[:count].reshape(shape)
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+
+
 def _with_noise(clean: np.ndarray, seed: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """``(clean, noisy)``: ``clean`` plus seeded Gaussian noise of standard
     deviation ``sigma``, which must be finite and nonnegative."""
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    _check_sigma(sigma)
     return clean, clean + sigma * gaussian_field(clean.shape, seed)
 
 

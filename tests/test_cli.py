@@ -258,6 +258,30 @@ class TestReportCsv:
         assert read_report(p).forcing is None
         assert SolveReport().forcing is None
 
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        # a report built outside the library's solvers may hold numpy
+        # scalars; each is written as its column's plain type
+        report = SolveReport(objective_history=[np.float64(1.5), np.float32(0.1)],
+                             step_norm_history=[np.float32(0.25), np.float64(1e-300)],
+                             cg_iters_history=[np.int64(3), np.int64(0)])
+        p = tmp_path / "report.csv"
+        write_report(p, report)
+        assert p.read_text().splitlines()[1:] == ["1,1.5,0.25,3",
+                                                  f"2,{float(np.float32(0.1))!r},1e-300,0"]
+        back = read_report(p)
+        assert back.objective_history == [1.5, float(np.float32(0.1))]
+        assert back.step_norm_history == [0.25, 1e-300]
+        assert back.cg_iters_history == [3, 0]
+        assert all(type(c) is int for c in back.cg_iters_history)
+
+    def test_non_integral_cg_count_rejected(self, tmp_path):
+        report = SolveReport(objective_history=[1.0], step_norm_history=[0.5],
+                             cg_iters_history=[2.7])
+        p = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="2.7 is not an integer"):
+            write_report(p, report)
+        assert not p.exists()
+
     def test_inconsistent_histories_rejected(self, tmp_path):
         report = SolveReport(objective_history=[1.0], cg_iters_history=[3])
         p = tmp_path / "bad.csv"
@@ -672,10 +696,16 @@ class TestCliRuns:
             assert "error: maxval must be in [1, 65535]" in capsys.readouterr().err
             assert sorted(tmp_path.iterdir()) == [src]
 
-    @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
-    def test_bad_noise_level_exits_one_before_output(self, tmp_path, capsys, sigma):
+    # every fixture checks --sigma, the frame pairs too, though they add no
+    # noise; a step32 case's id is its sigma alone
+    @pytest.mark.parametrize("fixture, sigma", [
+        *(pytest.param("step32", sigma, id=sigma) for sigma in ("nan", "inf", "-0.1")),
+        pytest.param("ramp-shift", "nan", id="ramp-shift-nan"),
+        pytest.param("split-motion", "-0.1", id="split-motion--0.1"),
+    ])
+    def test_bad_noise_level_exits_one_before_output(self, tmp_path, capsys, fixture, sigma):
         out = tmp_path / "fx"
-        assert main(["synth", "step32", "--outdir", str(out), "--sigma", sigma]) == 1
+        assert main(["synth", fixture, "--outdir", str(out), "--sigma", sigma]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 

@@ -55,7 +55,8 @@ class TestInputValidation:
         # the variant's value, not the enum member
         (lambda: estimate_flow(ramp_pair(), FlowParams(variant="tv")),
          "unknown flow variant 'tv'"),
-    ], ids=["ofc-residual-shapes", "endpoint-error-shapes", "variant-string"])
+        (lambda: FramePair(np.zeros((0, 4)), np.zeros((0, 4))), "field has no pixels"),
+    ], ids=["ofc-residual-shapes", "endpoint-error-shapes", "variant-string", "frame-pair-empty"])
     def test_malformed_input_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

@@ -548,9 +548,10 @@ class TestInputValidation:
     @pytest.mark.parametrize("call, message", [
         (lambda: Kernel(np.ones(3)), "2D array"),
         (lambda: grid.ensure_field(np.zeros((2, 3, 3))), "expected a 2D field, got ndim=3"),
+        (lambda: grid.ensure_field(np.zeros((0, 3))), r"field has no pixels: shape \(0, 3\)"),
         (lambda: grid.divergence(VectorField(np.zeros((3, 3)), np.zeros((3, 4)))),
          "components differ"),
-    ], ids=["kernel-1d", "field-3d", "divergence-components"])
+    ], ids=["kernel-1d", "field-3d", "field-empty", "divergence-components"])
     def test_malformed_input_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

@@ -281,8 +281,8 @@ def _one_nan():
     return g
 
 
-# a non-finite observation (or prior mean) is an input error at every solve
-# entry point, raised before any solve, as a non-finite frame is to flow
+# a non-finite or empty observation (or prior mean) is an input error at
+# every solve entry point, raised before any solve, as such a frame is to flow
 @pytest.mark.parametrize("solve", [
     pytest.param(lambda g: tv_deconvolve(g, Kernel.box(3), RestoreParams()), id="tv-deconvolve"),
     pytest.param(lambda g: tv_denoise(g, RestoreParams()), id="tv-denoise"),
@@ -297,6 +297,8 @@ def _one_nan():
 def test_non_finite_observation_is_input_error(solve):
     with pytest.raises(ValueError, match="non-finite"):
         solve(_one_nan())
+    with pytest.raises(ValueError, match="no pixels"):
+        solve(np.zeros((0, 0)))
 
 
 class TestForcingQuality:
@@ -698,3 +700,8 @@ class TestPSNR:
         for peak in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 psnr(np.zeros((3, 3)), np.full((3, 3), 0.1), peak=peak)
+
+    def test_empty_images_rejected(self):
+        # no pixels means no mean squared error, not an exact match
+        with pytest.raises(ValueError, match="empty"):
+            psnr(np.zeros((0, 0)), np.zeros((0, 0)))
