@@ -181,11 +181,17 @@ def read_flo(path) -> VectorField:
 
 
 def write_flo(path, w: VectorField) -> None:
-    """Write a Middlebury .flo flow field (float32 little-endian)."""
-    u = np.asarray(w.u, dtype=np.float64)
-    v = np.asarray(w.v, dtype=np.float64)
-    if u.ndim != 2 or u.shape != v.shape:
+    """Write a Middlebury .flo flow field (float32 little-endian).
+
+    The components must be non-empty, finite 2-d fields of one shape, each
+    value within the float32 range; otherwise `ValueError` is raised before
+    the file is opened.  tvkit never estimates non-finite flow, and the
+    format marks unknown flow by values above 1e9, not by NaN."""
+    u, v = ensure_field(w.u), ensure_field(w.v)
+    if u.shape != v.shape:
         raise ValueError("flow components must be matching 2-d fields")
+    if max(np.abs(u).max(), np.abs(v).max()) > np.finfo(np.float32).max:
+        raise ValueError("flow exceeds the float32 range of .flo")
     h, wd = u.shape
     interleaved = np.empty((h, wd, 2), dtype="<f4")
     interleaved[..., 0] = u

@@ -5,9 +5,17 @@ anisotropic diffusion tensor built from the first frame's gradient
 (smoothing along image edges, not across), and a flow-driven isotropic
 TV penalty handled by lagged-nonlinearity outer iterations. Both reduce
 to symmetric positive (semi-)definite linear systems in the stacked
-(u, v) field, solved matrix-free by conjugate gradients inside
-`solvers.lagged_loop`; the image-driven system does not depend on
+(u, v) field, solved matrix-free by preconditioned conjugate gradients
+inside `solvers.lagged_loop`; the image-driven system does not depend on
 the flow, so its solve is a single step.
+
+Where the data term vanishes (flat regions, and along edges by the
+aperture problem) smoothness is the only constraint, and plain CG spends
+most of its iterations on smooth, low-frequency modes that no pointwise
+preconditioner reaches.  `_lagged_flow` therefore adds to the Jacobi step
+a correction on the lowest cosine modes of the grid (see
+`_flow_preconditioner`), the Fourier-type coarse correction that
+variational flow solvers use (Bruhn et al., IEEE TIP 2005).
 
 Single linearization of brightness constancy: no warping or pyramid, so
 displacements should stay around a pixel or less.
@@ -24,7 +32,10 @@ import numpy as np
 
 from . import functionals, solvers
 from .grid import VectorField, divergence, ensure_field, gradient, inner, pad_edge
-from .solvers import SolverConfig, SolveReport
+from .solvers import SolverConfig, SolveReport, SolverDivergenceError
+
+# cosine modes per axis in the coarse correction of the flow preconditioner
+_COARSE = 32
 
 
 class FlowVariant(Enum):
@@ -172,6 +183,19 @@ def apply_tensor_diffusion(
     return divergence(VectorField(gx, py), out=out)
 
 
+def tensor_diffusion_diagonal(tensor: DiffusionTensor) -> np.ndarray:
+    """Diagonal of the `apply_tensor_diffusion` operator (nonpositive).
+
+    Its negation, the diagonal of ``-div(D grad)``, is the weighted
+    Laplacian's diagonal for the weights ``xx`` and ``yy``, plus ``2 xy``
+    where both forward differences of a pixel exist (all but the last row
+    and column): there the pixel enters both with coefficient -1.
+    """
+    d = functionals.weighted_laplacian_diagonal(tensor.xx, tensor.yy)
+    d[..., :-1, :-1] += 2.0 * tensor.xy[..., :-1, :-1]
+    return np.negative(d, out=d)
+
+
 def flow_smoothness_weights(w: VectorField | np.ndarray, eps: float) -> np.ndarray:
     """Shared per-pixel TV weight 1/sqrt(|grad u|^2 + |grad v|^2 + eps^2),
     for a `VectorField` ``w`` or the stacked (2, H, W) array of (u, v).
@@ -193,24 +217,30 @@ def _lagged_flow(pair, cfg, smoothing, scale, penalty, n_work):
 
     on the stacked (2, H, W) unknown, each step a CG solve under ``cfg``
     from the current flow, with S (positive semi-definite) frozen there by
-    ``smoothing(w)``: its ``smooth(z, out=, work=)`` writes a smoothing of
-    the whole stacked ``z`` into ``out``, and ``scale`` times that is
-    ``lam * S z`` (``lam`` for the TV weighted Laplacian, ``-lam`` for the
-    image-driven tensor diffusion).  ``smooth`` gets the solve's ``n_work
-    >= 2`` (2, H, W) work arrays, which the data rows reuse after it;
-    every CG iteration writes ``A w`` into one buffer of its step, so no
-    iteration allocates a field.  The objective is the squared OFC residual
-    plus ``penalty(w)``.  The frame derivatives and the data terms are
-    formed in the first step, where an overflow ends as `lagged_loop`'s
-    `SolverDivergenceError`; the objective reuses the derivatives."""
+    ``smoothing(w)``.  It returns ``(smooth, diag)``: ``smooth(z, out=,
+    work=)`` writes a smoothing of the whole stacked ``z`` into ``out``,
+    ``diag`` (H, W) is that smoothing's diagonal, and ``scale`` times each
+    is ``lam * S z`` and ``lam * diag(S)`` (``lam`` for the TV weighted
+    Laplacian, ``-lam`` for the image-driven tensor diffusion).  ``smooth``
+    gets the solve's ``n_work >= 2`` (2, H, W) work arrays, which the data
+    rows reuse after it; every CG iteration writes ``A w`` into one buffer
+    of its step, so no iteration allocates a field.  Each step's CG is
+    preconditioned by `_flow_preconditioner`, built once per step from
+    ``fx^2``, ``fy^2`` and ``lam * diag(S)``; it writes into the first two
+    work arrays, which ``apply_A`` overwrites only after CG has read them.
+    The objective is the squared OFC residual plus ``penalty(w)``.  The
+    frame derivatives and the data terms are formed in the first step,
+    where an overflow ends as `lagged_loop`'s `SolverDivergenceError`; the
+    objective reuses the derivatives."""
     derivatives = cache(lambda: image_derivatives(pair))
     work = _buffers(n_work, (2,) + pair.shape)
     tu, tv = work[0], work[1]
 
     def step(wvec):
         fx, fy, ft = derivatives()
-        smooth = smoothing(wvec)
+        smooth, diag = smoothing(wvec)
         fxx, fxy, fyy = fx * fx, fx * fy, fy * fy
+        precond = _flow_preconditioner(fxx, fyy, scale * diag, out=(tu, tv))
         Aw = np.empty((2,) + fx.shape)
 
         def apply_A(z):
@@ -227,7 +257,7 @@ def _lagged_flow(pair, cfg, smoothing, scale, penalty, n_work):
 
         # b is passed, not held here: CG drops it after the first residual
         return solvers.conjugate_gradient(apply_A, np.stack([-fx * ft, -fy * ft]), x0=wvec,
-                                          cfg=cfg, forcing=cfg.forcing)
+                                          cfg=cfg, precond=precond, forcing=cfg.forcing)
 
     def objective(wvec):
         r = ofc_residual(*derivatives(), wvec)
@@ -237,6 +267,65 @@ def _lagged_flow(pair, cfg, smoothing, scale, penalty, n_work):
     zero = np.broadcast_to(0.0, (2,) + pair.shape)
     wvec, report = solvers.lagged_loop(step, objective, zero, cfg)
     return VectorField(*wvec), report
+
+
+@cache
+def _cosine_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lowest ``min(n, _COARSE)`` orthonormal DCT-II modes of length
+    ``n``, one per row, and their eigenvalues ``2 - 2 cos(pi k / n)`` under
+    ``-divergence(gradient(.))`` along one axis (the second difference with
+    the replicate boundary).  Cached per length, read-only."""
+    k = np.arange(min(n, _COARSE))
+    modes = np.sqrt(2.0 / n) * np.cos(np.pi / n * np.outer(k, np.arange(n) + 0.5))
+    modes[0] *= np.sqrt(0.5)
+    eigenvalues = 2.0 - 2.0 * np.cos(np.pi / n * k)
+    modes.flags.writeable = eigenvalues.flags.writeable = False
+    return modes, eigenvalues
+
+
+def _flow_preconditioner(fxx, fyy, lam_diag, out):
+    """An SPD approximation of the inverse of the flow system with data
+    diagonals ``fxx``, ``fyy`` and smoothing diagonal ``lam_diag`` (all
+    (H, W)): the Jacobi step plus a correction on the lowest cosine modes,
+
+        z = r / diag + Cy^T [(Cy r Cx^T) o W] Cx
+
+    per channel, with ``diag`` the Jacobi diagonal ``(fxx, fyy) + lam_diag``
+    and ``Cy``, ``Cx`` the `_cosine_modes` of each axis.  On those modes the
+    system is modelled with constant coefficients, as ``c + mu (e_k +
+    e_l)`` with ``c`` the mean data diagonal and ``mu`` a quarter of the
+    mean of ``lam_diag`` (an interior Laplacian diagonal is 4 times its
+    weight); ``W`` adds what Jacobi misses there, ``max(1 / (c + mu (e_k +
+    e_l)) - 1 / mean(diag), 0)``, where ``mean(diag) = c + 4 mu``.  ``W >=
+    0``, so the sum stays SPD.  A zero diagonal entry leaves its residual
+    entry unscaled; a zero operator gets no correction.  A non-finite
+    diagonal raises `SolverDivergenceError`.  The returned function writes
+    ``z`` into ``out[0]`` and the prolonged correction into ``out[1]``
+    ((2, H, W) arrays) and returns ``out[0]``."""
+    diag = np.stack([fxx, fyy])
+    c = float(np.mean(diag))
+    mu = 0.25 * float(np.mean(lam_diag))
+    diag += lam_diag
+    if not (np.all(np.isfinite(diag)) and np.isfinite(c + 4.0 * mu)):
+        raise SolverDivergenceError("non-finite Jacobi diagonal")
+    inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
+    (cy, ey), (cx, ex) = _cosine_modes(fxx.shape[0]), _cosine_modes(fxx.shape[1])
+    e = ey[:, None] + ex
+    # 1 / (c + mu e) - 1 / (c + 4 mu) over one denominator, which is zero
+    # only for the zero operator
+    denom = (c + mu * e) * (c + 4.0 * mu)
+    weight = np.divide(mu * np.maximum(4.0 - e, 0.0), denom, out=np.zeros_like(e),
+                       where=denom > 0)
+    z, fine = out
+
+    def precond(r):
+        np.multiply(inv_diag, r, out=z)
+        coarse = cy @ (r @ cx.T)
+        coarse *= weight
+        np.matmul(cy.T @ coarse, cx, out=fine)
+        return np.add(z, fine, out=z)
+
+    return precond
 
 
 def _buffers(count: int, shape: tuple[int, ...]) -> list[np.ndarray]:
@@ -255,7 +344,8 @@ def flow_image_driven(
     Minimizes sum(OFC^2) + lam * sum(grad u . D grad u + grad v . D grad v)
     with D the diffusion tensor of frame 1.  The system does not depend on
     the flow, so the solve is one lagged step from zero flow, solved to
-    ``tol_cg``, and it converged when that step's CG did.
+    ``tol_cg`` by CG with `_lagged_flow`'s preconditioner, and it converged
+    when that step's CG did.
     """
     # built by the step, under `lagged_loop`'s overflow policy; the penalty reuses it
     tensor = cache(lambda: diffusion_tensor(centered_gradient(pair.f1), params.eps))
@@ -265,9 +355,11 @@ def flow_image_driven(
         return params.lam * (inner(wvec[0], s[0]) + inner(wvec[1], s[1]))
 
     # S = -div(D grad), so lam * S is the tensor diffusion scaled by -lam
-    w, report = _lagged_flow(
-        pair, replace(params.solver, max_outer=1, forcing=0.0),
-        lambda wvec: partial(apply_tensor_diffusion, tensor()), -params.lam, penalty, n_work=3)
+    def smoothing(wvec):
+        return partial(apply_tensor_diffusion, tensor()), tensor_diffusion_diagonal(tensor())
+
+    w, report = _lagged_flow(pair, replace(params.solver, max_outer=1, forcing=0.0),
+                             smoothing, -params.lam, penalty, n_work=3)
     report.converged = report.cg_converged_history[0]
     return w, report
 
@@ -277,11 +369,13 @@ def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveRepo
 
     Minimizes sum(OFC^2) + 2*lam * sum(sqrt(|grad u|^2 + |grad v|^2 + eps^2))
     by freezing the TV weights at the current iterate and solving the
-    resulting linear system, starting from zero flow.
+    resulting linear system by `_lagged_flow`'s preconditioned CG, starting
+    from zero flow.
     """
     def smoothing(wvec):
         weights = flow_smoothness_weights(wvec, params.eps)
-        return partial(functionals.apply_weighted_laplacian, weights, weights)
+        return (partial(functionals.apply_weighted_laplacian, weights, weights),
+                functionals.weighted_laplacian_diagonal(weights, weights))
 
     def penalty(wvec):
         return 2.0 * params.lam * functionals.tv_isotropic(wvec, params.eps)

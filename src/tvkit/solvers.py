@@ -7,7 +7,11 @@ The restoration fixed point solves
 where ``L(f_k)`` is the TV operator with diffusivity weights frozen at the
 previous iterate.  Freezing the weights makes each outer step a linear SPD
 solve, done by `lagged_restore_step` (Jacobi-preconditioned CG) for restore
-and blind deconvolution's image step; flow runs plain CG on its own system.
+and blind deconvolution's image step; flow preconditions CG on its own
+system by Jacobi plus a low-frequency cosine correction (`flow._lagged_flow`).
+Restore keeps Jacobi alone: its TV weights span orders of magnitude at a
+small ``alpha``, so a constant-coefficient cosine model of its operator
+saved few CG iterations and cost more time than they did.
 `RestoreParams` (``lam``, ``alpha``, the TV variant and the `SolverConfig`)
 is the one record of a restore problem's settings: `tv_restore_fixed_point`
 and `lagged_restore_step` read it as it is.
@@ -148,7 +152,10 @@ def conjugate_gradient(
     Standard CG recurrences on arrays of any shape.  ``precond``, if given,
     applies an SPD approximation of ``A^-1`` to a residual (preconditioned
     CG).  ``apply_A``'s result is read only until the next call, so
-    ``apply_A`` may write every result into one buffer of its own.  Returns
+    ``apply_A`` may write every result into one buffer of its own.
+    ``precond``'s result is read only until CG folds it into the search
+    direction, before the next ``apply_A`` call, so ``precond`` may write
+    into buffers that ``apply_A`` overwrites.  Returns
     ``(x, iterations, converged)``.  The loop stops, in the order it tests:
 
     1. converged, at the head of an iteration, once ``||b - A x|| <=

@@ -5,10 +5,11 @@ import numpy as np
 
 def materialize(apply_op, shape):
     """Dense matrix of a linear operator by probing unit vectors; the output
-    may have another size than the input of ``shape``."""
+    may have another size than the input of ``shape``.  Each column is a
+    copy, so ``apply_op`` may write every result into one buffer."""
     n = int(np.prod(shape))
     return np.column_stack(
-        [np.asarray(apply_op(e.reshape(shape))).ravel() for e in np.eye(n)]
+        [np.array(apply_op(e.reshape(shape))).ravel() for e in np.eye(n)]
     )
 
 

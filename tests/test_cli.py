@@ -195,6 +195,27 @@ class TestFlo:
             write_flo(p, VectorField(np.zeros((2, 2)), np.zeros((2, 3))))
         assert not p.exists()
 
+    @pytest.mark.parametrize("u, message", [
+        (np.zeros((0, 3)), "no pixels"),
+        (np.array([[0.0, np.nan]]), "non-finite"),
+        (np.array([[0.0, -np.inf]]), "non-finite"),
+        (np.array([[0.0, 1e39]]), "float32 range"),
+        (np.array([[0.0, -3.5e38]]), "float32 range"),
+    ], ids=["empty", "nan", "inf", "above-float32", "below-float32"])
+    def test_write_rejects_unwritable_flow(self, tmp_path, u, message):
+        # checked before the file is opened, with no cast warning
+        p = tmp_path / "bad.flo"
+        for w in (VectorField(u, np.zeros_like(u)), VectorField(np.zeros_like(u), u)):
+            with pytest.raises(ValueError, match=message):
+                write_flo(p, w)
+            assert not p.exists()
+
+    def test_write_keeps_float32_maximum(self, tmp_path):
+        p = tmp_path / "max.flo"
+        big = float(np.finfo(np.float32).max)
+        write_flo(p, VectorField(np.array([[big, -big]]), np.zeros((1, 2))))
+        np.testing.assert_array_equal(read_flo(p).u, [[big, -big]])
+
     def test_layout_arithmetic(self, tmp_path):
         p = tmp_path / "z.flo"
         z = np.zeros((2, 2))

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import fft
 
 from tvkit import flow, functionals, solvers, synth
 from tvkit.flow import (
@@ -17,8 +18,9 @@ from tvkit.flow import (
     flow_tv,
     image_derivatives,
     ofc_residual,
+    tensor_diffusion_diagonal,
 )
-from tvkit.grid import VectorField, gradient, inner
+from tvkit.grid import VectorField, divergence, gradient, inner
 from tvkit.solvers import SolveReport, SolverConfig, SolverDivergenceError
 
 from conftest import materialize, peak_allocation
@@ -203,9 +205,11 @@ class TestTensorDiffusion:
         assert peak_allocation(lambda: apply_tensor_diffusion(t, z)) >= 4 * z.nbytes
 
 
-def _per_channel_linear_flow(fx, fy, ft, lam, apply_smooth, x0, cfg, forcing):
+def _per_channel_linear_flow(fx, fy, ft, lam, apply_smooth, smooth_diag, x0, cfg, forcing):
     """The coupled flow system with S applied to u and to v in turn and a
-    fresh array for every term: the reference for the stacked solve."""
+    fresh array for every term: the reference for the stacked solve.  It
+    builds the solve's preconditioner from the same diagonals, S's being
+    ``smooth_diag``."""
     b = np.stack([-fx * ft, -fy * ft])
 
     def apply_A(wvec):
@@ -213,7 +217,10 @@ def _per_channel_linear_flow(fx, fy, ft, lam, apply_smooth, x0, cfg, forcing):
         return np.stack([fx * fx * u + fx * fy * v + lam * apply_smooth(u),
                          fx * fy * u + fy * fy * v + lam * apply_smooth(v)])
 
-    return solvers.conjugate_gradient(apply_A, b, x0=x0, cfg=cfg, forcing=forcing)
+    precond = flow._flow_preconditioner(fx * fx, fy * fy, lam * smooth_diag,
+                                        out=(np.empty(b.shape), np.empty(b.shape)))
+    return solvers.conjugate_gradient(apply_A, b, x0=x0, cfg=cfg, precond=precond,
+                                      forcing=forcing)
 
 
 def per_channel_flow_tv(pair, params):
@@ -224,6 +231,7 @@ def per_channel_flow_tv(pair, params):
         return _per_channel_linear_flow(
             fx, fy, ft, params.lam,
             lambda z: functionals.apply_weighted_laplacian(weights, weights, z),
+            functionals.weighted_laplacian_diagonal(weights, weights),
             wvec, params.solver, params.solver.forcing)
 
     def objective(wvec):
@@ -242,7 +250,8 @@ def per_channel_flow_image_driven(pair, params):
         return -apply_tensor_diffusion(t, z)
 
     wvec, iters, ok = _per_channel_linear_flow(
-        fx, fy, ft, params.lam, apply_smooth, np.zeros((2,) + pair.shape), params.solver, 0.0)
+        fx, fy, ft, params.lam, apply_smooth, -tensor_diffusion_diagonal(t),
+        np.zeros((2,) + pair.shape), params.solver, 0.0)
     r = ofc_residual(fx, fy, ft, VectorField(wvec[0], wvec[1]))
     energy = float(np.sum(r * r)) + params.lam * (
         inner(wvec[0], apply_smooth(wvec[0])) + inner(wvec[1], apply_smooth(wvec[1])))
@@ -257,7 +266,8 @@ def assert_same_report(got, want):
 
 class TestStackedSolves:
     """The stacked, buffered solves against the per-channel reference: the
-    same flow and the same report, bit for bit, on the 32 x 32 fixtures."""
+    same flow and the same report, bit for bit, on the 32 x 32 fixtures.
+    Both run the same preconditioner; only the operator's layout differs."""
 
     SCENES = {"ramp": synth.make_ramp_shift, "split": synth.make_split_motion}
 
@@ -281,6 +291,106 @@ class TestStackedSolves:
         assert report.objective_history == [energy]
         assert report.cg_iters_history == [iters] and report.converged == ok
         assert report.step_norm_history == [float(np.linalg.norm(wvec))]
+
+
+class TestTensorDiffusionDiagonal:
+    @pytest.mark.parametrize("shape", [(5, 7), (1, 6), (6, 1), (1, 1)])
+    def test_matches_unit_vector_probes(self, shape):
+        rng = np.random.default_rng(109)
+        g = VectorField(rng.standard_normal(shape), rng.standard_normal(shape))
+        t = diffusion_tensor(g, eps=0.05)
+        dense = materialize(lambda z: apply_tensor_diffusion(t, z), shape)
+        np.testing.assert_allclose(tensor_diffusion_diagonal(t).ravel(), np.diag(dense),
+                                   rtol=0, atol=1e-14)
+
+
+class TestFlowPreconditioner:
+    @pytest.mark.parametrize("n", [1, 5, flow._COARSE, 2 * flow._COARSE + 3])
+    def test_cosine_modes_are_the_orthonormal_dct(self, n):
+        modes, eigenvalues = flow._cosine_modes(n)
+        assert modes.shape == (min(n, flow._COARSE), n) and not modes.flags.writeable
+        x = np.random.default_rng(113).standard_normal(n)
+        want = fft.dct(x, type=2, norm="ortho")[:len(modes)]
+        np.testing.assert_allclose(modes @ x, want, rtol=0, atol=1e-13)
+        # each mode is an eigenvector of the one-row -divergence(gradient)
+        for mode, e in zip(modes, eigenvalues):
+            row = mode[None, :]
+            np.testing.assert_allclose(-divergence(gradient(row)), e * row, rtol=0, atol=1e-13)
+
+    def test_symmetric_positive_definite(self):
+        # dense on a non-square grid, with TV weights at a random flow
+        rng = np.random.default_rng(127)
+        shape = (9, 11)
+        fx, fy = rng.standard_normal(shape), rng.standard_normal(shape)
+        weights = flow_smoothness_weights(rng.standard_normal((2,) + shape), 0.05)
+        lam_diag = 0.1 * functionals.weighted_laplacian_diagonal(weights, weights)
+        out = (np.empty((2,) + shape), np.empty((2,) + shape))
+        precond = flow._flow_preconditioner(fx * fx, fy * fy, lam_diag, out)
+        dense = materialize(precond, (2,) + shape)
+        np.testing.assert_allclose(dense, dense.T, rtol=0, atol=1e-12)
+        inv_diag = 1.0 / (np.stack([fx * fx, fy * fy]) + lam_diag).ravel()
+        # the coarse correction is positive semi-definite: it only adds
+        assert np.linalg.eigvalsh(dense - np.diag(inv_diag)).min() >= -1e-12
+        assert np.linalg.eigvalsh(dense).min() > 0.0
+
+    def test_non_finite_diagonal_raises(self):
+        ones = np.ones((4, 5))
+        with pytest.raises(SolverDivergenceError, match="non-finite Jacobi diagonal"):
+            flow._flow_preconditioner(ones, ones, np.full((4, 5), np.inf), (None, None))
+
+    @pytest.mark.parametrize("frames", [
+        (np.full((1, 1), 0.2), np.full((1, 1), 0.7)),
+        (np.full((12, 9), 0.4), np.full((12, 9), 0.4)),
+        (np.full((12, 9), 0.4), np.full((12, 9), 0.9)),
+    ], ids=["1x1", "constant-static", "constant-brightening"])
+    @pytest.mark.parametrize("variant", list(FlowVariant))
+    def test_zero_diagonal_solves(self, frames, variant):
+        # no data term (the frames have no gradient) and, on a 1x1 grid, no
+        # smoothing either: zero flow, with no error and no warning
+        w, report = estimate_flow(FramePair(*frames), FlowParams(variant=variant))
+        assert not np.any(w.u) and not np.any(w.v)
+        assert report.converged and report.cg_iterations_total == 0
+
+    @pytest.mark.parametrize("scene", sorted(TestStackedSolves.SCENES))
+    @pytest.mark.parametrize("variant, lam", [(FlowVariant.IMAGE_DRIVEN, 0.1),
+                                              (FlowVariant.TV, 0.003)], ids=["an", "tv"])
+    def test_agrees_with_plain_cg(self, monkeypatch, scene, variant, lam):
+        # the first lagged step solved to tol_cg with and without the
+        # preconditioner: both residuals are within tol_cg ||b||, so the
+        # flows differ by at most twice that through the step's operator
+        pair, _ = TestStackedSolves.SCENES[scene]()
+        cfg = SolverConfig(max_outer=1, forcing=0.0)
+        params = FlowParams(lam=lam, eps=0.05, variant=variant, solver=cfg)
+        w, report = estimate_flow(pair, params)
+        monkeypatch.setattr(flow, "_flow_preconditioner", lambda *args, **kwargs: None)
+        w_plain, report_plain = estimate_flow(pair, params)
+        assert report.cg_converged_history == report_plain.cg_converged_history == [True]
+        assert report.cg_iterations_total < report_plain.cg_iterations_total
+        fx, fy, ft = image_derivatives(pair)
+        du, dv = w.u - w_plain.u, w.v - w_plain.v
+        diff = np.stack([du, dv])
+        if variant is FlowVariant.IMAGE_DRIVEN:
+            t = diffusion_tensor(flow.centered_gradient(pair.f1), params.eps)
+            s_diff = -apply_tensor_diffusion(t, diff)
+        else:
+            # the TV weights of the first step, frozen at zero flow
+            weights = flow_smoothness_weights(np.zeros_like(diff), params.eps)
+            s_diff = functionals.apply_weighted_laplacian(weights, weights, diff)
+        a_diff = np.stack([fx * fx * du + fx * fy * dv, fx * fy * du + fy * fy * dv])
+        a_diff += lam * s_diff
+        b = np.stack([-fx * ft, -fy * ft])
+        assert np.linalg.norm(a_diff) <= 2.0 * cfg.tol_cg * np.linalg.norm(b)
+
+    def test_cuts_ramp_image_driven_iterations(self, monkeypatch):
+        # where smoothness dominates, the cosine correction reaches the
+        # smooth modes that plain CG spends its iterations on
+        pair, _ = synth.make_ramp_shift(0, 128)
+        params = FlowParams(lam=0.1, eps=0.05, variant=FlowVariant.IMAGE_DRIVEN)
+        _, report = flow_image_driven(pair, params)
+        monkeypatch.setattr(flow, "_flow_preconditioner", lambda *args, **kwargs: None)
+        _, report_plain = flow_image_driven(pair, params)
+        assert report.converged and report_plain.converged
+        assert 4 * report.cg_iterations_total <= report_plain.cg_iterations_total
 
 
 class TestSmoothnessWeights:
