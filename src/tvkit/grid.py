@@ -14,10 +14,12 @@ Conventions used throughout the package:
   `convolve` and `convolve_adjoint`, picks one by the kernel.  For a kernel
   with `Kernel.factors` (every nonzero kernel of rank 1), `_band` folds the
   boundary into the 1-D band matrices themselves, so nothing is padded.
-  `pad_edge` serves the stencils that read past the border with slices of
-  a padded copy (`_blur`'s tap loop for a kernel of rank above 1, the blind
-  kernel correlation, the centered flow gradient), and the adjoint tap
-  loop folds that pad back with its exact adjoint, `_fold_edge`.
+  `pad_edge` serves the stencils that read past the border from a padded
+  copy: the patch strips of `_strips`, which `_blur` multiplies by the taps
+  of a kernel of rank above 1 and the blind kernel step reads for its Gram
+  matrix and correlation, and the centered flow gradient.  The adjoint
+  patch-strip pass folds that pad back with its exact adjoint,
+  `_fold_edge`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ _RANK1_RTOL = 64 * np.finfo(np.float64).eps
 # most a tenth faster than 32 (512x512: 1.15-1.2 against 1.25-1.3 ms) and
 # 64 was a third to a half slower.
 _BLOCK = 32
+# floats of one patch strip of `_strips` (512 KB).  convolve and its
+# adjoint by a random 3x3 kernel with one BLAS thread on a 2-core Xeon took
+# 0.32 and 0.37 ms at 256x256 and 1.35 and 2.74 ms at 512x512 with 2^16;
+# 2^15 and 2^17 were up to a tenth slower, 2^14 (0.36/0.72, 1.70/3.17 ms)
+# and 2^18 (0.41/0.49, 2.90/3.91 ms) more; at 64x64, one strip, all took
+# 30-45 us.
+_STRIP_FLOATS = 1 << 16
 
 
 class VectorField(NamedTuple):
@@ -295,26 +304,47 @@ def _fold_edge(fp: np.ndarray, cy: int, cx: int) -> np.ndarray:
     return fp[cy : cy + h, cx : cx + w]
 
 
-def _taps(fp: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``out = sum_ba w[b, a] * fp[b:b+H, a:a+W]`` over the nonzero taps,
-    where ``(H, W)`` is the shape of ``fp`` less the kernel's extent.  The
-    first tap is written, not added to zeros (``0 + x == x``), so ``out``
-    may hold anything beforehand; with no nonzero tap it is zeroed."""
-    kh, kw = w.shape
+def _strips(fp: np.ndarray, kh: int, kw: int):
+    """The patch matrix of ``fp`` for a ``kh x kw`` kernel, in row strips.
+    Yields ``(top, n, P)`` for the output rows ``top .. top + n``: ``P`` is
+    the C-contiguous ``(kh * kw, n * W)`` matrix whose row for tap ``(b,
+    a)`` is ``fp[top + b : top + b + n, a : a + W]`` flattened, where ``(H,
+    W)`` is the shape of ``fp`` less the kernel's extent.  Each strip is
+    one copy from a strided view of ``fp`` into a buffer of about
+    `_STRIP_FLOATS` floats (at least one row), allocated per call, so a
+    kernel stays safe to share between threads; the buffer is refilled for
+    every strip, so ``P`` is valid only until the next one."""
+    fp = np.ascontiguousarray(fp, dtype=np.float64)
     h, wd = fp.shape[0] - kh + 1, fp.shape[1] - kw + 1
-    if out is None:
-        out = np.empty((h, wd))
-    first = True
-    for b in range(kh):
-        for a in range(kw):
-            if w[b, a] != 0.0:
-                if first:
-                    np.multiply(w[b, a], fp[b : b + h, a : a + wd], out=out)
-                    first = False
-                else:
-                    out += w[b, a] * fp[b : b + h, a : a + wd]
-    if first:
-        out.fill(0.0)
+    k = kh * kw
+    rows = min(h, max(1, _STRIP_FLOATS // (k * wd)))
+    buf = np.empty(k * rows * wd)
+    s0, s1 = fp.strides
+    for top in range(0, h, rows):
+        n = min(rows, h - top)
+        p = buf[: k * n * wd]
+        # the windows as one (kh, kw, n, W) view: np.ndarray builds it in
+        # 0.45 us, as_strided in 3.1 us
+        view = np.ndarray((kh, kw, n, wd), np.float64, fp, top * s0, (s0, s1, s0, s1))
+        np.copyto(p.reshape(kh, kw, n, wd), view)
+        yield top, n, p.reshape(k, n * wd)
+
+
+def _taps(fp: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``out = sum_ba w[b, a] * fp[b:b+H, a:a+W]``, where ``(H, W)`` is the
+    shape of ``fp`` less the kernel's extent: one BLAS product of the taps
+    with each patch strip of `_strips`, written straight into that strip's
+    rows of ``out``, which may hold anything beforehand.  Every tap enters
+    the product, zeros too, so a zero tap against a non-finite sample gives
+    NaN (``0 * inf``) with an optimized BLAS, and an overflow in the
+    product raises numpy's floating-point warnings.  The overflow policy of
+    the solve drivers silences both, and their non-finite check raises
+    `SolverDivergenceError`."""
+    kh, kw = w.shape
+    out = _out(out, (fp.shape[0] - kh + 1, fp.shape[1] - kw + 1))
+    taps = np.ravel(w)
+    for top, n, p in _strips(fp, kh, kw):
+        np.matmul(taps, p, out=out[top : top + n].reshape(-1))
     return out
 
 
@@ -356,14 +386,14 @@ def _band_rows(band: list, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _blur(f: np.ndarray, kernel: Kernel, adjoint: bool, out: Optional[np.ndarray]) -> np.ndarray:
     """The one body of `convolve` and, when ``adjoint``, `convolve_adjoint`.
-    A kernel without factors runs the tap loop: forward over the
-    edge-padded field, adjoint with the flipped taps over the zero-extended
-    field, whose pad is then folded back.  Any other kernel runs as ``C_col
-    @ f @ C_row^T`` for the `Kernel._passes` ``(col, row)``, or ``C_col^T @
-    f @ C_row`` when ``adjoint``: the column pass writes one intermediate,
-    which the row pass reads through transposed views; a line kernel runs
-    its one pass straight into ``out``, and a kernel of one centred tap is
-    one multiply."""
+    A kernel without factors runs the patch strips of `_taps`: forward
+    over the edge-padded field, adjoint with the flipped taps over the
+    zero-extended field, whose pad is then folded back.  Any other kernel
+    runs as ``C_col @ f @ C_row^T`` for the `Kernel._passes` ``(col,
+    row)``, or ``C_col^T @ f @ C_row`` when ``adjoint``: the column pass
+    writes one intermediate, which the row pass reads through transposed
+    views; a line kernel runs its one pass straight into ``out``, and a
+    kernel of one centred tap is one multiply."""
     x = np.asarray(f, dtype=np.float64)
     out = _out(out, x.shape)
     kh, kw = kernel.shape
@@ -390,12 +420,13 @@ def convolve(f: np.ndarray, kernel: Kernel, out: Optional[np.ndarray] = None) ->
     Linear in ``f``; a delta kernel is the exact identity.  A kernel with
     `Kernel.factors` ``(col, row)`` runs as ``C_col @ f @ C_row^T``, with
     ``C_t`` the banded matrix of the 1-D correlation by ``t`` and the
-    replicate boundary folded into it (`_band`), and matches the tap loop
-    to rounding; the pass of a factor that is one centred tap is skipped
-    (`_blur`).  A kernel without factors (rank above 1, or all
-    zero) runs the tap loop over the edge-padded field.  ``out``, a
-    C-contiguous float64 array shaped like ``f`` and distinct from it,
-    receives the result and is returned; every entry is written.
+    replicate boundary folded into it (`_band`), and matches the patch
+    strips to rounding; the pass of a factor that is one centred tap is
+    skipped (`_blur`).  A kernel without factors (rank above 1, or all
+    zero) runs as one product of its taps with each patch strip of the
+    edge-padded field (`_taps`).  ``out``, a C-contiguous float64 array
+    shaped like ``f`` and distinct from it, receives the result and is
+    returned; every entry is written.
     """
     return _blur(f, kernel, False, out)
 
@@ -406,13 +437,14 @@ def convolve_adjoint(f: np.ndarray, kernel: Kernel,
 
     A kernel with `Kernel.factors` runs as ``C_col^T @ f @ C_row``, the
     transposed band matrices of `convolve`, with the same passes skipped.
-    A kernel without factors applies its flipped taps to the zero-extended
-    field, which spreads each tap's contribution over the padded grid, then
-    folds the pad back onto the border.  So ``inner(convolve(x, k), y) ==
-    inner(x, convolve_adjoint(y, k))`` holds to rounding for all x, y.  The
-    result is a new C-contiguous array, or ``out``: a C-contiguous float64
-    array shaped like ``f`` and distinct from it, which receives the result
-    and is returned; every entry is written.
+    A kernel without factors multiplies its flipped taps with the patch
+    strips of the zero-extended field, which spreads each tap's
+    contribution over the padded grid, then folds the pad back onto the
+    border.  So ``inner(convolve(x, k), y) == inner(x, convolve_adjoint(y,
+    k))`` holds to rounding for all x, y.  The result is a new C-contiguous
+    array, or ``out``: a C-contiguous float64 array shaped like ``f`` and
+    distinct from it, which receives the result and is returned; every
+    entry is written.
     """
     return _blur(f, kernel, True, out)
 

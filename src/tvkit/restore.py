@@ -9,17 +9,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import functionals, solvers
+from . import functionals, grid, solvers
 from .grid import Kernel, convolve, convolve_adjoint, ensure_field, pad_edge
 from .solvers import RestoreParams, SolverConfig, SolveReport
 
 PSNR_CAP_DB = 300.0
-# floats of the patch matrix that `_kernel_gram` holds at once (2 MB): one
-# strip on a 64x64 image, while a 512x512 image with a 7x7 kernel would
-# otherwise copy a 100 MB patch matrix
-_GRAM_STRIP_FLOATS = 1 << 18
 
 
 class DegenerateKernelError(solvers.SolverDivergenceError):
@@ -116,9 +111,15 @@ def _image_times_kernel_adjoint(fp: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Adjoint of the kernel map ``h -> grid._taps(fp, h)``, the blur of the
     image by the kernel ``h`` with the image fixed (``fp`` is the image
     edge-padded by half the kernel size on each side, `grid.pad_edge`):
-    correlate the residual against ``fp`` at each tap offset, one
-    contraction over the patch view of `_kernel_gram`, with no copy."""
-    return np.einsum("bajk,jk->ba", sliding_window_view(fp, r.shape), r)
+    ``sum P @ r_strip`` over the patch strips ``P`` of `grid._strips`, each
+    the correlation of the residual's rows against ``fp`` at every tap
+    offset."""
+    h, w = r.shape
+    ky, kx = fp.shape[0] - h + 1, fp.shape[1] - w + 1
+    out = np.zeros(ky * kx)
+    for top, n, p in grid._strips(fp, ky, kx):
+        out += p @ r[top : top + n].ravel()
+    return out.reshape(ky, kx)
 
 
 def _project_kernel(weights: np.ndarray) -> np.ndarray:
@@ -135,17 +136,13 @@ def _project_kernel(weights: np.ndarray) -> np.ndarray:
 def _kernel_gram(fp: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """``F^T F`` of the kernel map ``F h = grid._taps(fp, h)`` for an image of
     ``shape``: the Gram matrix ``P P^T`` of the patch matrix ``P``, whose row
-    for tap ``(b, a)`` is ``fp[b:b+H, a:a+W]`` flattened, accumulated over
-    row strips of at most about ``_GRAM_STRIP_FLOATS`` floats of ``P``."""
+    for tap ``(b, a)`` is ``fp[b:b+H, a:a+W]`` flattened, summed over the
+    patch strips of `grid._strips`, so one strip is held at a time."""
     h, w = shape
     ky, kx = fp.shape[0] - h + 1, fp.shape[1] - w + 1
-    rows = max(1, _GRAM_STRIP_FLOATS // (ky * kx * w))
     gram = np.zeros((ky * kx, ky * kx))
-    for top in range(0, h, rows):
-        n = min(rows, h - top)
-        strip = sliding_window_view(fp[top : top + n + ky - 1], (n, w)).reshape(ky * kx, n * w)
-        gram += strip @ strip.T
-        del strip  # freed before the next strip is copied: one strip held at a time
+    for _, _, p in grid._strips(fp, ky, kx):
+        gram += p @ p.T
     return gram
 
 

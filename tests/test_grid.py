@@ -255,7 +255,7 @@ class TestOutBuffers:
 
     # delta is one multiply; box3, binomial3 and gaussian5 run two band
     # passes and the motion kernel one; the rank-2 kernel (third row = first
-    # + second) runs the full tap loop; the zero kernel has no tap
+    # + second) and the zero kernel run the patch strips of grid._taps
     CONVOLVE_KERNELS = {
         "delta": Kernel.delta(),
         "box3": Kernel.box(3),
@@ -542,6 +542,110 @@ class TestFactoredConvolve:
             assert out.shape == f.shape
             assert out.flags["C_CONTIGUOUS"]
             assert out.base is None
+
+
+_rng = np.random.default_rng(19)
+# kernels without factors, which run the patch strips of `grid._taps`: two
+# with zero taps (which enter the strip products) and the all-zero kernel
+STRIP_KERNELS = {
+    "rank3-zero-taps": Kernel(np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [0.0, 1.0, 1.0]])),
+    "random3x3": Kernel(_rng.standard_normal((3, 3))),
+    "random5x3": Kernel(_rng.standard_normal((5, 3))),
+    "random3x5": Kernel(_rng.standard_normal((3, 5))),
+    "plus": Kernel(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])),
+    "zero": Kernel(np.zeros((3, 3))),
+}
+# 7 rows are not a multiple of 2-row strips; 1xN and Nx1 fields; a 2x2
+# field and a 1x1 field are smaller than every kernel above
+STRIP_SHAPES = [(7, 8), (1, 9), (9, 1), (2, 2), (1, 1)]
+# the default strip (one strip on these fields), one row per strip, and
+# strips of about 150 floats: 2 rows of a 3x3 forward pass on the 7x8 field
+STRIP_FLOATS = {"default": grid._STRIP_FLOATS, "one-row": 1, "150": 150}
+
+
+def patch_matrix(fp, kh, kw):
+    """The whole patch matrix, row ``(b, a)`` the window at that offset."""
+    h, wd = fp.shape[0] - kh + 1, fp.shape[1] - kw + 1
+    return np.array([fp[b : b + h, a : a + wd].ravel() for b in range(kh) for a in range(kw)])
+
+
+class TestPatchStrips:
+    """Kernels without `Kernel.factors` run `grid._taps`: one BLAS product
+    of the taps with each patch strip of `grid._strips`."""
+
+    @pytest.mark.parametrize("strip", STRIP_FLOATS)
+    @pytest.mark.parametrize("fshape,kh,kw", [((9, 10), 3, 3), ((15, 6), 5, 3),
+                                              ((5, 13), 3, 5), ((3, 3), 3, 3)])
+    def test_strips_tile_the_patch_matrix(self, fshape, kh, kw, strip, monkeypatch):
+        monkeypatch.setattr(grid, "_STRIP_FLOATS", STRIP_FLOATS[strip])
+        fp = random_field(np.random.default_rng(23), *fshape)
+        h, wd = fshape[0] - kh + 1, fshape[1] - kw + 1
+        rows = min(h, max(1, grid._STRIP_FLOATS // (kh * kw * wd)))
+        tops, parts = [], []
+        for top, n, p in grid._strips(fp, kh, kw):
+            assert p.shape == (kh * kw, n * wd) and p.flags.c_contiguous
+            assert n == min(rows, h - top)
+            tops.append(top)
+            parts.append(p.reshape(kh * kw, n, wd).copy())
+        assert tops == list(range(0, h, rows))
+        assert np.array_equal(np.concatenate(parts, axis=1).reshape(kh * kw, -1),
+                              patch_matrix(fp, kh, kw))
+
+    @pytest.mark.parametrize("strip", STRIP_FLOATS)
+    @pytest.mark.parametrize("kname", STRIP_KERNELS)
+    @pytest.mark.parametrize("shape", STRIP_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_dense_oracle_and_adjoint(self, shape, kname, strip, monkeypatch):
+        monkeypatch.setattr(grid, "_STRIP_FLOATS", STRIP_FLOATS[strip])
+        k = STRIP_KERNELS[kname]
+        assert k.factors is None
+        H = materialize(lambda x: grid.convolve(x, k), shape)
+        Ht = materialize(lambda x: grid.convolve_adjoint(x, k), shape)
+        assert np.abs(H - clamp_matrix(k.weights, shape)).max() < 1e-14
+        assert np.abs(H.T - Ht).max() < 1e-14
+        rng = np.random.default_rng(29)
+        x, y = random_field(rng, *shape), random_field(rng, *shape)
+        assert grid.inner(grid.convolve(x, k), y) == pytest.approx(
+            grid.inner(x, grid.convolve_adjoint(y, k)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kname", ["random3x3", "random5x3"])
+    def test_tall_field_runs_several_strips(self, kname):
+        # with the default strip size: 2 full strips and a short third
+        k = STRIP_KERNELS[kname]
+        kh, kw = k.shape
+        rows = grid._STRIP_FLOATS // (kh * kw * 64)
+        rng = np.random.default_rng(37)
+        f, y = random_field(rng, 2 * rows + 5, 64), random_field(rng, 2 * rows + 5, 64)
+        assert len(list(grid._strips(grid.pad_edge(f, kh // 2, kw // 2), kh, kw))) == 3
+        out = grid.convolve(f, k)
+        ref = ndimage.correlate(f, k.weights, mode="nearest")
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert grid.inner(out, y) == pytest.approx(
+            grid.inner(f, grid.convolve_adjoint(y, k)), rel=1e-12)
+
+    @pytest.mark.parametrize("strip", STRIP_FLOATS)
+    @pytest.mark.parametrize("kname", STRIP_KERNELS)
+    def test_garbage_out_is_overwritten(self, kname, strip, monkeypatch):
+        monkeypatch.setattr(grid, "_STRIP_FLOATS", STRIP_FLOATS[strip])
+        k = STRIP_KERNELS[kname]
+        kh, kw = k.shape
+        fp = random_field(np.random.default_rng(41), 7 + kh - 1, 8 + kw - 1)
+        expect = grid._taps(fp, k.weights)
+        for fill in (np.nan, np.inf, 1e300):
+            out = np.full((7, 8), fill)
+            assert grid._taps(fp, k.weights, out) is out
+            assert np.array_equal(out, expect)
+        f = fp[:7, :8]
+        for op in (grid.convolve, grid.convolve_adjoint):
+            assert np.array_equal(op(f, k, out=np.full(f.shape, np.nan)), op(f, k))
+
+    def test_overflow_warns(self):
+        # numpy reports the product's overflow, which the solve drivers'
+        # overflow policy silences before their non-finite check
+        fp = np.full((5, 5), 1e300)
+        w = 1e10 * STRIP_KERNELS["rank3-zero-taps"].weights
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            out = grid._taps(fp, w)
+        assert not np.isfinite(out).any()
 
 
 class TestInputValidation:

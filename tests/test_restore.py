@@ -45,7 +45,7 @@ def _scaled_ramp_shift(scale):
     return FramePair(scale * pair.f1, scale * pair.f2)
 
 
-# rank 2, so it runs the tap loop
+# rank 2, so it runs the patch strips of grid._taps
 PLUS = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
 
 RESTORE_KERNELS = {
@@ -60,6 +60,11 @@ OVERFLOWS = [
     *(pytest.param(lambda k=k, s=s: tv_deconvolve(_uniform(s), k, RestoreParams(lam=0.01)),
                    True, id=f"{name}-{s:g}")
       for name, k in RESTORE_KERNELS.items() for s in (1e200, 1.7e308)),
+    # a rank-3 kernel with zero taps (which enter its patch-strip products)
+    # under an overflowing lambda, as `tvkit deconv --lambda 1e308` runs it:
+    # the Jacobi diagonal overflows before CG
+    pytest.param(lambda: tv_deconvolve(_uniform(1.0), RESTORE_KERNELS["rank3"],
+                                       RestoreParams(lam=1e308)), True, id="rank3-lam-1e+308"),
     pytest.param(lambda: blind_deconvolve(_uniform(1e200), BlindParams()), True,
                  id="blind-1e+200"),
     # the initial image solve survives, the kernel step's Gram overflows
@@ -534,14 +539,19 @@ class TestBlindDeconvolve:
     def test_kernel_gram_strips_sum_to_one_strip(self, ks, monkeypatch):
         rng = np.random.default_rng(71)
         f = rng.standard_normal((13, 10))
+        r = rng.standard_normal(f.shape)
         fp = grid.pad_edge(f, ks // 2, ks // 2)
         one_strip = restore._kernel_gram(fp, f.shape)
+        one_adjoint = restore._image_times_kernel_adjoint(fp, r)
         F = materialize(lambda x: grid._taps(fp, x), (ks, ks))
         np.testing.assert_allclose(one_strip, F.T @ F, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(one_adjoint.ravel(), F.T @ r.ravel(), rtol=1e-12, atol=1e-13)
         # a strip of 3 image rows: 5 strips, the last one short
-        monkeypatch.setattr(restore, "_GRAM_STRIP_FLOATS", 3 * ks * ks * 10)
+        monkeypatch.setattr(grid, "_STRIP_FLOATS", 3 * ks * ks * 10)
         strips = restore._kernel_gram(fp, f.shape)
         assert np.abs(strips - one_strip).max() <= 1e-13 * np.abs(one_strip).max()
+        adjoint = restore._image_times_kernel_adjoint(fp, r)
+        assert np.abs(adjoint - one_adjoint).max() <= 1e-13 * np.abs(one_adjoint).max()
 
     def test_singular_kernel_system_keeps_the_projected_kernel(self):
         # lam_kernel = 0 on a flat image: F^T F has rank 1 and the system is
@@ -552,8 +562,9 @@ class TestBlindDeconvolve:
         np.testing.assert_allclose(h, restore._project_kernel(h_k), rtol=1e-12, atol=1e-15)
 
     def test_kernel_step_memory_is_bounded_by_the_strip(self):
-        # one 2 MB strip of the patch matrix, the padded image and the
-        # adjoint's temporaries; the whole 49 x 256^2 patch matrix is 25.7 MB
+        # one strip of the patch matrix (grid._STRIP_FLOATS floats, 512 KB)
+        # at a time and the padded image; the whole 49 x 256^2 patch matrix
+        # is 25.7 MB
         rng = np.random.default_rng(73)
         f = rng.uniform(0.0, 1.0, (256, 256))
         tracemalloc.start()
