@@ -19,6 +19,20 @@ Because the TV potential is concave in the squared gradient the step
 minimizes a majorizer of the true objective, so the objective decreases
 monotonically up to solver tolerance.
 
+`tv_restore_fixed_point` over-relaxes each lagged step: it moves to
+``f_k + _RELAX * (x - f_k)`` (``_RELAX`` = 1.5) instead of CG's ``x``.
+Along the line through ``f_k`` and ``x`` the lagged quadratic is a
+parabola with its minimum at ``x``, so any factor in (0, 2) still
+descends the majorizer, and with it the objective (relaxed half-quadratic
+minimization; Allain, Idier & Goussard, IEEE TIP 2006).  The stretch
+costs no operator call and no array; over 17 denoise and deconvolution
+cases it cut the CG iterations of a solve by 15-53%.  A step whose CG
+ran no iteration is taken unrelaxed, and the report's step norms, which
+the outer tolerance tests, are those of the relaxed steps.
+`lagged_restore_step` itself stays a plain step, and `lagged_loop`
+relaxes nothing: relaxed, the flow TV solves took more outer steps and
+blind deconvolution's alternations restored worse images.
+
 The outer loop re-linearizes right after each step, so a warm-started
 lagged step need not be solved exactly: with the forcing term
 ``eta = SolverConfig.forcing`` its CG stops once the residual falls to
@@ -42,6 +56,16 @@ from .grid import Kernel, VectorField, convolve, convolve_adjoint, divergence, e
 from .functionals import TVVariant
 
 DESCENT_SLACK = 1e-9
+# over-relaxation factor of `tv_restore_fixed_point`'s lagged steps; each
+# step descends for any value in (0, 2).  Outer / CG iterations per solve
+# at fixture seeds 0-3, denoise-256 and deconv-64: 1.0 took 14 / 122-123
+# and 23 / 184-189; 1.3 11 / 97-98 and 19-20 / 141-147; 1.4 11 / 87 and
+# 18-19 / 117-125; 1.5 11 / 70-72 and 17-18 / 97-105; 1.6 11 / 55-56 and
+# 16-17 / 72-84; 1.7 raised denoise-256 to 15 outer steps and 1.8 to 22.
+# Of 1.3, 1.4, 1.45, 1.5, 1.55, 1.6 and 1.7 only 1.5 kept the forcing-term
+# output as close to the minimizer as the exact-CG one at no higher
+# objective (tests/test_restore.py::TestForcingQuality).
+_RELAX = 1.5
 
 
 class SolverDivergenceError(RuntimeError):
@@ -317,14 +341,42 @@ def tv_restore_fixed_point(
     g: np.ndarray, kernel: Kernel, params: RestoreParams
 ) -> tuple[np.ndarray, SolveReport]:
     """TV restoration with a known blur kernel: solve ``[H^T H + lam
-    L(f_k)] f_{k+1} = H^T g`` from ``f_0 = g`` by `lagged_loop` of
-    `lagged_restore_step`, each step warm-started at ``f_k``, until the step
-    norm drops below ``params.solver``'s outer tolerance or its iteration
-    cap is reached.  A non-finite ``g`` raises `ValueError`."""
+    L(f_k)] x = H^T g`` by `lagged_restore_step`, warm-started at ``f_k``,
+    and step to the over-relaxed ``f_{k+1} = f_k + _RELAX * (x - f_k)``,
+    from ``f_0 = g`` by `lagged_loop`, until the step norm drops below
+    ``params.solver``'s outer tolerance or its iteration cap is reached.
+    The report's ``step_norm_history`` holds the relaxed step norms
+    ``||f_{k+1} - f_k||``, and the outer tolerance tests them.  A
+    non-finite ``g`` raises `ValueError`.
+
+    Each relaxed step descends the objective ``F`` of
+    `functionals.tv_objective`.  Let ``Q_k`` be the quadratic that the
+    lagged step minimizes: ``0.5 ||H f - g||^2`` plus ``lam`` times the
+    tangent of each TV term ``sqrt(s)`` in its square ``s``, taken at
+    ``f_k``.
+
+    - Warm-started PCG's ``x`` minimizes ``Q_k`` over ``f_k`` plus a Krylov
+      space that contains ``d = x - f_k``, so along the line ``f_k + t d``
+      ``Q_k`` is a parabola with its minimum at ``t = 1``.
+    - Hence ``Q_k(f_k + w d) <= Q_k(f_k) = F(f_k)`` for ``w`` in
+      ``[0, 2]``, and ``Q_k >= F`` everywhere because ``sqrt`` is concave,
+      so ``F(f_k + w d) <= F(f_k)``.
+    - This needs no converged CG: it holds for a step stopped by the
+      forcing term or by ``max_cg`` as well.
+
+    A step whose CG ran no iteration is taken as it is, unrelaxed: that is
+    CG's early return for ``H^T g = 0``, which returns zeros whatever
+    ``f_k`` is, or a warm start already at the tolerance."""
     g = ensure_field(g)
 
     def step(f_k):
-        return lagged_restore_step(g, f_k, kernel, params)
+        x, cg_iters, cg_converged = lagged_restore_step(g, f_k, kernel, params)
+        if cg_iters:
+            # f_k + _RELAX * (x - f_k), in CG's own copy
+            x -= f_k
+            x *= _RELAX
+            x += f_k
+        return x, cg_iters, cg_converged
 
     def objective(f_next):
         return functionals.tv_objective(f_next, g, kernel, params.lam, params.alpha,

@@ -324,8 +324,8 @@ class TestLaggedStep:
         k = Kernel.box(3)
         g = grid.convolve(clean, k) + 1e-3 * np.random.default_rng(8).standard_normal((16, 16))
         lam, f_k = 0.05, g.copy()
-        f, report = tv_restore_fixed_point(g, k, RestoreParams(
-            lam=lam, solver=SolverConfig(max_outer=1, forcing=0.0)))
+        f, iters, _ = solvers.lagged_restore_step(g, f_k, k, RestoreParams(
+            lam=lam, solver=SolverConfig(forcing=0.0)))
         wx, wy = functionals.diffusion_weights(f_k, functionals.DEFAULT_ALPHA)
 
         def apply_A(x):
@@ -335,7 +335,7 @@ class TestLaggedStep:
         b = grid.convolve_adjoint(g, k)
         assert np.linalg.norm(apply_A(f) - b) <= 1e-7 * np.linalg.norm(b)
         _, plain_iters, _ = conjugate_gradient(apply_A, b, x0=f_k)
-        assert report.cg_iters_history[0] < plain_iters
+        assert iters < plain_iters
 
     @pytest.mark.parametrize("g, lam", [
         (np.random.default_rng(2).uniform(0.0, 1.0, (6, 6)), 0.0),
@@ -390,6 +390,93 @@ class TestLaggedStep:
             f = lagged_step(f, noisy, Kernel.delta(), 0.1, cfg=cfg)
         again = lagged_step(f, noisy, Kernel.delta(), 0.1, cfg=cfg)
         assert np.linalg.norm(again - f) <= 1e-5 * np.linalg.norm(f)
+
+
+# ROADMAP's rank-3 kernel, as blind's estimates are: no factors, taps path
+RANK3 = Kernel(np.array([[0.05, 0.1, 0.0], [0.2, 0.3, 0.1], [0.0, 0.15, 0.1]]))
+RELAX_KERNELS = [Kernel.delta(), Kernel.gaussian(5, 1.0), Kernel.motion_horizontal(7), RANK3]
+RELAX_KERNEL_IDS = ["delta", "gaussian5", "motion7", "rank3"]
+
+
+def blurred_piecewise16(kernel, sigma=0.01, seed=14):
+    """A 16x16 piecewise-constant scene, blurred by ``kernel`` plus noise."""
+    clean = synth.make_piecewise64()[0][::4, ::4]
+    return grid.convolve(clean, kernel) + sigma * synth.gaussian_field(clean.shape, seed)
+
+
+class TestRelaxedStep:
+    """`tv_restore_fixed_point` stretches each lagged step ``d = x - f_k`` to
+    ``solvers._RELAX * d``; the stretch descends because ``d`` is the line
+    minimizer of the lagged quadratic that majorizes the objective."""
+
+    @pytest.mark.parametrize("start", ["observation", "second-iterate"])
+    @pytest.mark.parametrize("cfg", [SolverConfig(forcing=0.0), SolverConfig(forcing=0.1),
+                                     SolverConfig(max_cg=2)],
+                             ids=["forcing-0", "forcing-0.1", "max-cg-2"])
+    @pytest.mark.parametrize("variant", list(TVVariant))
+    @pytest.mark.parametrize("kernel", RELAX_KERNELS, ids=RELAX_KERNEL_IDS)
+    def test_plain_step_is_line_minimizer_and_stretch_descends(self, kernel, variant, cfg,
+                                                               start):
+        g = blurred_piecewise16(kernel)
+        lam, alpha = 0.01, functionals.DEFAULT_ALPHA
+        params = RestoreParams(lam=lam, alpha=alpha, variant=variant, solver=cfg)
+        f_k = g.copy()
+        if start == "second-iterate":
+            f_k, _ = tv_restore_fixed_point(g, kernel, replace(
+                params, solver=SolverConfig(max_outer=2)))
+        x, iters, converged = solvers.lagged_restore_step(g, f_k, kernel, params)
+        if cfg.max_cg == 2:
+            assert iters == 2 and not converged
+        assert iters >= 1
+        d = x - f_k
+
+        wx, wy = functionals.diffusion_weights(f_k, alpha, variant)
+
+        def apply_A(v):
+            return (grid.convolve_adjoint(grid.convolve(v, kernel), kernel)
+                    + lam * functionals.apply_weighted_laplacian(wx, wy, v))
+
+        # the premise: along f_k + t d the lagged quadratic is least at t = 1
+        residual = grid.convolve_adjoint(g, kernel) - apply_A(f_k)
+        assert np.vdot(d, residual) / np.vdot(d, apply_A(d)) == pytest.approx(1.0, abs=1e-6)
+        before = tv_objective(f_k, g, kernel, lam, alpha, variant)
+        for omega in (0.5, 1.0, 1.5, 1.9):
+            after = tv_objective(f_k + omega * d, g, kernel, lam, alpha, variant)
+            assert after <= before + solvers.DESCENT_SLACK, omega
+
+    @pytest.mark.parametrize("kernel", RELAX_KERNELS, ids=RELAX_KERNEL_IDS)
+    def test_loop_takes_the_stretched_step(self, kernel):
+        # one outer step of the loop is the plain step stretched by _RELAX,
+        # and its recorded step norm is the stretched one
+        g = blurred_piecewise16(kernel)
+        params = RestoreParams(lam=0.01, solver=SolverConfig(max_outer=1))
+        x, _, _ = solvers.lagged_restore_step(g, g, kernel, params)
+        f, report = tv_restore_fixed_point(g, kernel, params)
+        np.testing.assert_allclose(f, g + solvers._RELAX * (x - g), rtol=0, atol=1e-14)
+        assert report.step_norm_history == [pytest.approx(np.linalg.norm(f - g), rel=1e-12)]
+
+    @pytest.mark.parametrize("kernel, variant", [
+        (Kernel.delta(), TVVariant.ISOTROPIC),
+        (Kernel.delta(), TVVariant.ANISOTROPIC),
+        (Kernel.gaussian(5, 1.0), TVVariant.ISOTROPIC),
+    ], ids=["delta-iso", "delta-aniso", "gaussian5-iso"])
+    def test_relaxed_loop_reaches_the_plain_fixed_point(self, kernel, variant):
+        g = blurred_piecewise16(kernel)
+        cfg = SolverConfig(tol_outer=1e-8, max_outer=500, tol_cg=1e-12, forcing=0.0)
+        params = RestoreParams(lam=0.01, variant=variant, solver=cfg)
+        f, report = tv_restore_fixed_point(g, kernel, params)
+        assert report.converged and report.objective_monotone
+        plain, plain_cg = g.copy(), 0
+        for _ in range(cfg.max_outer):
+            x, iters, ok = solvers.lagged_restore_step(g, plain, kernel, params)
+            assert ok
+            plain, step, plain_cg = x, np.linalg.norm(x - plain), plain_cg + iters
+            if step < cfg.tol_outer:
+                break
+        assert step < cfg.tol_outer
+        np.testing.assert_allclose(f, plain, rtol=0, atol=1e-6)
+        # and it gets there in fewer CG iterations than the plain steps
+        assert report.cg_iterations_total < plain_cg
 
 
 class TestFixedPointSolver:
