@@ -103,7 +103,7 @@ def _run_restore(args: argparse.Namespace) -> tuple:
     params = RestoreParams(
         lam=args.lam,
         alpha=args.alpha,
-        variant=TVVariant(args.variant),
+        variant=args.variant,
         solver=_solver_config(args),
     )
     f, report = restore.tv_deconvolve(g, kernel, params)
@@ -134,7 +134,7 @@ def _run_flow(args: argparse.Namespace) -> tuple:
     params = FlowParams(
         lam=args.lam,
         eps=args.eps,
-        variant=FlowVariant(args.variant),
+        variant=args.variant,
         solver=_solver_config(args),
     )
     w, report = estimate_flow(pair, params)

@@ -74,6 +74,8 @@ class FlowParams:
     step solved to ``solver.tol_cg``: it ignores ``solver.forcing`` and
     ``solver.max_outer``.  A ``lam``, ``eps`` or frame scale that overflows
     a lagged step raises `solvers.SolverDivergenceError` with the report.
+    ``variant`` may be given by its value (``"an"``, ``"tv"``); any other
+    raises ``ValueError``.
     """
 
     lam: float = 0.1
@@ -86,6 +88,7 @@ class FlowParams:
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if not 0 < self.eps < np.inf:
             raise ValueError(f"eps must be finite and positive, got {self.eps}")
+        self.variant = FlowVariant(self.variant)
 
 
 class DiffusionTensor(NamedTuple):
@@ -209,24 +212,22 @@ def flow_smoothness_weights(w: VectorField | np.ndarray, eps: float) -> np.ndarr
     return functionals.diffusion_weights(np.asarray(w), eps)[0]
 
 
-def _lagged_flow(pair, cfg, smoothing, scale, penalty, n_work):
+def _lagged_flow(pair, cfg, smoothing, penalty, n_work):
     """`solvers.lagged_loop` from zero flow on the coupled system
 
         [fx^2 + lam*S, fx*fy      ] [u]   [-fx*ft]
         [fx*fy,        fy^2 + lam*S] [v] = [-fy*ft]
 
     on the stacked (2, H, W) unknown, each step a CG solve under ``cfg``
-    from the current flow, with S (positive semi-definite) frozen there by
-    ``smoothing(w)``.  It returns ``(smooth, diag)``: ``smooth(z, out=,
-    work=)`` writes a smoothing of the whole stacked ``z`` into ``out``,
-    ``diag`` (H, W) is that smoothing's diagonal, and ``scale`` times each
-    is ``lam * S z`` and ``lam * diag(S)`` (``lam`` for the TV weighted
-    Laplacian, ``-lam`` for the image-driven tensor diffusion).  ``smooth``
-    gets the solve's ``n_work >= 2`` (2, H, W) work arrays, which the data
-    rows reuse after it; every CG iteration writes ``A w`` into one buffer
-    of its step, so no iteration allocates a field.  Each step's CG is
-    preconditioned by `_flow_preconditioner`, built once per step from
-    ``fx^2``, ``fy^2`` and ``lam * diag(S)``; it writes into the first two
+    from the current flow, with the smoothing ``lam * S`` (S positive
+    semi-definite) frozen there by ``smoothing(w)``.  It returns ``(smooth,
+    diag)``: ``smooth(z, out=, work=)`` writes ``lam * S z`` for the whole
+    stacked ``z`` into ``out``, and ``diag`` (H, W) is ``lam * diag(S)``.
+    ``smooth`` gets the solve's ``n_work >= 2`` (2, H, W) work arrays, which
+    the data rows reuse after it; every CG iteration writes ``A w`` into one
+    buffer of its step, so no iteration allocates a field.  Each step's CG
+    is preconditioned by `_flow_preconditioner`, built once per step from
+    the stacked ``(fx^2, fy^2)`` and ``diag``; it writes into the first two
     work arrays, which ``apply_A`` overwrites only after CG has read them.
     The objective is the squared OFC residual plus ``penalty(w)``.  The
     frame derivatives and the data terms are formed in the first step,
@@ -238,21 +239,18 @@ def _lagged_flow(pair, cfg, smoothing, scale, penalty, n_work):
 
     def step(wvec):
         fx, fy, ft = derivatives()
-        smooth, diag = smoothing(wvec)
-        fxx, fxy, fyy = fx * fx, fx * fy, fy * fy
-        precond = _flow_preconditioner(fxx, fyy, scale * diag, out=(tu, tv))
-        Aw = np.empty((2,) + fx.shape)
+        smooth, lam_diag = smoothing(wvec)
+        dd = np.stack([fx * fx, fy * fy])
+        fxy = fx * fy
+        precond = _flow_preconditioner(dd, lam_diag, out=(tu, tv))
+        Aw = np.empty(dd.shape)
 
         def apply_A(z):
-            u, v = z[0], z[1]
             smooth(z, out=Aw, work=work)
-            np.multiply(Aw, scale, out=Aw)
-            np.multiply(fxx, u, out=tu[0])
-            np.multiply(fxy, u, out=tu[1])
-            np.multiply(fxy, v, out=tv[0])
-            np.multiply(fyy, v, out=tv[1])
+            # row 0 is (fx^2 u + fx fy v) + lam S u, row 1 (fy^2 v + fx fy u) + lam S v
+            np.multiply(dd, z, out=tu)
+            np.multiply(fxy, z[::-1], out=tv)
             np.add(tu, tv, out=tu)
-            # each row is (fx^2 u + fx fy v) + lam S u, and likewise for v
             return np.add(Aw, tu, out=Aw)
 
         # b is passed, not held here: CG drops it after the first residual
@@ -283,14 +281,15 @@ def _cosine_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return modes, eigenvalues
 
 
-def _flow_preconditioner(fxx, fyy, lam_diag, out):
-    """An SPD approximation of the inverse of the flow system with data
-    diagonals ``fxx``, ``fyy`` and smoothing diagonal ``lam_diag`` (all
-    (H, W)): the Jacobi step plus a correction on the lowest cosine modes,
+def _flow_preconditioner(data_diag, lam_diag, out):
+    """An SPD approximation of the inverse of the flow system with the
+    stacked data diagonals ``data_diag`` ((2, H, W): ``fx^2`` and ``fy^2``)
+    and the diagonal ``lam_diag`` ((H, W)) of the smoothing ``lam * S``: the
+    Jacobi step plus a correction on the lowest cosine modes,
 
         z = r / diag + Cy^T [(Cy r Cx^T) o W] Cx
 
-    per channel, with ``diag`` the Jacobi diagonal ``(fxx, fyy) + lam_diag``
+    per channel, with ``diag`` the Jacobi diagonal ``data_diag + lam_diag``
     and ``Cy``, ``Cx`` the `_cosine_modes` of each axis.  On those modes the
     system is modelled with constant coefficients, as ``c + mu (e_k +
     e_l)`` with ``c`` the mean data diagonal and ``mu`` a quarter of the
@@ -302,14 +301,13 @@ def _flow_preconditioner(fxx, fyy, lam_diag, out):
     diagonal raises `SolverDivergenceError`.  The returned function writes
     ``z`` into ``out[0]`` and the prolonged correction into ``out[1]``
     ((2, H, W) arrays) and returns ``out[0]``."""
-    diag = np.stack([fxx, fyy])
-    c = float(np.mean(diag))
+    c = float(np.mean(data_diag))
     mu = 0.25 * float(np.mean(lam_diag))
-    diag += lam_diag
+    diag = data_diag + lam_diag
     if not (np.all(np.isfinite(diag)) and np.isfinite(c + 4.0 * mu)):
         raise SolverDivergenceError("non-finite Jacobi diagonal")
     inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
-    (cy, ey), (cx, ex) = _cosine_modes(fxx.shape[0]), _cosine_modes(fxx.shape[1])
+    (cy, ey), (cx, ex) = map(_cosine_modes, lam_diag.shape)
     e = ey[:, None] + ex
     # 1 / (c + mu e) - 1 / (c + 4 mu) over one denominator, which is zero
     # only for the zero operator
@@ -345,21 +343,24 @@ def flow_image_driven(
     with D the diffusion tensor of frame 1.  The system does not depend on
     the flow, so the solve is one lagged step from zero flow, solved to
     ``tol_cg`` by CG with `_lagged_flow`'s preconditioner, and it converged
-    when that step's CG did.
+    when that step's CG did.  The smoothing ``lam * S``, with ``S =
+    -div(D grad)``, is the tensor diffusion of ``-lam * D``, and its diagonal
+    that tensor's `tensor_diffusion_diagonal`.
     """
-    # built by the step, under `lagged_loop`'s overflow policy; the penalty reuses it
-    tensor = cache(lambda: diffusion_tensor(centered_gradient(pair.f1), params.eps))
+    # -lam D, built by the step under `lagged_loop`'s overflow policy; the penalty reuses it
+    tensor = cache(lambda: DiffusionTensor(*(
+        np.multiply(a, -params.lam, out=a)
+        for a in diffusion_tensor(centered_gradient(pair.f1), params.eps))))
 
     def penalty(wvec):
-        s = -apply_tensor_diffusion(tensor(), wvec)  # S u and S v
-        return params.lam * (inner(wvec[0], s[0]) + inner(wvec[1], s[1]))
+        s = apply_tensor_diffusion(tensor(), wvec)  # lam S u and lam S v
+        return inner(wvec[0], s[0]) + inner(wvec[1], s[1])
 
-    # S = -div(D grad), so lam * S is the tensor diffusion scaled by -lam
     def smoothing(wvec):
         return partial(apply_tensor_diffusion, tensor()), tensor_diffusion_diagonal(tensor())
 
     w, report = _lagged_flow(pair, replace(params.solver, max_outer=1, forcing=0.0),
-                             smoothing, -params.lam, penalty, n_work=3)
+                             smoothing, penalty, n_work=3)
     report.converged = report.cg_converged_history[0]
     return w, report
 
@@ -373,14 +374,14 @@ def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveRepo
     from zero flow.
     """
     def smoothing(wvec):
-        weights = flow_smoothness_weights(wvec, params.eps)
+        weights = params.lam * flow_smoothness_weights(wvec, params.eps)
         return (partial(functionals.apply_weighted_laplacian, weights, weights),
                 functionals.weighted_laplacian_diagonal(weights, weights))
 
     def penalty(wvec):
         return 2.0 * params.lam * functionals.tv_isotropic(wvec, params.eps)
 
-    return _lagged_flow(pair, params.solver, smoothing, params.lam, penalty, n_work=2)
+    return _lagged_flow(pair, params.solver, smoothing, penalty, n_work=2)
 
 
 def estimate_flow(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveReport]:

@@ -57,9 +57,12 @@ def _magnitudes(f: np.ndarray, alpha: float, variant: TVVariant) -> tuple[np.nda
 
     Isotropic: one array ``sqrt(dx^2 + dy^2 + alpha^2)``, the squares summed
     over the leading (channel) axes of a stacked field.  Anisotropic: two,
-    ``sqrt(dx^2 + alpha^2)`` and ``sqrt(dy^2 + alpha^2)``.
+    ``sqrt(dx^2 + alpha^2)`` and ``sqrt(dy^2 + alpha^2)``.  ``variant`` may
+    also be a member's value, such as ``"iso"``; any other raises
+    ``ValueError``.
     """
     _check_alpha(alpha)
+    variant = TVVariant(variant)
     a2 = alpha * alpha
     dx, dy = gradient(f)
     if variant is TVVariant.ISOTROPIC:

@@ -165,7 +165,11 @@ class Kernel:
             raise ValueError(f"gaussian sigma must be finite and positive, got {sigma}")
         half = size // 2
         x = np.arange(-half, half + 1, dtype=np.float64)
-        r = np.exp(-0.5 * (x / sigma) ** 2)
+        # past 40 sigma the weight exp(-800) is 0.0: x / sigma, which
+        # overflows for a tiny sigma, is formed only inside that range
+        near = np.abs(x) / 40.0 <= sigma
+        r = np.zeros_like(x)
+        r[near] = np.exp(-0.5 * (x[near] / sigma) ** 2)
         w = np.outer(r, r)
         return cls(w / w.sum())
 

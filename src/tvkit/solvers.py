@@ -113,7 +113,8 @@ class SolverConfig:
 
 @dataclass
 class RestoreParams:
-    """Knobs for the TV restoration problems."""
+    """Knobs for the TV restoration problems.  ``variant`` may be given by
+    its value (``"iso"``, ``"aniso"``); any other raises ``ValueError``."""
 
     lam: float = 0.05
     alpha: float = functionals.DEFAULT_ALPHA
@@ -124,6 +125,7 @@ class RestoreParams:
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         functionals._check_alpha(self.alpha)
+        self.variant = TVVariant(self.variant)
 
 
 def _monotone(history: list[float]) -> bool:

@@ -54,14 +54,22 @@ class TestInputValidation:
         (lambda: endpoint_error(VectorField(np.zeros((4, 4)), np.zeros((4, 4))),
                                 VectorField(np.zeros((4, 5)), np.zeros((4, 5)))),
          "flow shapes must match"),
-        # the variant's value, not the enum member
-        (lambda: estimate_flow(ramp_pair(), FlowParams(variant="tv")),
-         "unknown flow variant 'tv'"),
+        # a value that names no variant fails at construction
+        (lambda: FlowParams(variant="bogus"), "'bogus' is not a valid FlowVariant"),
         (lambda: FramePair(np.zeros((0, 4)), np.zeros((0, 4))), "field has no pixels"),
     ], ids=["ofc-residual-shapes", "endpoint-error-shapes", "variant-string", "frame-pair-empty"])
     def test_malformed_input_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize("variant", list(FlowVariant))
+    def test_variant_given_by_value(self, variant):
+        pair, _ = synth.make_split_motion()
+        params = FlowParams(lam=0.003, eps=0.05, variant=variant.value)
+        assert params.variant is variant
+        w, _ = estimate_flow(pair, params)
+        want, _ = estimate_flow(pair, FlowParams(lam=0.003, eps=0.05, variant=variant))
+        assert np.array_equal(w.u, want.u) and np.array_equal(w.v, want.v)
 
 
 class TestImageDerivatives:
@@ -205,19 +213,19 @@ class TestTensorDiffusion:
         assert peak_allocation(lambda: apply_tensor_diffusion(t, z)) >= 4 * z.nbytes
 
 
-def _per_channel_linear_flow(fx, fy, ft, lam, apply_smooth, smooth_diag, x0, cfg, forcing):
-    """The coupled flow system with S applied to u and to v in turn and a
-    fresh array for every term: the reference for the stacked solve.  It
-    builds the solve's preconditioner from the same diagonals, S's being
-    ``smooth_diag``."""
+def _per_channel_linear_flow(fx, fy, ft, apply_smooth, smooth_diag, x0, cfg, forcing):
+    """The coupled flow system with the smoothing lam*S applied to u and to v
+    in turn and a fresh array for every term: the reference for the stacked
+    solve.  It builds the solve's preconditioner from the same diagonals,
+    lam*S's being ``smooth_diag``."""
     b = np.stack([-fx * ft, -fy * ft])
 
     def apply_A(wvec):
         u, v = wvec[0], wvec[1]
-        return np.stack([fx * fx * u + fx * fy * v + lam * apply_smooth(u),
-                         fx * fy * u + fy * fy * v + lam * apply_smooth(v)])
+        return np.stack([fx * fx * u + fx * fy * v + apply_smooth(u),
+                         fx * fy * u + fy * fy * v + apply_smooth(v)])
 
-    precond = flow._flow_preconditioner(fx * fx, fy * fy, lam * smooth_diag,
+    precond = flow._flow_preconditioner(np.stack([fx * fx, fy * fy]), smooth_diag,
                                         out=(np.empty(b.shape), np.empty(b.shape)))
     return solvers.conjugate_gradient(apply_A, b, x0=x0, cfg=cfg, precond=precond,
                                       forcing=forcing)
@@ -227,9 +235,10 @@ def per_channel_flow_tv(pair, params):
     fx, fy, ft = image_derivatives(pair)
 
     def step(wvec):
-        weights = flow_smoothness_weights(VectorField(wvec[0], wvec[1]), params.eps)
+        weights = params.lam * flow_smoothness_weights(VectorField(wvec[0], wvec[1]),
+                                                       params.eps)
         return _per_channel_linear_flow(
-            fx, fy, ft, params.lam,
+            fx, fy, ft,
             lambda z: functionals.apply_weighted_laplacian(weights, weights, z),
             functionals.weighted_laplacian_diagonal(weights, weights),
             wvec, params.solver, params.solver.forcing)
@@ -244,16 +253,18 @@ def per_channel_flow_tv(pair, params):
 
 def per_channel_flow_image_driven(pair, params):
     fx, fy, ft = image_derivatives(pair)
+    # lam*S = -lam*div(D grad) is the diffusion of the tensor -lam*D
     t = diffusion_tensor(flow.centered_gradient(pair.f1), params.eps)
+    t = flow.DiffusionTensor(*(-params.lam * a for a in t))
 
     def apply_smooth(z):
-        return -apply_tensor_diffusion(t, z)
+        return apply_tensor_diffusion(t, z)
 
     wvec, iters, ok = _per_channel_linear_flow(
-        fx, fy, ft, params.lam, apply_smooth, -tensor_diffusion_diagonal(t),
+        fx, fy, ft, apply_smooth, tensor_diffusion_diagonal(t),
         np.zeros((2,) + pair.shape), params.solver, 0.0)
     r = ofc_residual(fx, fy, ft, VectorField(wvec[0], wvec[1]))
-    energy = float(np.sum(r * r)) + params.lam * (
+    energy = float(np.sum(r * r)) + (
         inner(wvec[0], apply_smooth(wvec[0])) + inner(wvec[1], apply_smooth(wvec[1])))
     return wvec, iters, ok, energy
 
@@ -293,6 +304,55 @@ class TestStackedSolves:
         assert report.step_norm_history == [float(np.linalg.norm(wvec))]
 
 
+class TestDenseOperator:
+    """Each lagged step's CG operator, materialized, against the dense block
+    matrix [[diag(fx^2) + lam S, diag(fx fy)], [diag(fx fy), diag(fy^2) + lam S]]
+    with S built from the public smoothing operators."""
+
+    @pytest.mark.parametrize("variant", list(FlowVariant))
+    def test_matches_block_matrix(self, monkeypatch, variant):
+        rng = np.random.default_rng(131)
+        shape = (5, 6)
+        pair = FramePair(rng.uniform(0.0, 1.0, shape), rng.uniform(0.0, 1.0, shape))
+        params = FlowParams(lam=0.3, eps=0.05, variant=variant,
+                            solver=SolverConfig(max_outer=3, forcing=0.0))
+        steps, diagonals = [], []
+        cg, build_precond = solvers.conjugate_gradient, flow._flow_preconditioner
+
+        def capture_cg(apply_A, b, x0, **kwargs):
+            steps.append((materialize(apply_A, b.shape), np.array(x0)))
+            return cg(apply_A, b, x0=x0, **kwargs)
+
+        def capture_precond(data_diag, lam_diag, out):
+            diagonals.append(data_diag + lam_diag)
+            return build_precond(data_diag, lam_diag, out)
+
+        monkeypatch.setattr(solvers, "conjugate_gradient", capture_cg)
+        monkeypatch.setattr(flow, "_flow_preconditioner", capture_precond)
+        estimate_flow(pair, params)
+
+        fx, fy, ft = image_derivatives(pair)
+        tensor = diffusion_tensor(flow.centered_gradient(pair.f1), params.eps)
+        if variant is FlowVariant.TV:
+            # the first step is frozen at zero flow, the later ones are not
+            assert len(steps) == 3 and np.any(steps[1][1])
+        for (dense, w), jacobi in zip(steps, diagonals, strict=True):
+            if variant is FlowVariant.TV:
+                weights = flow_smoothness_weights(w, params.eps)
+                s = materialize(
+                    lambda z: functionals.apply_weighted_laplacian(weights, weights, z), shape)
+            else:
+                s = materialize(lambda z: -apply_tensor_diffusion(tensor, z), shape)
+            want = np.block([[np.diag((fx * fx).ravel()) + params.lam * s,
+                              np.diag((fx * fy).ravel())],
+                             [np.diag((fx * fy).ravel()),
+                              np.diag((fy * fy).ravel()) + params.lam * s]])
+            atol = 1e-13 * np.abs(want).max()
+            np.testing.assert_allclose(dense, want, rtol=0, atol=atol)
+            np.testing.assert_allclose(dense, dense.T, rtol=0, atol=atol)
+            np.testing.assert_allclose(np.diag(dense), jacobi.ravel(), rtol=0, atol=atol)
+
+
 class TestTensorDiffusionDiagonal:
     @pytest.mark.parametrize("shape", [(5, 7), (1, 6), (6, 1), (1, 1)])
     def test_matches_unit_vector_probes(self, shape):
@@ -325,7 +385,7 @@ class TestFlowPreconditioner:
         weights = flow_smoothness_weights(rng.standard_normal((2,) + shape), 0.05)
         lam_diag = 0.1 * functionals.weighted_laplacian_diagonal(weights, weights)
         out = (np.empty((2,) + shape), np.empty((2,) + shape))
-        precond = flow._flow_preconditioner(fx * fx, fy * fy, lam_diag, out)
+        precond = flow._flow_preconditioner(np.stack([fx * fx, fy * fy]), lam_diag, out)
         dense = materialize(precond, (2,) + shape)
         np.testing.assert_allclose(dense, dense.T, rtol=0, atol=1e-12)
         inv_diag = 1.0 / (np.stack([fx * fx, fy * fy]) + lam_diag).ravel()
@@ -334,9 +394,9 @@ class TestFlowPreconditioner:
         assert np.linalg.eigvalsh(dense).min() > 0.0
 
     def test_non_finite_diagonal_raises(self):
-        ones = np.ones((4, 5))
         with pytest.raises(SolverDivergenceError, match="non-finite Jacobi diagonal"):
-            flow._flow_preconditioner(ones, ones, np.full((4, 5), np.inf), (None, None))
+            flow._flow_preconditioner(np.ones((2, 4, 5)), np.full((4, 5), np.inf),
+                                      (None, None))
 
     @pytest.mark.parametrize("frames", [
         (np.full((1, 1), 0.2), np.full((1, 1), 0.7)),

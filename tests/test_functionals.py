@@ -314,3 +314,16 @@ class TestObjective:
         for lam in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 tv_objective(g, g, Kernel.delta(), lam)
+        with pytest.raises(ValueError, match="not a valid TVVariant"):
+            tv_objective(g, g, Kernel.delta(), 0.1, variant="nonsense")
+
+    @pytest.mark.parametrize("variant", list(TVVariant))
+    def test_variant_given_by_value(self, variant):
+        rng = np.random.default_rng(53)
+        f, g = rng.standard_normal((2, 5, 6))
+        k = Kernel.box(3)
+        assert tv_objective(f, g, k, 0.1, variant=variant.value) == tv_objective(
+            f, g, k, 0.1, variant=variant)
+        for a, b in zip(diffusion_weights(f, variant=variant.value),
+                        diffusion_weights(f, variant=variant)):
+            assert np.array_equal(a, b)

@@ -45,6 +45,19 @@ class TestKernel:
             with pytest.raises(ValueError, match="sigma"):
                 Kernel.gaussian(3, sigma)
 
+    @pytest.mark.parametrize("sigma", [1e-200, 5e-324])
+    def test_gaussian_tiny_sigma_is_delta_without_warning(self, sigma):
+        # x / sigma would overflow past the taps; those weights are 0 anyway
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = Kernel.gaussian(5, sigma)
+        assert np.array_equal(k.weights, Kernel.delta(5).weights)
+
+    def test_gaussian_unit_sigma_samples(self):
+        r = np.exp(-0.5 * np.arange(-2.0, 3.0) ** 2)
+        w = np.outer(r, r)
+        assert np.array_equal(Kernel.gaussian(5, 1.0).weights, w / w.sum())
+
     def test_factories_normalized(self):
         for k in (Kernel.box(3), Kernel.binomial3(), Kernel.gaussian(5, 0.8),
                   Kernel.motion_horizontal(3), Kernel.motion_vertical(5)):

@@ -209,10 +209,20 @@ class TestGeneralizedTikhonov:
 
 class TestTVDenoise:
     @pytest.mark.parametrize("bad", [dict(lam=np.nan), dict(lam=np.inf), dict(lam=-0.1),
-                                     dict(alpha=np.inf), dict(alpha=np.nan), dict(alpha=0.0)])
+                                     dict(alpha=np.inf), dict(alpha=np.nan), dict(alpha=0.0),
+                                     dict(variant="bogus")])
     def test_params_validated(self, bad):
         with pytest.raises(ValueError):
             RestoreParams(**bad)
+
+    @pytest.mark.parametrize("variant", list(functionals.TVVariant))
+    def test_variant_given_by_value(self, variant):
+        # the value solves the member's problem, not the anisotropic one
+        _, noisy = noisy_step(12, 12)
+        params = RestoreParams(lam=0.1, variant=variant.value)
+        assert params.variant is variant
+        f, _ = tv_denoise(noisy, params)
+        assert np.array_equal(f, tv_denoise(noisy, RestoreParams(lam=0.1, variant=variant))[0])
 
     def test_zero_penalty_returns_observation(self):
         rng = np.random.default_rng(19)
