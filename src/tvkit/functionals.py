@@ -59,16 +59,24 @@ def _magnitudes(f: np.ndarray, alpha: float, variant: TVVariant) -> tuple[np.nda
     over the leading (channel) axes of a stacked field.  Anisotropic: two,
     ``sqrt(dx^2 + alpha^2)`` and ``sqrt(dy^2 + alpha^2)``.  ``variant`` may
     also be a member's value, such as ``"iso"``; any other raises
-    ``ValueError``.
+    ``ValueError``.  Computed in float64 whatever ``f``'s dtype, so the
+    energies and the weights stay float64.
     """
     _check_alpha(alpha)
     variant = TVVariant(variant)
     a2 = alpha * alpha
-    dx, dy = gradient(f)
+    # in place in the gradient's two arrays: the same operations, no temporaries
+    dx, dy = gradient(np.asarray(f, dtype=np.float64))
+    dx *= dx
+    dy *= dy
     if variant is TVVariant.ISOTROPIC:
-        t = dx * dx + dy * dy
-        return (np.sqrt(t.reshape((-1,) + t.shape[-2:]).sum(axis=0) + a2),)
-    return np.sqrt(dx * dx + a2), np.sqrt(dy * dy + a2)
+        dx += dy
+        t = dx if dx.ndim == 2 else dx.reshape((-1,) + dx.shape[-2:]).sum(axis=0)
+        t += a2
+        return (np.sqrt(t, out=t),)
+    dx += a2
+    dy += a2
+    return np.sqrt(dx, out=dx), np.sqrt(dy, out=dy)
 
 
 def _energy(f: np.ndarray, alpha: float, variant: TVVariant) -> float:
@@ -88,7 +96,7 @@ def tv_anisotropic(f: np.ndarray, alpha: float = DEFAULT_ALPHA) -> float:
     """Anisotropic (L1) TV: ``M*N*alpha + sum(|dx| + |dy|)``; the sum runs
     over every channel of a stacked ``(C, M, N)`` field."""
     _check_alpha(alpha)
-    dx, dy = gradient(f)
+    dx, dy = gradient(np.asarray(f, dtype=np.float64))
     h, w = np.shape(f)[-2:]
     return float(h * w * alpha + np.sum(np.abs(dx)) + np.sum(np.abs(dy)))
 
@@ -112,7 +120,7 @@ def diffusion_weights(
     summed over the channels of a stacked field; anisotropic: each axis
     gets its own ``1/sqrt(d^2 + alpha^2)``.
     """
-    w = tuple(1.0 / m for m in _magnitudes(f, alpha, variant))
+    w = tuple(np.divide(1.0, m, out=m) for m in _magnitudes(f, alpha, variant))
     # the isotropic variant has one term: both axes share its weight array
     return w if len(w) == 2 else w * 2
 
@@ -131,6 +139,8 @@ def apply_weighted_laplacian(
     axes of a stacked ``v``.  ``out`` (shaped like ``v``) receives the
     result and is returned; ``work``, two more arrays shaped like ``v``,
     holds the weighted gradient.  Without them the call allocates both.
+    Like `grid`'s operators it keeps a float32 ``v`` in float32, and then
+    ``out`` and ``work`` must be float32 too.
     """
     gx, gy = gradient(v, out=work)
     gx *= wx
@@ -190,6 +200,8 @@ def tv_objective(
         raise ValueError("estimate and observation must have the same shape")
     if not 0 <= lam < np.inf:
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
-    r = convolve(f, kernel) - np.asarray(g, dtype=np.float64)
-    fidelity = 0.5 * float(np.sum(r * r))
+    r = convolve(np.asarray(f, dtype=np.float64), kernel)
+    r -= np.asarray(g, dtype=np.float64)
+    r *= r
+    fidelity = 0.5 * float(np.sum(r))
     return fidelity + lam * _energy(f, alpha, variant)

@@ -5,6 +5,13 @@ Conventions used throughout the package:
 * A scalar field is a 2D ``float64`` array of shape ``(height, width)``,
   indexed ``f[j, i]`` with ``i`` the column (x) and ``j`` the row (y).
   Intensities are nominally in ``[0, 1]`` but the range is not enforced.
+* A ``float32`` field stays ``float32``: `convolve`, `convolve_adjoint`,
+  `gradient` and `divergence` compute in the field's precision and return
+  it, and an ``out=`` must have that dtype.  Any other dtype is read as
+  ``float64``.  The kernel's band blocks and taps are cast once per dtype
+  and kept with the kernel.  The float32 path serves the inner correction
+  solves of `solvers.lagged_restore_step`; float64 results do not depend
+  on it.
 * Grid spacing is 1 in both directions.
 * All difference operators use forward differences with a replicate
   (clamp-to-edge) boundary: the forward difference in the last column/row
@@ -126,15 +133,26 @@ class Kernel:
     def _bands(self) -> dict:
         return {}
 
-    def _band(self, axis: int, n: int, adjoint: bool) -> list:
+    def _band(self, axis: int, n: int, adjoint: bool, dtype=np.float64) -> list:
         """`_band` of the pass ``_passes[axis]`` (0 the column, 1 the row)
         for an axis of length ``n``, built on first use and kept with the
-        kernel."""
+        kernel; the float32 blocks are cast once from the float64 ones."""
         key = (axis, n, adjoint)
+        if dtype == np.float32:
+            key += ("float32",)
         if key not in self._bands:
+            band = (_band(self._passes[axis], n, adjoint) if len(key) == 3 else
+                    [(r0, lo, m.astype(dtype)) for r0, lo, m in self._band(axis, n, adjoint)])
             # two threads may both build it; every caller gets the one kept
-            self._bands.setdefault(key, _band(self._passes[axis], n, adjoint))
+            self._bands.setdefault(key, band)
         return self._bands[key]
+
+    @cached_property
+    def _taps32(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float32 taps of `_blur`'s patch-strip passes: the weights
+        and the flipped weights of the adjoint, flat."""
+        w = self.weights
+        return np.ravel(w).astype(np.float32), np.ravel(w[::-1, ::-1]).astype(np.float32)
 
     @classmethod
     def delta(cls, size: int = 1) -> "Kernel":
@@ -214,13 +232,13 @@ def gradient(f: np.ndarray, out: Optional[Sequence[np.ndarray]] = None) -> Vecto
     Returns ``(u, v)`` with ``u[j, i] = f[j, i+1] - f[j, i]`` (x direction)
     and ``v[j, i] = f[j+1, i] - f[j, i]`` (y direction).  Differences run
     over the last two axes, so a stacked ``(C, H, W)`` field gives the C
-    channel gradients.  ``out``, a pair of C-contiguous float64 arrays
-    shaped like ``f``, receives ``(u, v)`` and is returned; every entry is
-    written.
+    channel gradients.  ``out``, a pair of C-contiguous arrays shaped like
+    ``f`` and of its dtype (`_dtype`), receives ``(u, v)`` and is returned;
+    every entry is written.
     """
-    f = np.ascontiguousarray(f, dtype=np.float64)
+    f = np.ascontiguousarray(f, dtype=_dtype(f))
     u, v = (None, None) if out is None else out
-    u, v = _out(u, f.shape), _out(v, f.shape)
+    u, v = _out(u, f.shape, f.dtype), _out(v, f.shape, f.dtype)
     # differences of the flat arrays, one pass each; the ones that straddle
     # a row (channel) end fall on the last column (row) and are zeroed
     ff, n = f.reshape(-1), f.shape[-1]
@@ -237,15 +255,15 @@ def divergence(p: VectorField, out: Optional[np.ndarray] = None) -> np.ndarray:
     Satisfies ``inner(gradient(f).u, p.u) + inner(gradient(f).v, p.v)
     == -inner(f, divergence(p))`` for all fields.  Like `gradient` it acts
     on the last two axes, so a stacked field gives its channel divergences.
-    ``out``, a C-contiguous float64 array shaped like ``p.u`` and distinct
-    from both components, receives the result and is returned; every entry
-    is written.
+    ``out``, a C-contiguous array shaped like ``p.u``, of its dtype and
+    distinct from both components, receives the result and is returned;
+    every entry is written.
     """
-    u = np.ascontiguousarray(p.u, dtype=np.float64)
-    v = np.asarray(p.v, dtype=np.float64)
+    u = np.ascontiguousarray(p.u, dtype=_dtype(p.u))
+    v = np.asarray(p.v, dtype=u.dtype)
     if u.shape != v.shape:
         raise ValueError(f"vector field components differ: {u.shape} vs {v.shape}")
-    out = _out(out, u.shape)
+    out = _out(out, u.shape, u.dtype)
     # x part u[i] - u[i-1], reading u as zero left of column 0 and in the
     # last column: one flat pass, then both edge columns rewritten
     if u.shape[-1] > 1:
@@ -262,16 +280,24 @@ def divergence(p: VectorField, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _out(out: Optional[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """The buffer of an ``out=``: a new array of ``shape`` when ``out`` is
-    None, else ``out`` itself, which must be a C-contiguous float64 array of
-    ``shape``, the one rule of every ``out=`` in this module: numpy would
-    broadcast into a larger one or cast into another dtype without a word,
-    and a flat view of a strided one would be a copy whose writes are lost."""
+def _dtype(f) -> type:
+    """The precision an operator computes ``f`` in: float32 for a float32
+    array, float64 for anything else."""
+    return np.float32 if getattr(f, "dtype", None) == np.float32 else np.float64
+
+
+def _out(out: Optional[np.ndarray], shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """The buffer of an ``out=``: a new array of ``shape`` and ``dtype`` when
+    ``out`` is None, else ``out`` itself, which must be a C-contiguous array
+    of ``shape`` and ``dtype``, the one rule of every ``out=`` in this
+    module: numpy would broadcast into a larger one or cast into another
+    dtype without a word, and a flat view of a strided one would be a copy
+    whose writes are lost."""
+    dtype = np.dtype(dtype)
     if out is None:
-        return np.empty(shape)
-    if not (out.shape == shape and out.dtype == np.float64 and out.flags.c_contiguous):
-        raise ValueError(f"out= must be a C-contiguous float64 array of shape {shape}")
+        return np.empty(shape, dtype)
+    if not (out.shape == shape and out.dtype == dtype and out.flags.c_contiguous):
+        raise ValueError(f"out= must be a C-contiguous {dtype} array of shape {shape}")
     return out
 
 
@@ -291,7 +317,7 @@ def pad_edge(f: np.ndarray, cy: int, cx: int) -> np.ndarray:
 def _pad_zero(f: np.ndarray, py: int, px: int) -> np.ndarray:
     """Extend ``f`` by ``py`` rows and ``px`` columns of zeros on each side."""
     h, w = f.shape
-    fz = np.zeros((h + 2 * py, w + 2 * px))
+    fz = np.zeros((h + 2 * py, w + 2 * px), f.dtype)
     fz[py : py + h, px : px + w] = f
     return fz
 
@@ -315,38 +341,41 @@ def _strips(fp: np.ndarray, kh: int, kw: int):
     a)`` is ``fp[top + b : top + b + n, a : a + W]`` flattened, where ``(H,
     W)`` is the shape of ``fp`` less the kernel's extent.  Each strip is
     one copy from a strided view of ``fp`` into a buffer of about
-    `_STRIP_FLOATS` floats (at least one row), allocated per call, so a
-    kernel stays safe to share between threads; the buffer is refilled for
-    every strip, so ``P`` is valid only until the next one."""
-    fp = np.ascontiguousarray(fp, dtype=np.float64)
+    `_STRIP_FLOATS` floats (at least one row) of ``fp``'s precision
+    (`_dtype`), allocated per call, so a kernel stays safe to share between
+    threads; the buffer is refilled for every strip, so ``P`` is valid only
+    until the next one."""
+    fp = np.ascontiguousarray(fp, dtype=_dtype(fp))
     h, wd = fp.shape[0] - kh + 1, fp.shape[1] - kw + 1
     k = kh * kw
     rows = min(h, max(1, _STRIP_FLOATS // (k * wd)))
-    buf = np.empty(k * rows * wd)
+    buf = np.empty(k * rows * wd, fp.dtype)
     s0, s1 = fp.strides
     for top in range(0, h, rows):
         n = min(rows, h - top)
         p = buf[: k * n * wd]
         # the windows as one (kh, kw, n, W) view: np.ndarray builds it in
         # 0.45 us, as_strided in 3.1 us
-        view = np.ndarray((kh, kw, n, wd), np.float64, fp, top * s0, (s0, s1, s0, s1))
+        view = np.ndarray((kh, kw, n, wd), fp.dtype, fp, top * s0, (s0, s1, s0, s1))
         np.copyto(p.reshape(kh, kw, n, wd), view)
         yield top, n, p.reshape(k, n * wd)
 
 
-def _taps(fp: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _taps(fp: np.ndarray, w: np.ndarray, out: Optional[np.ndarray] = None,
+          taps: Optional[np.ndarray] = None) -> np.ndarray:
     """``out = sum_ba w[b, a] * fp[b:b+H, a:a+W]``, where ``(H, W)`` is the
     shape of ``fp`` less the kernel's extent: one BLAS product of the taps
     with each patch strip of `_strips`, written straight into that strip's
-    rows of ``out``, which may hold anything beforehand.  Every tap enters
-    the product, zeros too, so a zero tap against a non-finite sample gives
-    NaN (``0 * inf``) with an optimized BLAS, and an overflow in the
-    product raises numpy's floating-point warnings.  The overflow policy of
+    rows of ``out``, which may hold anything beforehand.  ``taps``, if
+    given, is ``w`` flat in ``fp``'s precision (`Kernel._taps32`).  Every
+    tap enters the product, zeros too, so a zero tap against a non-finite
+    sample gives NaN (``0 * inf``) with an optimized BLAS, and an overflow
+    in the product raises numpy's floating-point warnings.  The overflow policy of
     the solve drivers silences both, and their non-finite check raises
     `SolverDivergenceError`."""
     kh, kw = w.shape
-    out = _out(out, (fp.shape[0] - kh + 1, fp.shape[1] - kw + 1))
-    taps = np.ravel(w)
+    out = _out(out, (fp.shape[0] - kh + 1, fp.shape[1] - kw + 1), _dtype(fp))
+    taps = np.ravel(w) if taps is None else taps
     for top, n, p in _strips(fp, kh, kw):
         np.matmul(taps, p, out=out[top : top + n].reshape(-1))
     return out
@@ -397,24 +426,28 @@ def _blur(f: np.ndarray, kernel: Kernel, adjoint: bool, out: Optional[np.ndarray
     row)``, or ``C_col^T @ f @ C_row`` when ``adjoint``: the column pass
     writes one intermediate, which the row pass reads through transposed
     views; a line kernel runs its one pass straight into ``out``, and a
-    kernel of one centred tap is one multiply."""
-    x = np.asarray(f, dtype=np.float64)
-    out = _out(out, x.shape)
+    kernel of one centred tap is one multiply.  Every pass runs in the
+    field's precision (`_dtype`)."""
+    x = np.asarray(f, dtype=_dtype(f))
+    out = _out(out, x.shape, x.dtype)
     kh, kw = kernel.shape
-    if kernel.factors is None and not adjoint:
-        return _taps(pad_edge(x, kh // 2, kw // 2), kernel.weights, out)
     if kernel.factors is None:
-        spread = _taps(_pad_zero(x, kh - 1, kw - 1), kernel.weights[::-1, ::-1])
+        w = kernel.weights[::-1, ::-1] if adjoint else kernel.weights
+        taps = kernel._taps32[adjoint] if x.dtype == np.float32 else None
+        if not adjoint:
+            return _taps(pad_edge(x, kh // 2, kw // 2), w, out, taps)
+        spread = _taps(_pad_zero(x, kh - 1, kw - 1), w, taps=taps)
         np.copyto(out, _fold_edge(spread, kh // 2, kw // 2))
         return out
     col, row = kernel._passes
     if col is None and row is None:
-        return np.multiply(kernel.weights[kh // 2, kw // 2], x, out=out)
+        # a Python float keeps a float32 field's multiply in float32
+        return np.multiply(float(kernel.weights[kh // 2, kw // 2]), x, out=out)
     if col is not None:
-        x = _band_rows(kernel._band(0, x.shape[0], adjoint), x,
-                       out if row is None else np.empty(x.shape))
+        x = _band_rows(kernel._band(0, x.shape[0], adjoint, x.dtype), x,
+                       out if row is None else np.empty(x.shape, x.dtype))
     if row is not None:
-        _band_rows(kernel._band(1, x.shape[1], adjoint), x.T, out.T)
+        _band_rows(kernel._band(1, x.shape[1], adjoint, x.dtype), x.T, out.T)
     return out
 
 
@@ -428,9 +461,9 @@ def convolve(f: np.ndarray, kernel: Kernel, out: Optional[np.ndarray] = None) ->
     strips to rounding; the pass of a factor that is one centred tap is
     skipped (`_blur`).  A kernel without factors (rank above 1, or all
     zero) runs as one product of its taps with each patch strip of the
-    edge-padded field (`_taps`).  ``out``, a C-contiguous float64 array
-    shaped like ``f`` and distinct from it, receives the result and is
-    returned; every entry is written.
+    edge-padded field (`_taps`).  ``out``, a C-contiguous array shaped like
+    ``f``, of its dtype (`_dtype`) and distinct from it, receives the result
+    and is returned; every entry is written.
     """
     return _blur(f, kernel, False, out)
 
@@ -446,9 +479,9 @@ def convolve_adjoint(f: np.ndarray, kernel: Kernel,
     contribution over the padded grid, then folds the pad back onto the
     border.  So ``inner(convolve(x, k), y) == inner(x, convolve_adjoint(y,
     k))`` holds to rounding for all x, y.  The result is a new C-contiguous
-    array, or ``out``: a C-contiguous float64 array shaped like ``f`` and
-    distinct from it, which receives the result and is returned; every
-    entry is written.
+    array, or ``out``: a C-contiguous array shaped like ``f``, of its dtype
+    (`_dtype`) and distinct from it, which receives the result and is
+    returned; every entry is written.
     """
     return _blur(f, kernel, True, out)
 

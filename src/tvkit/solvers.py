@@ -41,12 +41,22 @@ Vogel & Oman, SISC 1996), or to ``tol_cg * ||b||`` if that is looser.
 Near the fixed point the warm-start residual shrinks and the ``tol_cg``
 test takes over.  ``SolverConfig().forcing`` is 0.1; ``forcing=0`` solves
 every step to ``tol_cg``.
+
+A lagged restore step whose CG stops that early need not run it in
+float64: from a forcing term of `_MIXED_FORCING` (1e-2) on,
+`lagged_restore_step` forms the warm-start residual in float64 and solves
+the correction it asks for in float32, five orders of magnitude above
+float32's rounding (iterative refinement with a low-precision inner solve;
+Carson & Higham, SISC 2018).  The iterate, the residual, the objective and
+the report stay float64, and each float32 CG iteration streams half the
+bytes of a float64 one.  ``forcing=0``, flow and the linear estimators run
+in float64 throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,6 +76,14 @@ DESCENT_SLACK = 1e-9
 # output as close to the minimizer as the exact-CG one at no higher
 # objective (tests/test_restore.py::TestForcingQuality).
 _RELAX = 1.5
+# forcing terms from which `lagged_restore_step` solves its correction in
+# float32: its CG then stops at a hundredth of its start or looser, five
+# orders above float32's rounding (6e-8)
+_MIXED_FORCING = 1e-2
+# the range the Jacobi diagonal of a float32 correction solve must lie in,
+# so that the unit-scaled residual, the directions and the operator's
+# entries stay far inside float32's normal numbers (1.2e-38 to 3.4e38)
+_F32_SAFE = (2.0**-40, 2.0**40)
 
 
 class SolverDivergenceError(RuntimeError):
@@ -86,7 +104,9 @@ class SolverConfig:
     ``forcing`` (``0 <= forcing < 1``) lets each warm-started lagged step
     stop its CG at ``forcing`` times its starting residual; 0 solves every
     step to ``tol_cg``.  0.3 halved the CG work of 0.1 again but cost up to
-    0.17 dB.
+    0.17 dB.  From `_MIXED_FORCING` (1e-2) on, a restore step solves its
+    correction in float32 (`lagged_restore_step`); below it, every restore
+    solve runs in float64.
     """
 
     tol_outer: Optional[float] = None
@@ -191,19 +211,28 @@ def conjugate_gradient(
     3. not converged, on a search direction of zero curvature (the null
        space of a semi-definite operator), counting the iterations before it.
 
+    A float32 ``b`` keeps the solve in float32: ``x0`` is cast to it, and
+    ``apply_A`` and ``precond`` are called on float32 vectors; any other
+    ``b`` is read as float64.  Without ``x0`` the solve starts at zero with
+    ``r0 = b`` and calls ``apply_A`` first in iteration 1.
+
     Runs with numpy's overflow and invalid warnings off: a non-finite
     residual or curvature raises `SolverDivergenceError` (indefinite or
     ill-posed operator).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cfg = cfg or SolverConfig()
-        b = np.asarray(b, dtype=np.float64)
+        b = np.asarray(b)
+        b = np.asarray(b, dtype=np.float32 if b.dtype == np.float32 else np.float64)
         bnorm = float(np.sqrt(np.vdot(b, b)))
         if bnorm == 0.0:
             return np.zeros_like(b), 0, True
-        # private copy: x, r and p are updated in place
-        x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
-        r = b - apply_A(x)
+        # private copies: x, r and p are updated in place
+        if x0 is None:
+            x, r = np.zeros_like(b), b.copy()
+        else:
+            x = np.array(x0, dtype=b.dtype)
+            r = b - apply_A(x)
         del b  # not needed past the first residual: one vector less to hold
         rs = float(np.vdot(r, r))
         if not np.isfinite(rs):
@@ -297,23 +326,55 @@ def lagged_loop(
     return x, report
 
 
+def _lagged_operator(kernel: Kernel, wx: np.ndarray, wy: np.ndarray, lam: Optional[float],
+                     shape: tuple[int, ...], dtype=np.float64) -> Callable:
+    """``apply_A(x) = H^T H x + lam L(w) x`` of a lagged step, written into
+    four buffers of ``shape`` and ``dtype`` allocated once: ``A x``, one that
+    holds ``H x`` and then ``lam L(w) x``, and the two work arrays of
+    `functionals.apply_weighted_laplacian`.  ``lam=None`` takes weights
+    that already carry ``lam``, so no iteration multiplies by it."""
+    Ax, lap, *work = (np.empty(shape, dtype) for _ in range(4))
+
+    def apply_A(x):
+        # lap holds H x until convolve_adjoint has read it
+        convolve_adjoint(convolve(x, kernel, out=lap), kernel, out=Ax)
+        functionals.apply_weighted_laplacian(wx, wy, x, out=lap, work=work)
+        if lam is not None:
+            np.multiply(lap, lam, out=lap)
+        return np.add(Ax, lap, out=Ax)
+
+    return apply_A
+
+
 def lagged_restore_step(
     g: np.ndarray, f_k: np.ndarray, kernel: Kernel, params: RestoreParams
 ) -> tuple[np.ndarray, int, bool]:
     """Freeze the TV weights ``w`` of ``params.variant`` at ``f_k`` and solve
-    ``[H^T H + lam L(w)] f = H^T g`` for the blur ``H`` of ``kernel`` by CG
-    from ``f_k``, preconditioned by the inverse Jacobi diagonal ``sum(h^2) +
-    lam diag(L(w))``; ``lam``, ``alpha`` and the CG settings are
-    ``params``'s, and CG stops at ``params.solver.forcing * ||r0||`` if that
-    is looser than ``tol_cg``.  The step allocates four fields shaped like
-    ``f_k`` once: ``A x``, one that holds ``H x`` and then ``lam L(w) x``,
-    and the two work arrays of `functionals.apply_weighted_laplacian`.  Its
-    CG iterations then allocate only CG's own vectors and what each
-    convolution allocates: nothing for a delta or a line kernel, one
-    intermediate for another kernel with `Kernel.factors`, the pads for a
-    kernel of rank above 1.  Returns
-    `conjugate_gradient`'s triple, or raises `SolverDivergenceError` for a
-    non-finite Jacobi diagonal."""
+    ``A f = H^T g``, ``A = H^T H + lam L(w)`` for the blur ``H`` of
+    ``kernel``, by CG preconditioned by the inverse Jacobi diagonal
+    ``sum(h^2) + lam diag(L(w))``; ``lam``, ``alpha`` and the CG settings
+    are ``params``'s.  CG stops once the residual is at most ``max(tol_cg
+    ||H^T g||, forcing ||r0||)``, ``r0 = H^T g - A f_k`` the residual of the
+    warm start.  Returns `conjugate_gradient`'s triple ``(f, iterations,
+    converged)``, or raises `SolverDivergenceError` for a non-finite Jacobi
+    diagonal or ``r0``.
+
+    With ``forcing`` below `_MIXED_FORCING` (``forcing=0`` among them) CG
+    runs in float64 from ``f_k``.  From it on, the step forms ``r0`` in
+    float64, scales it to unit norm, solves the correction ``A d = r0`` in
+    float32 from zero, with ``lam`` folded into the float32 weights, and
+    returns ``f_k + d`` in float64.  The step keeps float64 where float32
+    could not hold the system: a Jacobi diagonal outside `_F32_SAFE`, or a
+    float32 solve that diverges or meets a direction of no curvature
+    before ``max_cg``, which is then solved again in float64.
+
+    The operator writes into four buffers of its own, in the solve's
+    precision (`_lagged_operator`), so CG's iterations allocate only CG's
+    own vectors and what each convolution allocates: nothing for a delta or
+    a line kernel, one intermediate for another kernel with
+    `Kernel.factors`, the pads for a kernel of rank above 1.  Either way a
+    step applies ``H^T`` to ``g`` once and ``A`` once per CG iteration and
+    once for ``r0``."""
     lam, cfg = params.lam, params.solver
     # diagonal of H^T H: exact away from the border, where the replicate
     # boundary folds taps onto the edge pixels
@@ -324,19 +385,48 @@ def lagged_restore_step(
         raise SolverDivergenceError("non-finite Jacobi diagonal")
     # a zero diagonal (zero kernel, no penalty) leaves its residual entries unscaled
     inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
+    del diag
 
-    Ax, lap, *work = (np.empty(f_k.shape) for _ in range(4))
+    def solve64():
+        apply_A = _lagged_operator(kernel, wx, wy, lam, f_k.shape)
+        return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
+                                  precond=lambda r: inv_diag * r, forcing=cfg.forcing)
 
-    def apply_A(x):
-        # H^T H x + lam * L(x) with the same operands in the same order;
-        # lap holds H x until convolve_adjoint has read it
-        convolve_adjoint(convolve(x, kernel, out=lap), kernel, out=Ax)
-        functionals.apply_weighted_laplacian(wx, wy, x, out=lap, work=work)
-        np.multiply(lap, lam, out=lap)
-        return np.add(Ax, lap, out=Ax)
-
-    return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
-                              precond=lambda r: inv_diag * r, forcing=cfg.forcing)
+    # every weight is at most 1 / alpha, and a pixel's diagonal entry adds
+    # at most four of them to hth_diag
+    lo, hi = _F32_SAFE
+    if not (cfg.forcing >= _MIXED_FORCING and lo <= hth_diag
+            and hth_diag + 4.0 * lam / params.alpha <= hi):
+        return solve64()
+    # CG's own start, on the same operands
+    b = convolve_adjoint(g, kernel)
+    bnorm = float(np.sqrt(np.vdot(b, b)))
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0, True
+    r0 = b - _lagged_operator(kernel, wx, wy, lam, f_k.shape)(f_k)
+    del b
+    r0_norm = math.sqrt(float(np.vdot(r0, r0)))
+    if not math.isfinite(r0_norm):
+        raise SolverDivergenceError("non-finite residual entering CG")
+    threshold = max(cfg.tol_cg * bnorm, cfg.forcing * r0_norm)
+    if r0_norm <= threshold:
+        return f_k.copy(), 0, True
+    lwx = np.multiply(wx, lam, out=np.empty(f_k.shape, np.float32))
+    lwy = lwx if wy is wx else np.multiply(wy, lam, out=np.empty(f_k.shape, np.float32))
+    inv32 = inv_diag.astype(np.float32)
+    rhs = np.divide(r0, r0_norm, out=np.empty(f_k.shape, np.float32))
+    del r0
+    try:
+        d, iters, converged = conjugate_gradient(
+            _lagged_operator(kernel, lwx, lwy, None, f_k.shape, np.float32), rhs,
+            cfg=replace(cfg, tol_cg=threshold / r0_norm), precond=lambda r: inv32 * r)
+    except SolverDivergenceError:
+        return solve64()
+    if not converged and iters < cfg.max_cg:
+        return solve64()
+    x = np.multiply(d, r0_norm, dtype=np.float64)
+    x += f_k
+    return x, iters, converged
 
 
 def tv_restore_fixed_point(

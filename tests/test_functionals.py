@@ -279,6 +279,50 @@ class TestLaplacianBuffers:
         assert peak_allocation(lambda: apply_weighted_laplacian(w, w, v)) >= 3 * v.nbytes
 
 
+    @pytest.mark.parametrize("shape", [(9, 11), (2, 9, 11)])
+    def test_float32_field_stays_float32(self, shape):
+        # float32 weights and field, as the float32 correction solves of the
+        # restore loop run it, and float64 weights with a float32 field
+        rng = np.random.default_rng(101)
+        v = rng.standard_normal(shape)
+        wx, wy = rng.uniform(0.5, 2.0, (2,) + shape[-2:])
+        want = apply_weighted_laplacian(wx, wy, v.astype(np.float32).astype(np.float64))
+        tol = 64 * np.finfo(np.float32).eps * np.abs(want).max()
+        for weights in ((wx, wy), (wx.astype(np.float32), wy.astype(np.float32))):
+            got = apply_weighted_laplacian(*weights, v.astype(np.float32))
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+        out = np.full(shape, np.nan, np.float32)
+        work = np.full((2,) + shape, np.nan, np.float32)
+        got = apply_weighted_laplacian(wx.astype(np.float32), wy.astype(np.float32),
+                                       v.astype(np.float32), out=out, work=work)
+        assert got is out and np.all(np.isfinite(out))
+        with pytest.raises(ValueError):
+            apply_weighted_laplacian(wx, wy, v.astype(np.float32), out=np.empty(shape))
+
+    @pytest.mark.parametrize("variant", list(TVVariant))
+    def test_energies_and_weights_of_a_float32_field_stay_float64(self, variant):
+        # only the operator follows the field's precision: what the solvers
+        # freeze and report is computed from the float64 values of f
+        f32 = np.random.default_rng(107).standard_normal((9, 11)).astype(np.float32)
+        f64 = f32.astype(np.float64)
+        for got, want in zip(diffusion_weights(f32, 1e-3, variant),
+                             diffusion_weights(f64, 1e-3, variant)):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        k = Kernel.gaussian(3, 0.8)
+        assert tv_objective(f32, f64, k, 0.1, variant=variant) == \
+            tv_objective(f64, f64, k, 0.1, variant=variant)
+        assert tv_anisotropic(f32) == tv_anisotropic(f64)
+
+    def test_float32_operator_matches_its_dense_transpose(self):
+        # symmetric to float32 rounding: the CG that runs it needs no more
+        rng = np.random.default_rng(103)
+        wx, wy = rng.uniform(0.5, 2.0, (2, 5, 6)).astype(np.float32)
+        m = materialize(lambda v: apply_weighted_laplacian(wx, wy, v.astype(np.float32)), (5, 6))
+        assert m.dtype == np.float32
+        np.testing.assert_allclose(m, m.T, rtol=0, atol=64 * np.finfo(np.float32).eps)
+
+
 class TestObjective:
     def test_term_by_term_oracle(self):
         rng = np.random.default_rng(37)

@@ -324,6 +324,97 @@ class TestOutBuffers:
                 assert peak_allocation(lambda: op(f, k)) >= f.nbytes
 
 
+FLOAT32_KERNELS = {
+    "delta": Kernel.delta(), "gaussian5": Kernel.gaussian(5, 1.0),
+    "motion7": Kernel.motion_horizontal(7),
+    "rank3": Kernel(np.array([[0.05, 0.1, 0.0], [0.2, 0.3, 0.1], [0.0, 0.15, 0.1]])),
+}
+# float32's rounding, with room for the sums of up to 49 taps
+F32_RTOL = 64 * np.finfo(np.float32).eps
+
+
+class TestFloat32:
+    """A float32 field stays float32 in the operator layer, and agrees with
+    the float64 operator to float32 rounding."""
+
+    SHAPES = [(1, 1), (5, 1), (37, 70), (2, 9, 11)]
+
+    @staticmethod
+    def fields(shape, seed=101):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape).astype(np.float32), rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("op", [grid.convolve, grid.convolve_adjoint],
+                             ids=["convolve", "adjoint"])
+    @pytest.mark.parametrize("name", FLOAT32_KERNELS)
+    @pytest.mark.parametrize("shape", SHAPES[:3])
+    def test_convolution_keeps_float32(self, op, name, shape):
+        k = FLOAT32_KERNELS[name]
+        x32, _ = self.fields(shape)
+        got = op(x32, k)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        want = op(x32.astype(np.float64), k)
+        assert np.abs(got - want).max() <= F32_RTOL * np.abs(want).max()
+        out = np.full(shape, np.nan, np.float32)
+        assert op(x32, k, out=out) is out
+        assert np.array_equal(out, got)
+
+    @pytest.mark.parametrize("name", FLOAT32_KERNELS)
+    def test_adjoint_identity_in_float32(self, name):
+        k = FLOAT32_KERNELS[name]
+        x, _ = self.fields((37, 70), 103)
+        y, _ = self.fields((37, 70), 107)
+        lhs = np.vdot(grid.convolve(x, k).astype(np.float64), y.astype(np.float64))
+        rhs = np.vdot(x.astype(np.float64), grid.convolve_adjoint(y, k).astype(np.float64))
+        scale = np.linalg.norm(x) * np.linalg.norm(y) * np.abs(k.weights).sum()
+        assert abs(lhs - rhs) <= F32_RTOL * scale
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gradient_and_divergence_keep_float32(self, shape):
+        x32, _ = self.fields(shape, 109)
+        g = grid.gradient(x32)
+        assert g.u.dtype == g.v.dtype == np.float32
+        want = grid.gradient(x32.astype(np.float64))
+        for got, ref in zip(g, want):
+            np.testing.assert_allclose(got, ref, rtol=F32_RTOL, atol=F32_RTOL)
+        d = grid.divergence(g)
+        assert d.dtype == np.float32
+        np.testing.assert_allclose(d, grid.divergence(want), rtol=0, atol=4 * F32_RTOL)
+
+    @pytest.mark.parametrize("name", FLOAT32_KERNELS)
+    def test_float64_results_unchanged_by_float32_calls(self, name):
+        # the float32 bands and taps are kept beside the float64 ones, not
+        # in their place: a kernel used in both precisions gives the float64
+        # results of a kernel used only in float64, bit for bit
+        fresh, used = Kernel(FLOAT32_KERNELS[name].weights), Kernel(FLOAT32_KERNELS[name].weights)
+        x32, x = self.fields((37, 70), 113)
+        for op in (grid.convolve, grid.convolve_adjoint):
+            op(x32, used)
+        for op in (grid.convolve, grid.convolve_adjoint):
+            got = op(x, used)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, op(x, fresh))
+        assert sorted(k for k in used._bands if len(k) == 3) == sorted(fresh._bands)
+
+    @pytest.mark.parametrize("op", [grid.convolve, grid.convolve_adjoint],
+                             ids=["convolve", "adjoint"])
+    @pytest.mark.parametrize("name", FLOAT32_KERNELS)
+    def test_out_of_the_other_dtype_rejected(self, op, name):
+        k = FLOAT32_KERNELS[name]
+        x32, x = self.fields((4, 6))
+        with pytest.raises(ValueError):
+            op(x32, k, out=np.empty((4, 6)))
+        with pytest.raises(ValueError):
+            op(x, k, out=np.empty((4, 6), np.float32))
+
+    def test_stencils_reject_out_of_the_other_dtype(self):
+        x32, _ = self.fields((4, 6))
+        with pytest.raises(ValueError):
+            grid.gradient(x32, out=(np.empty((4, 6)), np.empty((4, 6))))
+        with pytest.raises(ValueError):
+            grid.divergence(VectorField(x32, x32), out=np.empty((4, 6)))
+
+
 # pads wider than the field repeat the edge sample throughout; a zero pad
 # leaves its axis as it is
 PADS = [((5, 4), 2, 2), ((2, 3), 4, 0), ((2, 3), 0, 4), ((1, 1), 3, 2)]

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvkit import functionals, grid, solvers, synth
+from tvkit import functionals, grid, restore, solvers, synth
 from tvkit.flow import FlowParams, flow_tv
 from tvkit.functionals import TVVariant, tv_objective
 from tvkit.grid import Kernel
@@ -280,22 +280,83 @@ class TestConjugateGradient:
         with pytest.raises(SolverDivergenceError):
             conjugate_gradient(bad, np.ones((3, 3)))
 
-    @pytest.mark.parametrize("a, b, message", [
-        ([np.inf, 1.0], [1.0, 1.0], "non-finite residual entering CG"),
-        ([1e300, 1e300], [1e10, 1.0], "non-finite curvature at CG iteration 1"),
+    @pytest.mark.parametrize("a, b, x0, message", [
+        # a zero start calls no operator, so the start is given: inf * 0 is NaN
+        ([np.inf, 1.0], [1.0, 1.0], np.zeros(2), "non-finite residual entering CG"),
+        ([1e300, 1e300], [1e10, 1.0], None, "non-finite curvature at CG iteration 1"),
         # <p, A p> = 1e-100 is finite, and the step 1e100 * A p overflows r
-        ([1e300, 1e-300], [1e-200, 1.0], "non-finite residual at CG iteration 1"),
+        ([1e300, 1e-300], [1e-200, 1.0], None, "non-finite residual at CG iteration 1"),
     ], ids=["entering", "curvature", "residual"])
-    def test_non_finite_names_where(self, a, b, message):
+    def test_non_finite_names_where(self, a, b, x0, message):
         a = np.array(a)
         with pytest.raises(SolverDivergenceError, match=f"^{message}$"):
-            conjugate_gradient(lambda x: a * x, np.array(b))
+            conjugate_gradient(lambda x: a * x, np.array(b), x0=x0)
 
     def test_null_direction_stops_unconverged(self):
         # <p, A p> = 0 on the first direction: no step taken, not converged
         x, iters, converged = conjugate_gradient(lambda v: 0 * v, np.ones(3))
         assert iters == 0 and not converged
         np.testing.assert_array_equal(x, np.zeros(3))
+
+    def test_zero_start_calls_no_operator_before_iteration_one(self):
+        # without x0, r0 is b itself: one operator call per iteration, where
+        # a given start costs one more; the iterates are those of x0 = 0
+        a, apply_A, b = dense_system(47)
+        calls = []
+
+        def counted(v):
+            calls.append(v.copy())
+            return apply_A(v)
+
+        x, iters, converged = conjugate_gradient(counted, b)
+        assert converged and len(calls) == iters >= 2
+        assert np.any(calls[0])
+        calls.clear()
+        want, want_iters, _ = conjugate_gradient(counted, b, x0=np.zeros_like(b))
+        assert len(calls) == want_iters + 1 and not np.any(calls[0])
+        assert iters == want_iters and np.array_equal(x, want)
+
+    @pytest.mark.parametrize("solve", [
+        lambda g, k: restore.ls_estimate(g, k),
+        lambda g, k: restore.rls_estimate(g, k, 0.3),
+        lambda g, k: restore.gtr_estimate(g, 0.5 * g, k, np.ones_like(g), 0.3),
+    ], ids=["ls", "rls", "gtr"])
+    def test_linear_estimators_apply_the_operator_once_per_iteration(self, solve,
+                                                                     monkeypatch):
+        # each operator application is one convolve; the right-hand side
+        # H^T P (g - H f0) takes one more, from the zero start of CG alone
+        iters, calls = [], []
+        cg, convolve = solvers.conjugate_gradient, grid.convolve
+
+        def spy_cg(*args, **kwargs):
+            out = cg(*args, **kwargs)
+            iters.append(out[1])
+            return out
+
+        def spy_convolve(x, kernel, out=None):
+            calls.append(x)
+            return convolve(x, kernel, out=out)
+
+        monkeypatch.setattr(solvers, "conjugate_gradient", spy_cg)
+        monkeypatch.setattr(restore, "convolve", spy_convolve)
+        k = Kernel.gaussian(5, 1.0)
+        solve(blurred_piecewise16(k), k)
+        assert len(iters) == 1 and iters[0] >= 2
+        assert len(calls) == iters[0] + 1
+
+    def test_float32_rhs_keeps_the_solve_in_float32(self):
+        a, apply_A, b = dense_system(53)
+        seen = []
+
+        def apply32(v):
+            seen.append(v.dtype)
+            return (a.astype(np.float32) @ v.ravel()).reshape(6, 6)
+
+        x, iters, converged = conjugate_gradient(apply32, b.astype(np.float32),
+                                                 cfg=SolverConfig(tol_cg=1e-3))
+        assert converged and x.dtype == np.float32 and set(seen) == {np.dtype(np.float32)}
+        want = np.linalg.solve(a, b.ravel()).reshape(6, 6)
+        assert np.linalg.norm(x - want) <= 1e-2 * np.linalg.norm(want)
 
 
 class TestLaggedStep:
@@ -477,6 +538,155 @@ class TestRelaxedStep:
         np.testing.assert_allclose(f, plain, rtol=0, atol=1e-6)
         # and it gets there in fewer CG iterations than the plain steps
         assert report.cg_iterations_total < plain_cg
+
+
+def piecewise64(kernel, sigma, seed):
+    """The 64x64 piecewise scene blurred by ``kernel``, plus noise."""
+    clean = synth.make_piecewise64()[0]
+    return grid.convolve(clean, kernel) + sigma * synth.gaussian_field(clean.shape, seed)
+
+
+def spy_cg(monkeypatch):
+    """Record the dtype of ``b`` and of every ``apply_A`` argument of each
+    `conjugate_gradient` call that `solvers` makes."""
+    seen = []
+    cg = solvers.conjugate_gradient
+
+    def spy(apply_A, b, *args, **kwargs):
+        args_seen = []
+        seen.append((np.asarray(b).dtype, args_seen))
+
+        def spied(x):
+            args_seen.append(x.dtype)
+            return apply_A(x)
+
+        return cg(spied, b, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "conjugate_gradient", spy)
+    return seen
+
+
+# (kernel, noise, lam) of denoise-256 and deconv-64, and deconv-64's with
+# the rank-3 kernel of blind's estimates
+MIXED_CASES = {
+    "denoise": (Kernel.delta(), 0.05, 0.05),
+    "gaussian5": (Kernel.gaussian(5, 1.0), 0.01, 0.01),
+    "rank3": (RANK3, 0.01, 0.01),
+}
+
+
+class TestMixedPrecisionStep:
+    """Under a forcing term of at least `solvers._MIXED_FORCING` a lagged
+    step solves its correction in float32 and returns a float64 step."""
+
+    @pytest.mark.parametrize("variant", list(TVVariant))
+    @pytest.mark.parametrize("case", MIXED_CASES)
+    def test_true_residual_meets_the_forcing_threshold(self, case, variant):
+        # every step of a solve, on the float64 system frozen at its start
+        kernel, sigma, lam = MIXED_CASES[case]
+        params = RestoreParams(lam=lam, variant=variant)
+        cfg = params.solver
+        g = piecewise64(kernel, sigma, seed=1)
+        b = grid.convolve_adjoint(g, kernel)
+        f_k, steps = g.copy(), 0
+        for _ in range(cfg.max_outer):
+            x, iters, converged = solvers.lagged_restore_step(g, f_k, kernel, params)
+            assert converged and x.dtype == np.float64
+            wx, wy = functionals.diffusion_weights(f_k, params.alpha, variant)
+
+            def apply_A(v):
+                return (grid.convolve_adjoint(grid.convolve(v, kernel), kernel)
+                        + lam * functionals.apply_weighted_laplacian(wx, wy, v))
+
+            r0 = np.linalg.norm(b - apply_A(f_k))
+            threshold = max(cfg.tol_cg * np.linalg.norm(b), cfg.forcing * r0)
+            assert np.linalg.norm(b - apply_A(x)) <= (1 + 1e-3) * threshold
+            step = solvers._RELAX * (x - f_k)
+            f_k, steps = f_k + step, steps + 1
+            if np.linalg.norm(step) < cfg.resolved_tol_outer(g.size):
+                break
+        assert steps >= 5
+
+    def test_iterates_are_float32_and_forcing_zero_is_float64(self, monkeypatch):
+        seen = spy_cg(monkeypatch)
+        g = blurred_piecewise16(Kernel.gaussian(5, 1.0))
+        params = RestoreParams(lam=0.01)
+        x, iters, _ = solvers.lagged_restore_step(g, g, Kernel.gaussian(5, 1.0), params)
+        assert x.dtype == np.float64 and iters >= 1
+        (b_dtype, args), = seen
+        assert b_dtype == np.float32 and args == [np.dtype(np.float32)] * iters
+        seen.clear()
+        solvers.lagged_restore_step(g, g, Kernel.gaussian(5, 1.0),
+                                    replace(params, solver=SolverConfig(forcing=0.0)))
+        (b_dtype, args), = seen
+        assert b_dtype == np.float64 and set(args) == {np.dtype(np.float64)}
+
+    def test_system_beyond_float32_stays_float64(self, monkeypatch):
+        # lam / alpha = 1e13 puts the Jacobi diagonal past solvers._F32_SAFE
+        seen = spy_cg(monkeypatch)
+        g = blurred_piecewise16(Kernel.delta())
+        solvers.lagged_restore_step(g, g, Kernel.delta(), RestoreParams(lam=1e10))
+        assert [dtype for dtype, _ in seen] == [np.dtype(np.float64)]
+
+    @pytest.mark.parametrize("failure", ["diverges", "no-curvature"])
+    def test_failed_float32_solve_is_solved_again_in_float64(self, failure, monkeypatch):
+        # a float32 solve that raises, or stops on a direction of no
+        # curvature before max_cg, leaves the step to the float64 path
+        kernel = Kernel.gaussian(5, 1.0)
+        g = blurred_piecewise16(kernel)
+        params = RestoreParams(lam=0.01)
+        cg = solvers.conjugate_gradient
+
+        def failing(apply_A, b, *args, **kwargs):
+            if np.asarray(b).dtype == np.float32:
+                if failure == "diverges":
+                    raise SolverDivergenceError("non-finite curvature at CG iteration 1")
+                return np.zeros_like(b), 0, False
+            return cg(apply_A, b, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "conjugate_gradient", failing)
+        x, iters, converged = solvers.lagged_restore_step(g, g, kernel, params)
+        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        want, want_iters, want_converged = solvers.lagged_restore_step(g, g, kernel, params)
+        assert (iters, converged) == (want_iters, want_converged) and converged
+        np.testing.assert_array_equal(x, want)
+
+    @pytest.mark.parametrize("kernel", [Kernel.delta(), Kernel.gaussian(5, 1.0), RANK3],
+                             ids=["delta", "gaussian5", "rank3"])
+    def test_observation_beyond_float32_solves_as_in_float64(self, kernel, monkeypatch):
+        # g, lam, alpha and the outer tolerance scaled by 1e39 state the same
+        # problem, its minimizer scaled by 1e39, in values that overflow
+        # float32: the residual is scaled to unit norm before the cast
+        s = 1e39
+        g = s * blurred_piecewise16(kernel)
+        cfg = SolverConfig(tol_outer=s * SolverConfig().resolved_tol_outer(g.size))
+        params = RestoreParams(lam=0.01 * s, alpha=functionals.DEFAULT_ALPHA * s, solver=cfg)
+        seen = spy_cg(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, report = tv_restore_fixed_point(g, kernel, params)
+        # every step solved in float32, none fell back to float64
+        assert [dtype for dtype, _ in seen] == [np.dtype(np.float32)] * report.outer_iterations
+        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        want, want_report = tv_restore_fixed_point(g, kernel, params)
+        assert report.converged and report.cg_iters_history == want_report.cg_iters_history
+        np.testing.assert_allclose(f, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+    def test_zero_rhs_returns_zeros(self):
+        # H^T g = 0 solves to zero, whatever f_k is, with no CG iteration
+        f_k = np.random.default_rng(59).standard_normal((8, 8))
+        x, iters, converged = solvers.lagged_restore_step(np.zeros((8, 8)), f_k, Kernel.delta(),
+                                                          RestoreParams(lam=0.05))
+        assert (iters, converged) == (0, True)
+        np.testing.assert_array_equal(x, np.zeros((8, 8)))
+
+    def test_start_at_tolerance_returns_it(self):
+        # no penalty and the observation as the start: r0 = 0
+        g = np.random.default_rng(61).uniform(0.0, 1.0, (8, 8))
+        x, iters, converged = solvers.lagged_restore_step(g, g, Kernel.delta(),
+                                                          RestoreParams(lam=0.0))
+        assert (iters, converged) == (0, True)
+        assert x is not g and np.array_equal(x, g)
 
 
 class TestFixedPointSolver:
