@@ -7,7 +7,8 @@ TV penalty handled by lagged-nonlinearity outer iterations. Both reduce
 to symmetric positive (semi-)definite linear systems in the stacked
 (u, v) field, solved matrix-free by preconditioned conjugate gradients
 inside `solvers.lagged_loop`; the image-driven system does not depend on
-the flow, so its solve is a single step.
+the flow, so its solve is a single step.  Each step's CG runs in float32
+sweeps on float64 residuals (`solvers._mixed_precision_cg`).
 
 Where the data term vanishes (flat regions, and along edges by the
 aperture problem) smoothness is the only constraint, and plain CG spends
@@ -72,8 +73,11 @@ class FlowParams:
     ``eps`` keeps the diffusion tensor nonsingular (image-driven) and the
     TV weights finite (flow-driven).  The image-driven solve is one lagged
     step solved to ``solver.tol_cg``: it ignores ``solver.forcing`` and
-    ``solver.max_outer``.  A ``lam``, ``eps`` or frame scale that overflows
-    a lagged step raises `solvers.SolverDivergenceError` with the report.
+    ``solver.max_outer``, and its float32 sweeps each reduce the float64
+    residual by 1e-2 until the last reaches ``tol_cg``.  Every lagged step
+    of either variant solves in float32 sweeps (`_lagged_flow`).  A
+    ``lam``, ``eps`` or frame scale that overflows a lagged step raises
+    `solvers.SolverDivergenceError` with the report.
     ``variant`` may be given by its value (``"an"``, ``"tv"``); any other
     raises ``ValueError``.
     """
@@ -220,48 +224,78 @@ def _lagged_flow(pair, cfg, smoothing, penalty, n_work):
 
     on the stacked (2, H, W) unknown, each step a CG solve under ``cfg``
     from the current flow, with the smoothing ``lam * S`` (S positive
-    semi-definite) frozen there by ``smoothing(w)``.  It returns ``(smooth,
-    diag)``: ``smooth(z, out=, work=)`` writes ``lam * S z`` for the whole
-    stacked ``z`` into ``out``, and ``diag`` (H, W) is ``lam * diag(S)``.
-    ``smooth`` gets the solve's ``n_work >= 2`` (2, H, W) work arrays, which
-    the data rows reuse after it; every CG iteration writes ``A w`` into one
-    buffer of its step, so no iteration allocates a field.  Each step's CG
-    is preconditioned by `_flow_preconditioner`, built once per step from
-    the stacked ``(fx^2, fy^2)`` and ``diag``; it writes into the first two
-    work arrays, which ``apply_A`` overwrites only after CG has read them.
+    semi-definite) frozen there by ``smoothing(w)``.  That returns
+    ``(smooth, diag)``: ``smooth(dtype)`` is ``lam * S`` on operands of
+    ``dtype``, a function ``(z, out=, work=)`` that writes ``lam * S z`` for
+    the whole stacked ``z`` into ``out``, and ``diag`` (H, W) is ``lam *
+    diag(S)``.  The function gets the solve's ``n_work >= 2`` (2, H, W)
+    work arrays, which the data rows reuse after it; every CG iteration
+    writes ``A w`` into one buffer of its step, so no iteration allocates a
+    field.  Each step's CG is preconditioned by `_flow_preconditioner`,
+    built from the stacked ``(fx^2, fy^2)`` and ``diag``; it writes into the
+    first two work arrays, which ``apply_A`` overwrites only after CG has
+    read them.
+
+    Each step is one `solvers._mixed_precision_cg` solve: float64 residuals
+    and float32 CG sweeps, on float32 copies of the data terms, of the
+    smoothing's operands and of the preconditioner's, writing into float32
+    views of the same buffers.  A TV step under a forcing term of 1e-2 or
+    more takes one sweep; the image-driven solve (no forcing) takes a few.
+    A Jacobi diagonal outside `solvers._F32_SAFE`, or not finite, keeps
+    the step in float64.
+
     The objective is the squared OFC residual plus ``penalty(w)``.  The
-    frame derivatives and the data terms are formed in the first step,
-    where an overflow ends as `lagged_loop`'s `SolverDivergenceError`; the
-    objective reuses the derivatives."""
+    frame derivatives and the data terms (the data rows, their float32
+    copies and the right-hand side) are formed once per solve, in the
+    first step, where an overflow ends as `lagged_loop`'s
+    `SolverDivergenceError`; the objective reuses the derivatives."""
     derivatives = cache(lambda: image_derivatives(pair))
     work = _buffers(n_work, (2,) + pair.shape)
-    tu, tv = work[0], work[1]
+
+    @cache
+    def data_terms():
+        # the data rows, b and the range of the data diagonal do not
+        # depend on the flow: formed once, in the first step
+        fx, fy, ft = derivatives()
+        dd = np.stack([fx * fx, fy * fy])
+        return dd, fx * fy, np.stack([-fx * ft, -fy * ft]), float(dd.min()), float(dd.max())
+
+    data32 = cache(lambda: tuple(a.astype(np.float32) for a in data_terms()[:2]))
 
     def step(wvec):
-        fx, fy, ft = derivatives()
+        dd, fxy, b, dd_min, dd_max = data_terms()
         smooth, lam_diag = smoothing(wvec)
-        dd = np.stack([fx * fx, fy * fy])
-        fxy = fx * fy
-        precond = _flow_preconditioner(dd, lam_diag, out=(tu, tv))
-        Aw = np.empty(dd.shape)
 
-        def apply_A(z):
-            smooth(z, out=Aw, work=work)
-            # row 0 is (fx^2 u + fx fy v) + lam S u, row 1 (fy^2 v + fx fy u) + lam S v
-            np.multiply(dd, z, out=tu)
-            np.multiply(fxy, z[::-1], out=tv)
-            np.add(tu, tv, out=tu)
-            return np.add(Aw, tu, out=Aw)
+        def operator(buffers):
+            Aw, *wk = buffers
+            data, cross = (dd, fxy) if Aw.dtype == np.float64 else data32()
+            apply_smooth = smooth(Aw.dtype)
+            tu, tv = wk[0], wk[1]
 
-        # b is passed, not held here: CG drops it after the first residual
-        return solvers.conjugate_gradient(apply_A, np.stack([-fx * ft, -fy * ft]), x0=wvec,
-                                          cfg=cfg, precond=precond, forcing=cfg.forcing)
+            def apply_A(z):
+                apply_smooth(z, out=Aw, work=wk)
+                # row 0 is (fx^2 u + fx fy v) + lam S u, row 1 (fy^2 v + fx fy u) + lam S v
+                np.multiply(data, z, out=tu)
+                np.multiply(cross, z[::-1], out=tv)
+                np.add(tu, tv, out=tu)
+                return np.add(Aw, tu, out=Aw)
+
+            return apply_A
+
+        def preconditioner(buffers):
+            return _flow_preconditioner(dd, lam_diag, out=buffers[1:3])
+
+        # each Jacobi entry fx^2 + lam_diag (or fy^2 + lam_diag) lies
+        # between the sums of the two parts' minima and maxima
+        diag_range = (dd_min + float(lam_diag.min()), dd_max + float(lam_diag.max()))
+        return solvers._mixed_precision_cg(operator, preconditioner, lambda: b, wvec, cfg,
+                                           [np.empty(dd.shape)] + work, diag_range)
 
     def objective(wvec):
         r = ofc_residual(*derivatives(), wvec)
         return float(np.sum(r * r)) + penalty(wvec)
 
-    # zero flow as a read-only view that holds no memory: CG copies its start
+    # zero flow as a read-only view that holds no memory: the solve copies its start
     zero = np.broadcast_to(0.0, (2,) + pair.shape)
     wvec, report = solvers.lagged_loop(step, objective, zero, cfg)
     return VectorField(*wvec), report
@@ -300,7 +334,9 @@ def _flow_preconditioner(data_diag, lam_diag, out):
     entry unscaled; a zero operator gets no correction.  A non-finite
     diagonal raises `SolverDivergenceError`.  The returned function writes
     ``z`` into ``out[0]`` and the prolonged correction into ``out[1]``
-    ((2, H, W) arrays) and returns ``out[0]``."""
+    ((2, H, W) arrays) and returns ``out[0]``; it computes in their dtype,
+    float32 or float64, on copies of its operands cast once from the float64
+    ones formed here."""
     c = float(np.mean(data_diag))
     mu = 0.25 * float(np.mean(lam_diag))
     diag = data_diag + lam_diag
@@ -315,6 +351,8 @@ def _flow_preconditioner(data_diag, lam_diag, out):
     weight = np.divide(mu * np.maximum(4.0 - e, 0.0), denom, out=np.zeros_like(e),
                        where=denom > 0)
     z, fine = out
+    inv_diag, cy, cx, weight = (a.astype(z.dtype, copy=False)
+                                for a in (inv_diag, cy, cx, weight))
 
     def precond(r):
         np.multiply(inv_diag, r, out=z)
@@ -357,7 +395,11 @@ def flow_image_driven(
         return inner(wvec[0], s[0]) + inner(wvec[1], s[1])
 
     def smoothing(wvec):
-        return partial(apply_tensor_diffusion, tensor()), tensor_diffusion_diagonal(tensor())
+        def smooth(dtype):
+            cast = DiffusionTensor(*(a.astype(dtype, copy=False) for a in tensor()))
+            return partial(apply_tensor_diffusion, cast)
+
+        return smooth, tensor_diffusion_diagonal(tensor())
 
     w, report = _lagged_flow(pair, replace(params.solver, max_outer=1, forcing=0.0),
                              smoothing, penalty, n_work=3)
@@ -375,8 +417,12 @@ def flow_tv(pair: FramePair, params: FlowParams) -> tuple[VectorField, SolveRepo
     """
     def smoothing(wvec):
         weights = params.lam * flow_smoothness_weights(wvec, params.eps)
-        return (partial(functionals.apply_weighted_laplacian, weights, weights),
-                functionals.weighted_laplacian_diagonal(weights, weights))
+
+        def smooth(dtype):
+            cast = weights.astype(dtype, copy=False)
+            return partial(functionals.apply_weighted_laplacian, cast, cast)
+
+        return smooth, functionals.weighted_laplacian_diagonal(weights, weights)
 
     def penalty(wvec):
         return 2.0 * params.lam * functionals.tv_isotropic(wvec, params.eps)

@@ -200,8 +200,13 @@ def blind_deconvolve(
     report's histories are per alternation; its CG figures are the image
     steps', as the kernel step runs no CG.  ``cg_iterations_total`` also
     counts the initial solve, so it can exceed ``sum(cg_iters_history)``.
-    ``converged`` also requires every CG solve of the initial image solve
-    to have converged.  A non-finite ``g`` raises `ValueError`.
+    The loop stops on the image step norm alone, but ``converged`` also
+    requires the last kernel step's norm (the projected kernel minus the
+    one before it) to be below
+    ``params.solver.resolved_tol_outer(kernel_size**2)``, so a kernel still
+    moving when the image has settled is not reported as converged, and
+    every CG solve of the initial image solve to have converged.  A
+    non-finite ``g`` raises `ValueError`.
     """
     g = ensure_field(g)
     ks = params.kernel_size
@@ -222,10 +227,13 @@ def blind_deconvolve(
 
     image = RestoreParams(lam=params.lam_image, alpha=params.alpha, solver=params.solver)
     f, init_rep = solvers.tv_restore_fixed_point(g, kernel, image)
+    kernel_step_norm = math.inf
 
     def step(f):
-        nonlocal kernel
-        kernel = Kernel(_kernel_step(g, f, kernel.weights, params))
+        nonlocal kernel, kernel_step_norm
+        weights = _kernel_step(g, f, kernel.weights, params)
+        kernel_step_norm = float(np.linalg.norm(weights - kernel.weights))
+        kernel = Kernel(weights)
         return solvers.lagged_restore_step(g, f, kernel, image)
 
     def objective(f_next):
@@ -234,7 +242,8 @@ def blind_deconvolve(
 
     report = SolveReport(cg_iterations_total=init_rep.cg_iterations_total)
     f, report = solvers.lagged_loop(step, objective, f, params.solver, report)
-    report.converged = report.converged and all(init_rep.cg_converged_history)
+    report.converged = (report.converged and all(init_rep.cg_converged_history)
+                        and kernel_step_norm < params.solver.resolved_tol_outer(ks * ks))
     return f, kernel, report
 
 

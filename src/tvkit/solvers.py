@@ -42,14 +42,20 @@ Near the fixed point the warm-start residual shrinks and the ``tol_cg``
 test takes over.  ``SolverConfig().forcing`` is 0.1; ``forcing=0`` solves
 every step to ``tol_cg``.
 
-A lagged restore step whose CG stops that early need not run it in
-float64: from a forcing term of `_MIXED_FORCING` (1e-2) on,
-`lagged_restore_step` forms the warm-start residual in float64 and solves
-the correction it asks for in float32, five orders of magnitude above
-float32's rounding (iterative refinement with a low-precision inner solve;
-Carson & Higham, SISC 2018).  The iterate, the residual, the objective and
+The lagged steps of restore and flow solve in mixed precision, by one
+helper, `_mixed_precision_cg`: it forms the residual ``r`` of the current
+iterate in float64 and solves the correction ``A d = r / ||r||`` by float32
+PCG from zero (a sweep), asking each sweep for a `_MIXED_FORCING` (1e-2)
+reduction, five orders of magnitude above float32's rounding, or for the
+final threshold if that is looser; it adds the correction in float64 and
+repeats until a sweep aimed at the final threshold converges (iterative
+refinement with a low-precision inner solve; Carson & Higham, SISC 2018).
+A step under a forcing term of 1e-2 or more takes one sweep; the
+image-driven flow solve, which has none, takes a few and still stops at
+``tol_cg`` on float64 norms.  The iterate, the residuals, the objective and
 the report stay float64, and each float32 CG iteration streams half the
-bytes of a float64 one.  ``forcing=0``, flow and the linear estimators run
+bytes of a float64 one.  A restore step under a forcing term below
+`_MIXED_FORCING` (``forcing=0`` among them) and the linear estimators run
 in float64 throughout.
 """
 
@@ -106,7 +112,8 @@ class SolverConfig:
     step to ``tol_cg``.  0.3 halved the CG work of 0.1 again but cost up to
     0.17 dB.  From `_MIXED_FORCING` (1e-2) on, a restore step solves its
     correction in float32 (`lagged_restore_step`); below it, every restore
-    solve runs in float64.
+    solve runs in float64.  Flow's lagged steps solve in float32 sweeps
+    under any forcing term (`_mixed_precision_cg`).
     """
 
     tol_outer: Optional[float] = None
@@ -327,23 +334,115 @@ def lagged_loop(
 
 
 def _lagged_operator(kernel: Kernel, wx: np.ndarray, wy: np.ndarray, lam: Optional[float],
-                     shape: tuple[int, ...], dtype=np.float64) -> Callable:
+                     buffers: list[np.ndarray]) -> Callable:
     """``apply_A(x) = H^T H x + lam L(w) x`` of a lagged step, written into
-    four buffers of ``shape`` and ``dtype`` allocated once: ``A x``, one that
-    holds ``H x`` and then ``lam L(w) x``, and the two work arrays of
-    `functionals.apply_weighted_laplacian`.  ``lam=None`` takes weights
-    that already carry ``lam``, so no iteration multiplies by it."""
-    Ax, lap, *work = (np.empty(shape, dtype) for _ in range(4))
+    the three ``buffers`` (shaped like ``x``, of its dtype): ``A x``, ``lam
+    L(w) x`` and one that holds ``H x``.  ``lam=None`` takes weights that
+    already carry ``lam``, so no iteration multiplies by it."""
+    Ax, lap, hx = buffers
 
     def apply_A(x):
-        # lap holds H x until convolve_adjoint has read it
-        convolve_adjoint(convolve(x, kernel, out=lap), kernel, out=Ax)
-        functionals.apply_weighted_laplacian(wx, wy, x, out=lap, work=work)
+        # Ax and hx hold the weighted gradient until lap has summed it
+        functionals.apply_weighted_laplacian(wx, wy, x, out=lap, work=(Ax, hx))
         if lam is not None:
             np.multiply(lap, lam, out=lap)
+        convolve_adjoint(convolve(x, kernel, out=hx), kernel, out=Ax)
         return np.add(Ax, lap, out=Ax)
 
     return apply_A
+
+
+def _float32_view(a: np.ndarray) -> np.ndarray:
+    """A float32 array shaped like the C-contiguous float64 ``a``, in the
+    first half of ``a``'s memory."""
+    return a.reshape(-1).view(np.float32)[: a.size].reshape(a.shape)
+
+
+def _mixed_precision_cg(
+    operator: Callable[[list[np.ndarray]], Callable],
+    preconditioner: Callable[[list[np.ndarray]], Callable],
+    rhs: Callable[[], np.ndarray],
+    x0: np.ndarray,
+    cfg: SolverConfig,
+    work: list[np.ndarray],
+    diag_range: Optional[tuple[float, float]],
+) -> tuple[np.ndarray, int, bool]:
+    """Solve the SPD system ``A x = b``, ``b = rhs()``, from ``x0`` with
+    `conjugate_gradient`'s stop rule under ``cfg``, ``||b - A x|| <=
+    max(tol_cg ||b||, forcing ||r0||)``, by float32 correction solves, and
+    return its triple ``(x, iterations, converged)``.
+
+    ``operator(buffers)`` returns ``apply_A`` and ``preconditioner(buffers)``
+    a preconditioner, each computing in the dtype of ``buffers`` and
+    writing only into them, as `conjugate_gradient`'s contract allows:
+    ``work`` itself (float64 arrays, C-contiguous) for float64, and float32
+    views of ``work``'s memory for float32, so the float32 solves allocate
+    no operator buffer of their own.  ``rhs()`` returns ``b`` for each
+    float64 residual and for the float64 solve; nothing writes into it, so
+    every solve sees the system as given, and a caller that forms it afresh
+    holds no ``b`` while a sweep runs.
+
+    Each pass forms the residual ``r = b - A x`` in float64, solves ``A d =
+    r / ||r||`` by float32 PCG from zero (a sweep) and adds ``||r|| d`` to
+    ``x`` in float64 (iterative refinement with a low-precision inner
+    solve; Carson & Higham, SISC 2018).  A sweep stops at `_MIXED_FORCING`
+    (1e-2) times ``||r||``, or at the final threshold if that is looser.
+    The loop ends when a float64 residual meets the final threshold, when
+    a sweep aimed at it converges, or at ``max_cg`` iterations over all
+    sweeps; with ``forcing >= _MIXED_FORCING`` the first sweep is aimed at
+    it.  ``x``, ``b``, the residuals and the thresholds stay float64.
+
+    The solve stays float64, one `conjugate_gradient` call from ``x0``, when
+    ``diag_range`` is None or does not lie in `_F32_SAFE` (it must enclose
+    the Jacobi diagonal; a non-finite bound fails), and is solved again so
+    when a sweep raises `SolverDivergenceError` or stops on a direction of
+    no curvature before its cap.  A non-finite starting residual raises
+    `SolverDivergenceError`, as in `conjugate_gradient`."""
+    apply64 = operator(work)
+
+    def solve64():
+        return conjugate_gradient(apply64, rhs(), x0=x0, cfg=cfg, precond=preconditioner(work),
+                                  forcing=cfg.forcing)
+
+    lo, hi = _F32_SAFE
+    if diag_range is None or not (lo <= diag_range[0] and diag_range[1] <= hi
+                                  and _MIXED_FORCING < 1.0):
+        return solve64()
+    b = rhs()
+    bnorm = float(np.sqrt(np.vdot(b, b)))
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0, True
+    x, iters, threshold, apply32 = x0, 0, None, None
+    while True:
+        # the residual in apply64's result buffer, which the sweep then reuses
+        r = apply64(x)
+        np.subtract(b, r, out=r)
+        del b
+        r_norm = math.sqrt(float(np.vdot(r, r)))
+        if not math.isfinite(r_norm):
+            raise SolverDivergenceError("non-finite residual entering CG")
+        if threshold is None:
+            threshold = max(cfg.tol_cg * bnorm, cfg.forcing * r_norm)
+        if r_norm <= threshold:
+            return (np.array(x0, dtype=np.float64) if x is x0 else x), iters, True
+        if apply32 is None:
+            work32 = [_float32_view(a) for a in work]
+            apply32, precond32 = operator(work32), preconditioner(work32)
+        target = max(_MIXED_FORCING * r_norm, threshold)
+        sweep = replace(cfg, tol_cg=target / r_norm, max_cg=cfg.max_cg - iters)
+        try:
+            d, k, converged = conjugate_gradient(
+                apply32, np.divide(r, r_norm, out=np.empty(r.shape, np.float32)), cfg=sweep,
+                precond=precond32)
+        except SolverDivergenceError:
+            return solve64()
+        if not converged and k < sweep.max_cg:
+            return solve64()
+        iters += k
+        x = x + np.multiply(d, r_norm, out=r, dtype=np.float64)
+        if target == threshold or iters == cfg.max_cg:
+            return x, iters, converged and target == threshold
+        b = rhs()
 
 
 def lagged_restore_step(
@@ -360,18 +459,16 @@ def lagged_restore_step(
     diagonal or ``r0``.
 
     With ``forcing`` below `_MIXED_FORCING` (``forcing=0`` among them) CG
-    runs in float64 from ``f_k``.  From it on, the step forms ``r0`` in
-    float64, scales it to unit norm, solves the correction ``A d = r0`` in
-    float32 from zero, with ``lam`` folded into the float32 weights, and
-    returns ``f_k + d`` in float64.  The step keeps float64 where float32
-    could not hold the system: a Jacobi diagonal outside `_F32_SAFE`, or a
-    float32 solve that diverges or meets a direction of no curvature
-    before ``max_cg``, which is then solved again in float64.
+    runs in float64 from ``f_k``.  From it on, the step is one float32
+    correction solve of `_mixed_precision_cg`, with ``lam`` folded into the
+    float32 weights, which returns ``f_k + d`` in float64; it falls back to
+    float64 as that function says, the Jacobi diagonal's range being
+    bounded by ``sum(h^2)`` and ``sum(h^2) + 4 lam / alpha``.
 
-    The operator writes into four buffers of its own, in the solve's
-    precision (`_lagged_operator`), so CG's iterations allocate only CG's
-    own vectors and what each convolution allocates: nothing for a delta or
-    a line kernel, one intermediate for another kernel with
+    The operator writes into three float64 buffers of the step, or their
+    float32 views (`_lagged_operator`), so CG's iterations allocate only
+    CG's own vectors and what each convolution allocates: nothing for a
+    delta or a line kernel, one intermediate for another kernel with
     `Kernel.factors`, the pads for a kernel of rank above 1.  Either way a
     step applies ``H^T`` to ``g`` once and ``A`` once per CG iteration and
     once for ``r0``."""
@@ -387,46 +484,23 @@ def lagged_restore_step(
     inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
     del diag
 
-    def solve64():
-        apply_A = _lagged_operator(kernel, wx, wy, lam, f_k.shape)
-        return conjugate_gradient(apply_A, convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
-                                  precond=lambda r: inv_diag * r, forcing=cfg.forcing)
+    def operator(buffers):
+        if buffers[0].dtype == np.float64:
+            return _lagged_operator(kernel, wx, wy, lam, buffers)
+        lwx = np.multiply(wx, lam, out=np.empty(f_k.shape, np.float32))
+        lwy = lwx if wy is wx else np.multiply(wy, lam, out=np.empty(f_k.shape, np.float32))
+        return _lagged_operator(kernel, lwx, lwy, None, buffers)
+
+    def preconditioner(buffers):
+        inv = inv_diag.astype(buffers[0].dtype, copy=False)
+        return lambda r: inv * r
 
     # every weight is at most 1 / alpha, and a pixel's diagonal entry adds
     # at most four of them to hth_diag
-    lo, hi = _F32_SAFE
-    if not (cfg.forcing >= _MIXED_FORCING and lo <= hth_diag
-            and hth_diag + 4.0 * lam / params.alpha <= hi):
-        return solve64()
-    # CG's own start, on the same operands
-    b = convolve_adjoint(g, kernel)
-    bnorm = float(np.sqrt(np.vdot(b, b)))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0, True
-    r0 = b - _lagged_operator(kernel, wx, wy, lam, f_k.shape)(f_k)
-    del b
-    r0_norm = math.sqrt(float(np.vdot(r0, r0)))
-    if not math.isfinite(r0_norm):
-        raise SolverDivergenceError("non-finite residual entering CG")
-    threshold = max(cfg.tol_cg * bnorm, cfg.forcing * r0_norm)
-    if r0_norm <= threshold:
-        return f_k.copy(), 0, True
-    lwx = np.multiply(wx, lam, out=np.empty(f_k.shape, np.float32))
-    lwy = lwx if wy is wx else np.multiply(wy, lam, out=np.empty(f_k.shape, np.float32))
-    inv32 = inv_diag.astype(np.float32)
-    rhs = np.divide(r0, r0_norm, out=np.empty(f_k.shape, np.float32))
-    del r0
-    try:
-        d, iters, converged = conjugate_gradient(
-            _lagged_operator(kernel, lwx, lwy, None, f_k.shape, np.float32), rhs,
-            cfg=replace(cfg, tol_cg=threshold / r0_norm), precond=lambda r: inv32 * r)
-    except SolverDivergenceError:
-        return solve64()
-    if not converged and iters < cfg.max_cg:
-        return solve64()
-    x = np.multiply(d, r0_norm, dtype=np.float64)
-    x += f_k
-    return x, iters, converged
+    diag_range = (hth_diag, hth_diag + 4.0 * lam / params.alpha)
+    return _mixed_precision_cg(operator, preconditioner, lambda: convolve_adjoint(g, kernel), f_k,
+                               cfg, [np.empty(f_k.shape) for _ in range(3)],
+                               diag_range if cfg.forcing >= _MIXED_FORCING else None)
 
 
 def tv_restore_fixed_point(

@@ -278,9 +278,15 @@ def assert_same_report(got, want):
 class TestStackedSolves:
     """The stacked, buffered solves against the per-channel reference: the
     same flow and the same report, bit for bit, on the 32 x 32 fixtures.
-    Both run the same preconditioner; only the operator's layout differs."""
+    Both run the same preconditioner; only the operator's layout differs.
+    The solves run on the float64 path: with `solvers._MIXED_FORCING` at 1
+    a float32 sweep could reduce nothing, so every step solves in float64."""
 
     SCENES = {"ramp": synth.make_ramp_shift, "split": synth.make_split_motion}
+
+    @pytest.fixture(autouse=True)
+    def float64_path(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
 
     @pytest.mark.parametrize("scene", sorted(SCENES))
     def test_tv(self, scene):
@@ -305,8 +311,9 @@ class TestStackedSolves:
 
 
 class TestDenseOperator:
-    """Each lagged step's CG operator, materialized, against the dense block
-    matrix [[diag(fx^2) + lam S, diag(fx fy)], [diag(fx fy), diag(fy^2) + lam S]]
+    """Each lagged step's operator, materialized in float64 and in float32
+    on the float32 views of its buffers, against the dense block matrix
+    [[diag(fx^2) + lam S, diag(fx fy)], [diag(fx fy), diag(fy^2) + lam S]]
     with S built from the public smoothing operators."""
 
     @pytest.mark.parametrize("variant", list(FlowVariant))
@@ -317,17 +324,21 @@ class TestDenseOperator:
         params = FlowParams(lam=0.3, eps=0.05, variant=variant,
                             solver=SolverConfig(max_outer=3, forcing=0.0))
         steps, diagonals = [], []
-        cg, build_precond = solvers.conjugate_gradient, flow._flow_preconditioner
+        solve, build_precond = solvers._mixed_precision_cg, flow._flow_preconditioner
 
-        def capture_cg(apply_A, b, x0, **kwargs):
-            steps.append((materialize(apply_A, b.shape), np.array(x0)))
-            return cg(apply_A, b, x0=x0, **kwargs)
+        def capture_solve(operator, preconditioner, rhs, x0, cfg, work, diag_range):
+            work32 = [solvers._float32_view(a) for a in work]
+            apply32 = operator(work32)
+            steps.append((materialize(operator(work), x0.shape),
+                          materialize(lambda z: apply32(z.astype(np.float32)), x0.shape),
+                          np.array(x0)))
+            return solve(operator, preconditioner, rhs, x0, cfg, work, diag_range)
 
         def capture_precond(data_diag, lam_diag, out):
             diagonals.append(data_diag + lam_diag)
             return build_precond(data_diag, lam_diag, out)
 
-        monkeypatch.setattr(solvers, "conjugate_gradient", capture_cg)
+        monkeypatch.setattr(solvers, "_mixed_precision_cg", capture_solve)
         monkeypatch.setattr(flow, "_flow_preconditioner", capture_precond)
         estimate_flow(pair, params)
 
@@ -335,8 +346,9 @@ class TestDenseOperator:
         tensor = diffusion_tensor(flow.centered_gradient(pair.f1), params.eps)
         if variant is FlowVariant.TV:
             # the first step is frozen at zero flow, the later ones are not
-            assert len(steps) == 3 and np.any(steps[1][1])
-        for (dense, w), jacobi in zip(steps, diagonals, strict=True):
+            assert len(steps) == 3 and np.any(steps[1][2])
+        # one float32 preconditioner per step, the float64 one never built
+        for (dense, dense32, w), jacobi in zip(steps, diagonals, strict=True):
             if variant is FlowVariant.TV:
                 weights = flow_smoothness_weights(w, params.eps)
                 s = materialize(
@@ -351,6 +363,137 @@ class TestDenseOperator:
             np.testing.assert_allclose(dense, want, rtol=0, atol=atol)
             np.testing.assert_allclose(dense, dense.T, rtol=0, atol=atol)
             np.testing.assert_allclose(np.diag(dense), jacobi.ravel(), rtol=0, atol=atol)
+            # float32 operands and arithmetic: a few roundings of float32
+            # per entry, each at most eps32 times the largest entry
+            assert dense32.dtype == np.float32
+            atol32 = 8 * np.finfo(np.float32).eps * np.abs(want).max()
+            np.testing.assert_allclose(dense32, want, rtol=0, atol=atol32)
+
+
+def spy_cg(monkeypatch):
+    """Record, per `conjugate_gradient` call that `solvers` makes, the
+    dtype of ``b`` and of every ``apply_A`` argument."""
+    seen = []
+    cg = solvers.conjugate_gradient
+
+    def spy(apply_A, b, *args, **kwargs):
+        args_seen = []
+        seen.append((np.asarray(b).dtype, args_seen))
+
+        def spied(x):
+            args_seen.append(x.dtype)
+            return apply_A(x)
+
+        return cg(spied, b, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "conjugate_gradient", spy)
+    return seen
+
+
+FLOW_CASES = {"tv": (FlowVariant.TV, 0.003), "an": (FlowVariant.IMAGE_DRIVEN, 0.01)}
+
+
+class TestMixedPrecisionFlow:
+    """Both flow variants solve each lagged step by float32 sweeps on a
+    float64 residual (`solvers._mixed_precision_cg`)."""
+
+    @pytest.mark.parametrize("scene", sorted(TestStackedSolves.SCENES))
+    @pytest.mark.parametrize("case", FLOW_CASES)
+    def test_agrees_with_float64_path(self, monkeypatch, scene, case):
+        # the float32 sweeps leave what the forcing term and tol_cg already
+        # leave: flows within 1e-5 px of the float64 path's, and the TV
+        # loop takes the same steps with the same CG counts
+        variant, lam = FLOW_CASES[case]
+        pair, _ = TestStackedSolves.SCENES[scene]()
+        params = FlowParams(lam=lam, eps=0.05, variant=variant)
+        w, report = estimate_flow(pair, params)
+        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        w64, report64 = estimate_flow(pair, params)
+        assert np.abs(w.u - w64.u).max() <= 1e-5 and np.abs(w.v - w64.v).max() <= 1e-5
+        assert report.converged and report64.converged
+        if variant is FlowVariant.TV:
+            assert report.cg_iters_history == report64.cg_iters_history
+
+    @pytest.mark.parametrize("scene, lam", [("ramp", 0.1), ("split", 0.003)])
+    def test_image_driven_sweeps_cost_few_iterations(self, monkeypatch, scene, lam):
+        # the image-driven solves of the flow-128 benchmark (fixture seed 0):
+        # each sweep restarts CG, which costs at most a tenth more iterations
+        pair, _ = TestStackedSolves.SCENES[scene](0, 128)
+        params = FlowParams(lam=lam, eps=0.05, variant=FlowVariant.IMAGE_DRIVEN)
+        _, report = flow_image_driven(pair, params)
+        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        _, report64 = flow_image_driven(pair, params)
+        assert report.converged and report64.converged
+        assert report.cg_iterations_total <= 1.1 * report64.cg_iterations_total
+
+    @pytest.mark.parametrize("scene", sorted(TestStackedSolves.SCENES))
+    def test_image_driven_residual_meets_tol_cg(self, scene):
+        # the sweeps end on the final threshold tol_cg ||b||, and the
+        # float64 residual of the result meets it
+        pair, _ = TestStackedSolves.SCENES[scene]()
+        params = FlowParams(lam=0.01, eps=0.05, variant=FlowVariant.IMAGE_DRIVEN)
+        w, report = flow_image_driven(pair, params)
+        fx, fy, ft = image_derivatives(pair)
+        t = diffusion_tensor(flow.centered_gradient(pair.f1), params.eps)
+        z = np.stack([w.u, w.v])
+        a_z = np.stack([fx * fx * w.u + fx * fy * w.v, fx * fy * w.u + fy * fy * w.v])
+        a_z -= params.lam * apply_tensor_diffusion(t, z)
+        b = np.stack([-fx * ft, -fy * ft])
+        assert report.converged
+        assert np.linalg.norm(b - a_z) <= params.solver.tol_cg * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("case", FLOW_CASES)
+    def test_cg_iterates_are_float32(self, monkeypatch, case):
+        variant, lam = FLOW_CASES[case]
+        pair, _ = synth.make_split_motion()
+        seen = spy_cg(monkeypatch)
+        _, report = estimate_flow(pair, FlowParams(lam=lam, eps=0.05, variant=variant))
+        assert sum(len(args) for _, args in seen) == report.cg_iterations_total > 0
+        assert {b_dtype for b_dtype, _ in seen} == {np.dtype(np.float32)}
+        assert {dtype for _, args in seen for dtype in args} == {np.dtype(np.float32)}
+        if variant is FlowVariant.IMAGE_DRIVEN:
+            # no forcing term: more than one sweep of 1e-2 to reach tol_cg
+            assert len(seen) > 1
+        else:
+            # a forcing term of 0.1: one sweep per step
+            assert len(seen) == report.outer_iterations
+
+    @pytest.mark.parametrize("case", FLOW_CASES)
+    def test_diagonal_past_float32_range_stays_float64(self, monkeypatch, case):
+        # lam = 1e13 puts the Jacobi diagonal past solvers._F32_SAFE
+        variant, _ = FLOW_CASES[case]
+        pair, _ = synth.make_ramp_shift(0, 16)
+        seen = spy_cg(monkeypatch)
+        _, report = estimate_flow(pair, FlowParams(lam=1e13, eps=0.05, variant=variant,
+                                                   solver=SolverConfig(max_outer=2)))
+        assert len(seen) == report.outer_iterations
+        assert {b_dtype for b_dtype, _ in seen} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("failure", ["diverges", "no-curvature"])
+    @pytest.mark.parametrize("case", FLOW_CASES)
+    def test_failed_sweep_is_solved_again_in_float64(self, monkeypatch, case, failure):
+        # a sweep that raises, or stops on a direction of no curvature
+        # before its cap, leaves the step to one float64 solve from its
+        # start, on the system as given
+        variant, lam = FLOW_CASES[case]
+        pair, _ = synth.make_split_motion()
+        params = FlowParams(lam=lam, eps=0.05, variant=variant)
+        cg = solvers.conjugate_gradient
+
+        def failing(apply_A, b, *args, **kwargs):
+            if np.asarray(b).dtype == np.float32:
+                if failure == "diverges":
+                    raise SolverDivergenceError("non-finite curvature at CG iteration 1")
+                return np.zeros_like(b), 0, False
+            return cg(apply_A, b, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "conjugate_gradient", failing)
+        w, report = estimate_flow(pair, params)
+        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        want, want_report = estimate_flow(pair, params)
+        np.testing.assert_array_equal(w.u, want.u)
+        np.testing.assert_array_equal(w.v, want.v)
+        assert_same_report(report, want_report)
 
 
 class TestTensorDiffusionDiagonal:

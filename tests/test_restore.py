@@ -418,14 +418,54 @@ class TestBlindDeconvolve:
                     + params.lam_kernel * tv_isotropic(khat.weights, params.alpha))
         assert report.objective_history[-1] == pytest.approx(expected, rel=1e-12, abs=0)
 
-    def test_piecewise_fixture_descends_and_converges(self):
-        # the fixture of acceptance test 08
+    def kernel_step_norms(self, monkeypatch):
+        """Record the norm of every kernel step of `blind_deconvolve`."""
+        norms, kernel_step = [], restore._kernel_step
+
+        def spy(g, f, h_k, params):
+            h = kernel_step(g, f, h_k, params)
+            norms.append(float(np.linalg.norm(h - h_k)))
+            return h
+
+        monkeypatch.setattr(restore, "_kernel_step", spy)
+        return norms
+
+    def test_piecewise_fixture_descends_and_converges(self, monkeypatch):
+        # the fixture of acceptance test 08: the loop stops on the image
+        # step before its cap, and the report calls it converged exactly
+        # when the last kernel step was below its own tolerance too
         clean, _ = synth.make_piecewise64()
         g = grid.convolve(clean, self.ktrue)
         params = BlindParams(lam_image=3e-3, lam_kernel=0.5, kernel_size=3,
                              solver=SolverConfig(max_outer=60))
+        norms = self.kernel_step_norms(monkeypatch)
         _, _, report = blind_deconvolve(g, params)
         assert report.objective_monotone
+        assert report.outer_iterations < params.solver.max_outer
+        assert report.step_norm_history[-1] < params.solver.resolved_tol_outer(g.size)
+        assert report.converged == (norms[-1] < params.solver.resolved_tol_outer(9))
+
+    def test_settled_image_with_moving_kernel_is_not_converged(self, monkeypatch):
+        # default parameters: the image step falls below its tolerance in
+        # the first alternation while the kernel is still the delta, 0.998
+        # at the center, and still moving
+        norms = self.kernel_step_norms(monkeypatch)
+        _, khat, report = blind_deconvolve(self.g, BlindParams())
+        cfg = BlindParams().solver
+        assert report.outer_iterations == 1
+        assert report.step_norm_history[-1] < cfg.resolved_tol_outer(self.g.size)
+        assert khat.weights[1, 1] > 0.99
+        assert norms[-1] > cfg.resolved_tol_outer(9)
+        assert not report.converged and all(report.cg_converged_history)
+
+    def test_settled_kernel_and_image_converge(self, monkeypatch):
+        # with a tight outer tolerance both the image and the kernel settle
+        params = BlindParams(lam_image=3e-3, lam_kernel=0.5,
+                             solver=SolverConfig(tol_outer=1e-5, max_outer=400))
+        norms = self.kernel_step_norms(monkeypatch)
+        _, _, report = blind_deconvolve(self.g, params)
+        assert report.outer_iterations < params.solver.max_outer
+        assert norms[-1] < params.solver.resolved_tol_outer(9)
         assert report.converged
 
     def test_kernel0_shape_validated(self):

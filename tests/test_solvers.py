@@ -672,6 +672,26 @@ class TestMixedPrecisionStep:
         assert report.converged and report.cg_iters_history == want_report.cg_iters_history
         np.testing.assert_allclose(f, want, rtol=0, atol=1e-6 * np.abs(want).max())
 
+    def test_float32_operator_writes_into_the_float64_buffers(self, monkeypatch):
+        # the float32 operator's three buffers are float32 views of the
+        # float64 ones that formed r0: a step allocates one set, not two
+        calls = []
+        lagged_operator = solvers._lagged_operator
+
+        def spy(kernel, wx, wy, lam, buffers):
+            calls.append(buffers)
+            return lagged_operator(kernel, wx, wy, lam, buffers)
+
+        monkeypatch.setattr(solvers, "_lagged_operator", spy)
+        kernel = Kernel.gaussian(5, 1.0)
+        g = blurred_piecewise16(kernel)
+        _, iters, _ = solvers.lagged_restore_step(g, g, kernel, RestoreParams(lam=0.01))
+        b64, b32 = calls
+        assert iters >= 1
+        assert [b.dtype for b in b64] == [np.dtype(np.float64)] * 3
+        assert [b.dtype for b in b32] == [np.dtype(np.float32)] * 3
+        assert all(np.shares_memory(a, b) for a, b in zip(b32, b64, strict=True))
+
     def test_zero_rhs_returns_zeros(self):
         # H^T g = 0 solves to zero, whatever f_k is, with no CG iteration
         f_k = np.random.default_rng(59).standard_normal((8, 8))
@@ -687,6 +707,72 @@ class TestMixedPrecisionStep:
                                                           RestoreParams(lam=0.0))
         assert (iters, converged) == (0, True)
         assert x is not g and np.array_equal(x, g)
+
+
+def spread_spd(n=48, cond=1e4, seed=67):
+    """An SPD matrix with eigenvalues spread log-evenly from 1 to ``cond``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.logspace(0, np.log10(cond), n)) @ q.T
+
+
+def dense_operator(a):
+    """`solvers._mixed_precision_cg`'s operator for the matrix ``a``: it
+    computes in the dtype of its one buffer and writes into it."""
+    def operator(buffers):
+        out, = buffers
+        m = a.astype(out.dtype)
+        return lambda x: np.matmul(m, x, out=out)
+
+    return operator
+
+
+class TestMixedPrecisionSolve:
+    """`solvers._mixed_precision_cg` on a dense SPD system."""
+
+    def test_sweeps_reach_tol_cg_on_the_float64_residual(self, monkeypatch):
+        # no forcing term: sweeps of 1e-2 each, restarted from the float64
+        # residual, until one aimed at tol_cg ||b|| converges
+        a = spread_spd()
+        b = np.random.default_rng(71).standard_normal(len(a))
+        b_given = b.copy()
+        cfg = SolverConfig(forcing=0.0)
+        seen = spy_cg(monkeypatch)
+        tols = []
+        cg = solvers.conjugate_gradient
+
+        def record_tol(*args, **kwargs):
+            tols.append(kwargs["cfg"].tol_cg)
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "conjugate_gradient", record_tol)
+        x, iters, converged = solvers._mixed_precision_cg(
+            dense_operator(a), lambda buffers: None, lambda: b, np.zeros(len(a)), cfg,
+            [np.empty(len(a))], (1.0, 1e4))
+        assert converged and x.dtype == np.float64
+        # every residual read b, and none wrote into it
+        assert np.array_equal(b, b_given)
+        assert np.linalg.norm(b - a @ x) <= (1 + 1e-3) * cfg.tol_cg * np.linalg.norm(b)
+        assert len(seen) >= 3 and {dtype for dtype, _ in seen} == {np.dtype(np.float32)}
+        assert iters == sum(len(args) for _, args in seen)
+        # every sweep but the last asks for solvers._MIXED_FORCING
+        assert tols[:-1] == pytest.approx([solvers._MIXED_FORCING] * (len(tols) - 1))
+        assert tols[-1] > solvers._MIXED_FORCING
+
+    @pytest.mark.parametrize("diag_range", [None, (1.0, 2.0**41), (2.0**-41, 1.0),
+                                            (1.0, np.inf), (np.nan, 1.0)],
+                             ids=["none", "above", "below", "inf", "nan"])
+    def test_range_outside_float32_solves_once_in_float64(self, diag_range, monkeypatch):
+        a = spread_spd()
+        b = np.random.default_rng(73).standard_normal(len(a))
+        seen = spy_cg(monkeypatch)
+        x, iters, converged = solvers._mixed_precision_cg(
+            dense_operator(a), lambda buffers: None, lambda: b, np.zeros(len(a)),
+            SolverConfig(forcing=0.0), [np.empty(len(a))], diag_range)
+        want = conjugate_gradient(lambda v: a @ v, b, x0=np.zeros(len(a)))
+        assert [dtype for dtype, _ in seen] == [np.dtype(np.float64)]
+        assert (iters, converged) == want[1:]
+        np.testing.assert_array_equal(x, want[0])
 
 
 class TestFixedPointSolver:
