@@ -9,9 +9,9 @@ Conventions used throughout the package:
   `gradient` and `divergence` compute in the field's precision and return
   it, and an ``out=`` must have that dtype.  Any other dtype is read as
   ``float64``.  The kernel's band blocks and taps are cast once per dtype
-  and kept with the kernel.  The float32 path serves the inner correction
-  solves of `solvers.lagged_restore_step`; float64 results do not depend
-  on it.
+  and kept with the kernel.  The float32 path serves the float32 sweeps
+  of `solvers._mixed_precision_cg`, which solve the lagged steps of restore
+  and flow; float64 results do not depend on it.
 * Grid spacing is 1 in both directions.
 * All difference operators use forward differences with a replicate
   (clamp-to-edge) boundary: the forward difference in the last column/row

@@ -39,7 +39,8 @@ class BlindParams:
     def __post_init__(self):
         if not (0 <= self.lam_image < np.inf and 0 <= self.lam_kernel < np.inf):
             raise ValueError("regularization weights must be finite and nonnegative")
-        if self.kernel_size < 3 or self.kernel_size % 2 == 0:
+        ks = solvers._check_count("kernel_size", self.kernel_size)
+        if ks < 3 or ks % 2 == 0:
             raise ValueError(f"kernel_size must be odd and >= 3, got {self.kernel_size}")
         functionals._check_alpha(self.alpha)
 
@@ -263,7 +264,7 @@ def lasso_estimate(
     """
     if not 0 < t_penalty < np.inf:
         raise ValueError(f"t_penalty must be finite and positive, got {t_penalty}")
-    if steps < 1:
+    if solvers._check_count("steps", steps) < 1:
         raise ValueError("steps must be >= 1")
     g = ensure_field(g)
     with np.errstate(over="ignore", invalid="ignore"):

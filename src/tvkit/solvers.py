@@ -50,19 +50,20 @@ reduction, five orders of magnitude above float32's rounding, or for the
 final threshold if that is looser; it adds the correction in float64 and
 repeats until a sweep aimed at the final threshold converges (iterative
 refinement with a low-precision inner solve; Carson & Higham, SISC 2018).
-A step under a forcing term of 1e-2 or more takes one sweep; the
-image-driven flow solve, which has none, takes a few and still stops at
-``tol_cg`` on float64 norms.  The iterate, the residuals, the objective and
-the report stay float64, and each float32 CG iteration streams half the
-bytes of a float64 one.  A restore step under a forcing term below
-`_MIXED_FORCING` (``forcing=0`` among them) and the linear estimators run
-in float64 throughout.
+Every lagged step solves so, whatever its forcing term: one sweep under a
+forcing term of 1e-2 or more, a few under none (``forcing=0``, the
+image-driven flow solve), which still stop at ``tol_cg`` on float64 norms.
+The iterate, the residuals, the objective and the report stay float64, and
+each float32 CG iteration streams half the bytes of a float64 one.  Only a
+system float32 cannot hold (`_mixed_precision_cg`) and the linear
+estimators solve in float64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import index
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,14 +83,22 @@ DESCENT_SLACK = 1e-9
 # output as close to the minimizer as the exact-CG one at no higher
 # objective (tests/test_restore.py::TestForcingQuality).
 _RELAX = 1.5
-# forcing terms from which `lagged_restore_step` solves its correction in
-# float32: its CG then stops at a hundredth of its start or looser, five
-# orders above float32's rounding (6e-8)
+# the reduction each float32 sweep of `_mixed_precision_cg` asks for: a
+# hundredth of its start, five orders above float32's rounding (6e-8)
 _MIXED_FORCING = 1e-2
 # the range the Jacobi diagonal of a float32 correction solve must lie in,
 # so that the unit-scaled residual, the directions and the operator's
 # entries stay far inside float32's normal numbers (1.2e-38 to 3.4e38)
 _F32_SAFE = (2.0**-40, 2.0**40)
+
+
+def _check_count(name: str, value) -> int:
+    """``value`` as an int; `ValueError` for a value that is not integral
+    (anything `operator.index` refuses, a float among them)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class SolverDivergenceError(RuntimeError):
@@ -110,10 +119,11 @@ class SolverConfig:
     ``forcing`` (``0 <= forcing < 1``) lets each warm-started lagged step
     stop its CG at ``forcing`` times its starting residual; 0 solves every
     step to ``tol_cg``.  0.3 halved the CG work of 0.1 again but cost up to
-    0.17 dB.  From `_MIXED_FORCING` (1e-2) on, a restore step solves its
-    correction in float32 (`lagged_restore_step`); below it, every restore
-    solve runs in float64.  Flow's lagged steps solve in float32 sweeps
-    under any forcing term (`_mixed_precision_cg`).
+    0.17 dB.  Under any forcing term the lagged steps of restore and flow
+    solve in float32 sweeps on float64 residuals (`_mixed_precision_cg`).
+    ``max_outer`` and ``max_cg`` are integers: a value that
+    `operator.index` refuses, such as ``2.5`` or ``3.0``, raises
+    `ValueError`.
     """
 
     tol_outer: Optional[float] = None
@@ -125,9 +135,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.tol_outer is not None and not 0 < self.tol_outer < math.inf:
             raise ValueError(f"tol_outer must be finite and positive, got {self.tol_outer}")
-        if self.max_outer < 1:
+        if _check_count("max_outer", self.max_outer) < 1:
             raise ValueError("max_outer must be >= 1")
-        if not 0 < self.tol_cg < math.inf or self.max_cg < 1:
+        if not 0 < self.tol_cg < math.inf or _check_count("max_cg", self.max_cg) < 1:
             raise ValueError("tol_cg must be finite and positive and max_cg >= 1")
         if not 0.0 <= self.forcing < 1.0:
             raise ValueError(f"forcing must be in [0, 1), got {self.forcing}")
@@ -333,19 +343,17 @@ def lagged_loop(
     return x, report
 
 
-def _lagged_operator(kernel: Kernel, wx: np.ndarray, wy: np.ndarray, lam: Optional[float],
+def _lagged_operator(kernel: Kernel, wx: np.ndarray, wy: np.ndarray,
                      buffers: list[np.ndarray]) -> Callable:
-    """``apply_A(x) = H^T H x + lam L(w) x`` of a lagged step, written into
-    the three ``buffers`` (shaped like ``x``, of its dtype): ``A x``, ``lam
-    L(w) x`` and one that holds ``H x``.  ``lam=None`` takes weights that
-    already carry ``lam``, so no iteration multiplies by it."""
+    """``apply_A(x) = H^T H x + L(w) x`` of a lagged step, with ``lam``
+    already folded into the weights ``w``, written into the three
+    ``buffers`` (shaped like ``x``, of its dtype): ``A x``, ``L(w) x`` and
+    one that holds ``H x``."""
     Ax, lap, hx = buffers
 
     def apply_A(x):
         # Ax and hx hold the weighted gradient until lap has summed it
         functionals.apply_weighted_laplacian(wx, wy, x, out=lap, work=(Ax, hx))
-        if lam is not None:
-            np.multiply(lap, lam, out=lap)
         convolve_adjoint(convolve(x, kernel, out=hx), kernel, out=Ax)
         return np.add(Ax, lap, out=Ax)
 
@@ -365,7 +373,7 @@ def _mixed_precision_cg(
     x0: np.ndarray,
     cfg: SolverConfig,
     work: list[np.ndarray],
-    diag_range: Optional[tuple[float, float]],
+    diag_range: tuple[float, float],
 ) -> tuple[np.ndarray, int, bool]:
     """Solve the SPD system ``A x = b``, ``b = rhs()``, from ``x0`` with
     `conjugate_gradient`'s stop rule under ``cfg``, ``||b - A x|| <=
@@ -389,14 +397,15 @@ def _mixed_precision_cg(
     (1e-2) times ``||r||``, or at the final threshold if that is looser.
     The loop ends when a float64 residual meets the final threshold, when
     a sweep aimed at it converges, or at ``max_cg`` iterations over all
-    sweeps; with ``forcing >= _MIXED_FORCING`` the first sweep is aimed at
-    it.  ``x``, ``b``, the residuals and the thresholds stay float64.
+    sweeps; under a forcing term of `_MIXED_FORCING` or more the first
+    sweep is aimed at it.  ``x``, ``b``, the residuals and the thresholds
+    stay float64.
 
     The solve stays float64, one `conjugate_gradient` call from ``x0``, when
-    ``diag_range`` is None or does not lie in `_F32_SAFE` (it must enclose
-    the Jacobi diagonal; a non-finite bound fails), and is solved again so
-    when a sweep raises `SolverDivergenceError` or stops on a direction of
-    no curvature before its cap.  A non-finite starting residual raises
+    ``diag_range`` does not lie in `_F32_SAFE` (it must enclose the Jacobi
+    diagonal; a non-finite bound fails), and is solved again so when a
+    sweep raises `SolverDivergenceError` or stops on a direction of no
+    curvature before its cap.  A non-finite starting residual raises
     `SolverDivergenceError`, as in `conjugate_gradient`."""
     apply64 = operator(work)
 
@@ -405,8 +414,7 @@ def _mixed_precision_cg(
                                   forcing=cfg.forcing)
 
     lo, hi = _F32_SAFE
-    if diag_range is None or not (lo <= diag_range[0] and diag_range[1] <= hi
-                                  and _MIXED_FORCING < 1.0):
+    if not (lo <= diag_range[0] and diag_range[1] <= hi):
         return solve64()
     b = rhs()
     bnorm = float(np.sqrt(np.vdot(b, b)))
@@ -458,10 +466,11 @@ def lagged_restore_step(
     converged)``, or raises `SolverDivergenceError` for a non-finite Jacobi
     diagonal or ``r0``.
 
-    With ``forcing`` below `_MIXED_FORCING` (``forcing=0`` among them) CG
-    runs in float64 from ``f_k``.  From it on, the step is one float32
-    correction solve of `_mixed_precision_cg`, with ``lam`` folded into the
-    float32 weights, which returns ``f_k + d`` in float64; it falls back to
+    ``lam`` is folded into the frozen weights once per step, so no CG
+    iteration multiplies by it.  Under any forcing term the step solves by
+    the float32 sweeps of `_mixed_precision_cg`, which return a float64
+    ``f``: one sweep under a forcing term of `_MIXED_FORCING` (1e-2) or
+    more, a few to reach ``tol_cg`` under ``forcing=0``.  It falls back to
     float64 as that function says, the Jacobi diagonal's range being
     bounded by ``sum(h^2)`` and ``sum(h^2) + 4 lam / alpha``.
 
@@ -484,12 +493,15 @@ def lagged_restore_step(
     inv_diag = np.divide(1.0, diag, out=np.ones_like(diag), where=diag > 0)
     del diag
 
+    # lam folded into the frozen weights once per step (isotropic: wy is wx)
+    wx *= lam
+    if wy is not wx:
+        wy *= lam
+
     def operator(buffers):
-        if buffers[0].dtype == np.float64:
-            return _lagged_operator(kernel, wx, wy, lam, buffers)
-        lwx = np.multiply(wx, lam, out=np.empty(f_k.shape, np.float32))
-        lwy = lwx if wy is wx else np.multiply(wy, lam, out=np.empty(f_k.shape, np.float32))
-        return _lagged_operator(kernel, lwx, lwy, None, buffers)
+        lwx = wx.astype(buffers[0].dtype, copy=False)
+        lwy = lwx if wy is wx else wy.astype(buffers[0].dtype, copy=False)
+        return _lagged_operator(kernel, lwx, lwy, buffers)
 
     def preconditioner(buffers):
         inv = inv_diag.astype(buffers[0].dtype, copy=False)
@@ -499,8 +511,7 @@ def lagged_restore_step(
     # at most four of them to hth_diag
     diag_range = (hth_diag, hth_diag + 4.0 * lam / params.alpha)
     return _mixed_precision_cg(operator, preconditioner, lambda: convolve_adjoint(g, kernel), f_k,
-                               cfg, [np.empty(f_k.shape) for _ in range(3)],
-                               diag_range if cfg.forcing >= _MIXED_FORCING else None)
+                               cfg, [np.empty(f_k.shape) for _ in range(3)], diag_range)
 
 
 def tv_restore_fixed_point(
@@ -568,7 +579,7 @@ def dual_projection_denoise(
     """
     if not (0 < lam < np.inf and 0 < tau < np.inf):
         raise ValueError(f"lam and tau must be finite and positive, got {lam}, {tau}")
-    if steps < 0:
+    if _check_count("steps", steps) < 0:
         raise ValueError("steps must be nonnegative")
     g = ensure_field(g)
     px = np.zeros_like(g)

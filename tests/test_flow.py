@@ -279,14 +279,14 @@ class TestStackedSolves:
     """The stacked, buffered solves against the per-channel reference: the
     same flow and the same report, bit for bit, on the 32 x 32 fixtures.
     Both run the same preconditioner; only the operator's layout differs.
-    The solves run on the float64 path: with `solvers._MIXED_FORCING` at 1
-    a float32 sweep could reduce nothing, so every step solves in float64."""
+    The solves run on the float64 path: no Jacobi diagonal lies in an empty
+    `solvers._F32_SAFE`, so every step solves in float64."""
 
     SCENES = {"ramp": synth.make_ramp_shift, "split": synth.make_split_motion}
 
     @pytest.fixture(autouse=True)
     def float64_path(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        monkeypatch.setattr(solvers, "_F32_SAFE", (np.inf, 0.0))
 
     @pytest.mark.parametrize("scene", sorted(SCENES))
     def test_tv(self, scene):
@@ -407,7 +407,7 @@ class TestMixedPrecisionFlow:
         pair, _ = TestStackedSolves.SCENES[scene]()
         params = FlowParams(lam=lam, eps=0.05, variant=variant)
         w, report = estimate_flow(pair, params)
-        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        monkeypatch.setattr(solvers, "_F32_SAFE", (np.inf, 0.0))
         w64, report64 = estimate_flow(pair, params)
         assert np.abs(w.u - w64.u).max() <= 1e-5 and np.abs(w.v - w64.v).max() <= 1e-5
         assert report.converged and report64.converged
@@ -421,7 +421,7 @@ class TestMixedPrecisionFlow:
         pair, _ = TestStackedSolves.SCENES[scene](0, 128)
         params = FlowParams(lam=lam, eps=0.05, variant=FlowVariant.IMAGE_DRIVEN)
         _, report = flow_image_driven(pair, params)
-        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        monkeypatch.setattr(solvers, "_F32_SAFE", (np.inf, 0.0))
         _, report64 = flow_image_driven(pair, params)
         assert report.converged and report64.converged
         assert report.cg_iterations_total <= 1.1 * report64.cg_iterations_total
@@ -489,7 +489,7 @@ class TestMixedPrecisionFlow:
 
         monkeypatch.setattr(solvers, "conjugate_gradient", failing)
         w, report = estimate_flow(pair, params)
-        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        monkeypatch.setattr(solvers, "_F32_SAFE", (np.inf, 0.0))
         want, want_report = estimate_flow(pair, params)
         np.testing.assert_array_equal(w.u, want.u)
         np.testing.assert_array_equal(w.v, want.v)

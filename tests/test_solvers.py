@@ -59,6 +59,21 @@ class TestConfig:
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
 
+    @pytest.mark.parametrize("make", [
+        lambda n: SolverConfig(max_outer=n),
+        lambda n: SolverConfig(max_cg=n),
+        lambda n: BlindParams(kernel_size=n),
+        lambda n: dual_projection_denoise(np.zeros((4, 4)), 0.1, steps=n),
+        lambda n: restore.lasso_estimate(np.zeros((4, 4)), Kernel.delta(), 0.1, steps=n),
+    ], ids=["max_outer", "max_cg", "kernel_size", "dual-projection-steps", "lasso-steps"])
+    def test_counts_must_be_integers(self, make):
+        # a non-integral count is refused where it is validated, not by a
+        # range() in the middle of a solve; numpy integers are integers
+        for bad in (2.5, 3.0, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make(bad)
+        make(np.int64(3))
+
     def test_forcing_defaults(self):
         # one default: every problem's solver is SolverConfig()'s
         assert SolverConfig().forcing == 0.1
@@ -415,9 +430,12 @@ class TestLaggedStep:
     @pytest.mark.parametrize("variant", list(TVVariant))
     @pytest.mark.parametrize("kernel", [Kernel.delta(), Kernel.box(3), Kernel.gaussian(5, 1.0)],
                              ids=["delta", "box3", "gaussian5"])
-    def test_buffered_operator_matches_allocating_closure(self, kernel, variant):
+    def test_buffered_operator_matches_allocating_closure(self, kernel, variant,
+                                                          monkeypatch):
         # the step's operator writes into its own buffers; it must keep the
-        # operands of K^T K x + lam L x, so CG runs the same iterates
+        # operands of K^T K x + L(lam w) x, so CG runs the same iterates.
+        # An empty float32 range keeps the step in one float64 CG solve
+        monkeypatch.setattr(solvers, "_F32_SAFE", (np.inf, 0.0))
         clean, _ = noisy_step(16, 16)
         g = grid.convolve(clean, kernel) + 0.01 * np.random.default_rng(12).standard_normal((16, 16))
         f_k = grid.convolve(g, Kernel.box(3))
@@ -433,7 +451,7 @@ class TestLaggedStep:
 
         def apply_A(x):
             return (grid.convolve_adjoint(grid.convolve(x, kernel), kernel)
-                    + lam * functionals.apply_weighted_laplacian(wx, wy, x))
+                    + functionals.apply_weighted_laplacian(lam * wx, lam * wy, x))
 
         want, want_iters, want_ok = conjugate_gradient(
             apply_A, grid.convolve_adjoint(g, kernel), x0=f_k, cfg=cfg,
@@ -576,15 +594,16 @@ MIXED_CASES = {
 
 
 class TestMixedPrecisionStep:
-    """Under a forcing term of at least `solvers._MIXED_FORCING` a lagged
-    step solves its correction in float32 and returns a float64 step."""
+    """Under any forcing term a lagged step solves its corrections in
+    float32 sweeps and returns a float64 step."""
 
+    @pytest.mark.parametrize("forcing", [0.1, 0.0])
     @pytest.mark.parametrize("variant", list(TVVariant))
     @pytest.mark.parametrize("case", MIXED_CASES)
-    def test_true_residual_meets_the_forcing_threshold(self, case, variant):
+    def test_true_residual_meets_the_forcing_threshold(self, case, variant, forcing):
         # every step of a solve, on the float64 system frozen at its start
         kernel, sigma, lam = MIXED_CASES[case]
-        params = RestoreParams(lam=lam, variant=variant)
+        params = RestoreParams(lam=lam, variant=variant, solver=SolverConfig(forcing=forcing))
         cfg = params.solver
         g = piecewise64(kernel, sigma, seed=1)
         b = grid.convolve_adjoint(g, kernel)
@@ -607,7 +626,9 @@ class TestMixedPrecisionStep:
                 break
         assert steps >= 5
 
-    def test_iterates_are_float32_and_forcing_zero_is_float64(self, monkeypatch):
+    def test_iterates_are_float32_and_forcing_zero_runs_sweeps(self, monkeypatch):
+        # the default forcing term takes one sweep; forcing 0 takes more than
+        # one sweep of 1e-2 to reach tol_cg, every one float32
         seen = spy_cg(monkeypatch)
         g = blurred_piecewise16(Kernel.gaussian(5, 1.0))
         params = RestoreParams(lam=0.01)
@@ -616,10 +637,30 @@ class TestMixedPrecisionStep:
         (b_dtype, args), = seen
         assert b_dtype == np.float32 and args == [np.dtype(np.float32)] * iters
         seen.clear()
-        solvers.lagged_restore_step(g, g, Kernel.gaussian(5, 1.0),
-                                    replace(params, solver=SolverConfig(forcing=0.0)))
-        (b_dtype, args), = seen
-        assert b_dtype == np.float64 and set(args) == {np.dtype(np.float64)}
+        x, iters, converged = solvers.lagged_restore_step(
+            g, g, Kernel.gaussian(5, 1.0), replace(params, solver=SolverConfig(forcing=0.0)))
+        assert converged and x.dtype == np.float64 and len(seen) > 1
+        assert {b_dtype for b_dtype, _ in seen} == {np.dtype(np.float32)}
+        assert [dtype for _, args in seen for dtype in args] == [np.dtype(np.float32)] * iters
+
+    @pytest.mark.parametrize("variant", list(TVVariant))
+    @pytest.mark.parametrize("case", MIXED_CASES)
+    def test_forcing_zero_sweeps_cost_few_iterations(self, monkeypatch, case, variant):
+        # a solve to tol_cg at every step: each sweep restarts CG, which
+        # costs at most a tenth more iterations than one float64 CG per
+        # step, in the same outer steps and to the same output
+        kernel, sigma, lam = MIXED_CASES[case]
+        params = RestoreParams(lam=lam, variant=variant, solver=SolverConfig(forcing=0.0))
+        g = piecewise64(kernel, sigma, seed=1)
+        seen = spy_cg(monkeypatch)
+        f, report = tv_restore_fixed_point(g, kernel, params)
+        assert {b_dtype for b_dtype, _ in seen} == {np.dtype(np.float32)}
+        monkeypatch.setattr(solvers, "_F32_SAFE", (np.inf, 0.0))
+        want, want_report = tv_restore_fixed_point(g, kernel, params)
+        assert report.converged and want_report.converged
+        assert report.outer_iterations == want_report.outer_iterations
+        assert report.cg_iterations_total <= 1.1 * want_report.cg_iterations_total
+        np.testing.assert_allclose(f, want, rtol=0, atol=1e-6)
 
     def test_system_beyond_float32_stays_float64(self, monkeypatch):
         # lam / alpha = 1e13 puts the Jacobi diagonal past solvers._F32_SAFE
@@ -646,7 +687,7 @@ class TestMixedPrecisionStep:
 
         monkeypatch.setattr(solvers, "conjugate_gradient", failing)
         x, iters, converged = solvers.lagged_restore_step(g, g, kernel, params)
-        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        monkeypatch.setattr(solvers, "_F32_SAFE", (np.inf, 0.0))
         want, want_iters, want_converged = solvers.lagged_restore_step(g, g, kernel, params)
         assert (iters, converged) == (want_iters, want_converged) and converged
         np.testing.assert_array_equal(x, want)
@@ -667,7 +708,7 @@ class TestMixedPrecisionStep:
             f, report = tv_restore_fixed_point(g, kernel, params)
         # every step solved in float32, none fell back to float64
         assert [dtype for dtype, _ in seen] == [np.dtype(np.float32)] * report.outer_iterations
-        monkeypatch.setattr(solvers, "_MIXED_FORCING", 1.0)
+        monkeypatch.setattr(solvers, "_F32_SAFE", (np.inf, 0.0))
         want, want_report = tv_restore_fixed_point(g, kernel, params)
         assert report.converged and report.cg_iters_history == want_report.cg_iters_history
         np.testing.assert_allclose(f, want, rtol=0, atol=1e-6 * np.abs(want).max())
@@ -678,9 +719,9 @@ class TestMixedPrecisionStep:
         calls = []
         lagged_operator = solvers._lagged_operator
 
-        def spy(kernel, wx, wy, lam, buffers):
+        def spy(kernel, wx, wy, buffers):
             calls.append(buffers)
-            return lagged_operator(kernel, wx, wy, lam, buffers)
+            return lagged_operator(kernel, wx, wy, buffers)
 
         monkeypatch.setattr(solvers, "_lagged_operator", spy)
         kernel = Kernel.gaussian(5, 1.0)
@@ -759,9 +800,9 @@ class TestMixedPrecisionSolve:
         assert tols[:-1] == pytest.approx([solvers._MIXED_FORCING] * (len(tols) - 1))
         assert tols[-1] > solvers._MIXED_FORCING
 
-    @pytest.mark.parametrize("diag_range", [None, (1.0, 2.0**41), (2.0**-41, 1.0),
-                                            (1.0, np.inf), (np.nan, 1.0)],
-                             ids=["none", "above", "below", "inf", "nan"])
+    @pytest.mark.parametrize("diag_range", [(1.0, 2.0**41), (2.0**-41, 1.0), (1.0, np.inf),
+                                            (np.nan, 1.0)],
+                             ids=["above", "below", "inf", "nan"])
     def test_range_outside_float32_solves_once_in_float64(self, diag_range, monkeypatch):
         a = spread_spd()
         b = np.random.default_rng(73).standard_normal(len(a))
